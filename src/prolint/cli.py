@@ -18,7 +18,9 @@ from .diagnostics import (
     Config,
     REGISTRY,
     Severity,
+    config_problem,
     load_config,
+    parse_positive_int,
     render_json,
     render_text,
     run,
@@ -99,10 +101,19 @@ def _configure(args: argparse.Namespace) -> tuple[Config, int]:
             if any(p.severity >= Severity.ERROR for p in cfg.problems):
                 return cfg, 2
 
-    if getattr(args, "max_line_length", None) is not None:
-        cfg.max_line_length = args.max_line_length
-    if getattr(args, "indent", None) is not None:
-        cfg.indent_size = args.indent
+    for flag, attr in (("max_line_length", "max_line_length"),
+                       ("indent", "indent_size")):
+        value = getattr(args, flag, None)
+        if value is None:
+            continue
+        try:
+            setattr(cfg, attr, parse_positive_int(str(value)))
+        except ValueError as exc:
+            option = "--" + flag.replace("_", "-")
+            config_problem(cfg, Severity.ERROR, 1,
+                           f"bad value for {option}: {exc}", "<command line>")
+            sys.stderr.write(render_text(cfg.problems[-1:]))
+            return cfg, 2
     if getattr(args, "mode_system", None) is not None:
         cfg.mode_system = args.mode_system
     if getattr(args, "fail_on", None) is not None:

@@ -217,15 +217,6 @@ class Config:
         desc = REGISTRY.get(rule_id)
         return desc.default_enabled if desc else True
 
-    def severity_for(self, rule_id: str,
-                     intrinsic: Severity | None = None) -> Severity:
-        if rule_id in self.rule_severity and rule_id not in NON_SUPPRESSIBLE:
-            return self.rule_severity[rule_id]
-        if intrinsic is not None:
-            return intrinsic
-        desc = REGISTRY.get(rule_id)
-        return desc.default_severity if desc else Severity.WARNING
-
 
 def _parse_bool(value: str) -> bool:
     lowered = value.strip().lower()
@@ -238,6 +229,23 @@ def _parse_bool(value: str) -> bool:
 
 def _parse_int(value: str) -> int:
     return int(value.strip())
+
+
+def parse_positive_int(value: str) -> int:
+    number = _parse_int(value)
+    if number < 1:
+        raise ValueError(f"expected a positive integer, got {number}")
+    return number
+
+
+def _parse_pattern(value: str) -> str:
+    pattern = value.strip()
+    try:
+        re.compile(pattern)
+    except re.error as exc:
+        raise ValueError(f"not a regular expression: {exc}") from None
+    return pattern
+
 
 def _parse_number(value: str):
     text = value.strip()
@@ -287,8 +295,8 @@ def _parse_choice(*choices: str) -> Callable[[str], str]:
 
 
 _SCALAR_KEYS: dict[str, tuple[str, Callable]] = {
-    "indent_size": ("indent_size", _parse_int),
-    "max_line_length": ("max_line_length", _parse_int),
+    "indent_size": ("indent_size", parse_positive_int),
+    "max_line_length": ("max_line_length", parse_positive_int),
     "clause_lines_info": ("clause_lines_info", _parse_int),
     "clause_lines_warn": ("clause_lines_warn", _parse_int),
     "eol_comment_max": ("eol_comment_max", _parse_int),
@@ -304,14 +312,14 @@ _SCALAR_KEYS: dict[str, tuple[str, Callable]] = {
     "n04.leet.allowlist": ("leet_allowlist", _parse_name_list),
     "require_docs_without_module": ("require_docs_without_module",
                                     _parse_bool),
-    "public_name_pattern": ("public_name_pattern", lambda v: v.strip()),
+    "public_name_pattern": ("public_name_pattern", _parse_pattern),
 }
 
 _RULE_KEY = re.compile(r"rule\.([A-Za-z][A-Za-z0-9]*)\.(enabled|severity)$")
 
 
-def _config_problem(cfg: Config, severity: Severity, line: int,
-                    message: str, path: str) -> None:
+def config_problem(cfg: Config, severity: Severity, line: int,
+                   message: str, path: str) -> None:
     from .source_model import Span  # deferred: source_model imports this module
 
     cfg.problems.append(
@@ -334,9 +342,9 @@ def load_config(text: str, path: str = "<config>") -> Config:
         if not line:
             continue
         if "=" not in line:
-            _config_problem(cfg, Severity.ERROR, lineno,
-                            f"malformed configuration line: {raw.strip()!r} "
-                            "(expected key = value)", path)
+            config_problem(cfg, Severity.ERROR, lineno,
+                           f"malformed configuration line: {raw.strip()!r} "
+                           "(expected key = value)", path)
             continue
         key, _, value = line.partition("=")
         key = key.strip()
@@ -349,8 +357,8 @@ def load_config(text: str, path: str = "<config>") -> Config:
         if rule_match:
             rule_id, attr = rule_match.group(1).upper(), rule_match.group(2)
             if rule_id not in REGISTRY:
-                _config_problem(cfg, Severity.WARNING, lineno,
-                                f"unknown rule id {rule_id!r}", path)
+                config_problem(cfg, Severity.WARNING, lineno,
+                               f"unknown rule id {rule_id!r}", path)
                 continue
             try:
                 if attr == "enabled":
@@ -358,19 +366,19 @@ def load_config(text: str, path: str = "<config>") -> Config:
                 else:
                     cfg.rule_severity[rule_id] = Severity.from_name(value)
             except ValueError as exc:
-                _config_problem(cfg, Severity.ERROR, lineno,
-                                f"bad value for {key}: {exc}", path)
+                config_problem(cfg, Severity.ERROR, lineno,
+                               f"bad value for {key}: {exc}", path)
             continue
         if key in _SCALAR_KEYS:
             attr, parser = _SCALAR_KEYS[key]
             try:
                 setattr(cfg, attr, parser(value))
             except ValueError as exc:
-                _config_problem(cfg, Severity.ERROR, lineno,
-                                f"bad value for {key}: {exc}", path)
+                config_problem(cfg, Severity.ERROR, lineno,
+                               f"bad value for {key}: {exc}", path)
             continue
-        _config_problem(cfg, Severity.WARNING, lineno,
-                        f"unknown configuration key {key!r}", path)
+        config_problem(cfg, Severity.WARNING, lineno,
+                       f"unknown configuration key {key!r}", path)
     return cfg
 
 

@@ -14,6 +14,7 @@ verbatim.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .diagnostics import Config, Diagnostic
@@ -523,6 +524,7 @@ def _collect_units(program: Program) -> tuple[list[_Unit], dict[int, list[Token]
     interior: dict[int, list[Token]] = {}
     free_comments: list[Token] = []
 
+    starts = [clause.span.byte_start for clause in program.items]
     for attached in program.comments:
         token = attached.token
         if attached.kind == CommentAttachment.PRECEDING \
@@ -532,14 +534,13 @@ def _collect_units(program: Program) -> tuple[list[_Unit], dict[int, list[Token]
                 and attached.clause_index is not None:
             trailing.setdefault(attached.clause_index, []).append(token)
         else:
-            placed = False
-            for idx, clause in enumerate(program.items):
-                if clause.span.byte_start < token.span.byte_start \
-                        < clause.span.byte_end:
-                    interior.setdefault(idx, []).append(token)
-                    placed = True
-                    break
-            if not placed:
+            # The last clause starting before the comment is the only one
+            # that can hold it.
+            idx = bisect_left(starts, token.span.byte_start) - 1
+            if idx >= 0 and token.span.byte_start \
+                    < program.items[idx].span.byte_end:
+                interior.setdefault(idx, []).append(token)
+            else:
                 free_comments.append(token)
 
     units: list[_Unit] = []

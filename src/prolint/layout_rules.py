@@ -7,6 +7,7 @@ run when parsing failed; the remaining rules inspect parsed clauses.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 
 from .diagnostics import Config, Diagnostic, REGISTRY, Severity
 from .reader import (
@@ -83,11 +84,11 @@ class _Lines:
             elif tok.kind in _CLOSERS:
                 depth = max(0, depth - 1)
             prev = tok
-        # Byte ranges whose contents are data or prose, not layout.
-        self.non_code_ranges = [
-            (t.span.byte_start, t.span.byte_end)
-            for t in tokens if t.kind in NON_CODE_KINDS
-        ]
+        # Byte ranges whose contents are data or prose, not layout; sorted
+        # and non-overlapping, as the tokens are.
+        non_code = [t for t in tokens if t.kind in NON_CODE_KINDS]
+        self.non_code_starts = [t.span.byte_start for t in non_code]
+        self.non_code_ends = [t.span.byte_end for t in non_code]
 
     @staticmethod
     def _line_texts(content: str) -> list[str]:
@@ -107,7 +108,8 @@ class _Lines:
         return offsets
 
     def inside_non_code(self, byte: int) -> bool:
-        return any(start <= byte < end for start, end in self.non_code_ranges)
+        idx = bisect_right(self.non_code_starts, byte) - 1
+        return idx >= 0 and byte < self.non_code_ends[idx]
 
     def span_at(self, line: int, col: int, width: int = 1) -> Span:
         byte = self.offsets[line - 1] + col - 1
@@ -484,6 +486,8 @@ def _l11_header(ctx: _Lines, program: Program, cfg: Config) -> list[Diagnostic]:
             "file should begin with a header comment (a block comment or "
             "at least three comment lines)"))
 
+    block_starts = [t.span.byte_start for t in ctx.tokens
+                    if t.kind == TokenKind.BLOCK_COMMENT]
     for idx, clause in enumerate(program.items):
         if clause.kind != ClauseKind.DIRECTIVE:
             continue
@@ -495,10 +499,8 @@ def _l11_header(ctx: _Lines, program: Program, cfg: Config) -> list[Diagnostic]:
             if later.kind != ClauseKind.DIRECTIVE:
                 limit = later.span.byte_start
                 break
-        found = any(
-            t.kind == TokenKind.BLOCK_COMMENT
-            and clause.span.byte_end <= t.span.byte_start < limit
-            for t in ctx.tokens)
+        first = bisect_left(block_starts, clause.span.byte_end)
+        found = first < len(block_starts) and block_starts[first] < limit
         if not found:
             diags.append(_diag(
                 "L11", clause.span,

@@ -340,6 +340,22 @@ def _clause_variables(clause) -> list[Variable]:
     return out
 
 
+#: How many missing indices an N07 message names before it only counts.
+_MAX_LISTED_GAPS = 5
+
+
+def _chain_gaps(indices: list[int]) -> tuple[list[int], int]:
+    """The first missing indices between consecutive sorted ``indices``, at
+    most ``_MAX_LISTED_GAPS`` of them, and how many are missing in all."""
+    listed: list[int] = []
+    count = 0
+    for low, high in zip(indices, indices[1:]):
+        count += high - low - 1
+        room = _MAX_LISTED_GAPS - len(listed)
+        listed.extend(range(low + 1, min(high, low + 1 + room)))
+    return listed, count
+
+
 def _n07_threaded_state(program: Program) -> list[Diagnostic]:
     diags = []
     for clause in program.items:
@@ -360,10 +376,11 @@ def _n07_threaded_state(program: Program) -> list[Diagnostic]:
             if _IN_OUT.match(name):
                 in_out.append(name)
         for base, indices in chains.items():
-            missing = sorted(set(range(min(indices), max(indices)))
-                             - indices)
+            missing, count = _chain_gaps(sorted(indices))
             if missing:
                 gaps = ", ".join(f"{base}{i}" for i in missing)
+                if count > len(missing):
+                    gaps += f" and {count - len(missing)} more"
                 diags.append(_diag(
                     "N07", chain_spans[base],
                     f"threaded state chain {base}0...{base} skips {gaps}"))

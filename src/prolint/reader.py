@@ -9,6 +9,7 @@ directive.  Other directives are stored but not executed.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, Severity
@@ -876,32 +877,49 @@ def read_program(tokens: list[Token]) -> tuple[Program, list[Diagnostic]]:
 
 def _attach_comments(tokens: list[Token],
                      items: list[Clause]) -> list[AttachedComment]:
-    code_tokens = [t for t in tokens if t.kind not in COMMENT_KINDS]
-    comments = [t for t in tokens if t.kind in COMMENT_KINDS]
-    result: list[AttachedComment] = []
+    """Attach each comment to a clause, in one forward pass over ``tokens``
+    (which arrive in byte order).
+
+    * TRAILING: code ends on the line the comment starts on, before it; the
+      comment belongs to the clause holding the last such code token (or to
+      none, when that token is outside every clause).
+    * PRECEDING: line-initial comments on adjacent lines form a block; every
+      comment of a block belongs to the first clause starting after the
+      block's last comment on that comment's last line or the next one.
+    * FREE: every other comment.
+    """
+    starts = [clause.span.byte_start for clause in items]
 
     def clause_at(byte: int) -> int | None:
-        for idx, clause in enumerate(items):
-            if clause.span.byte_start <= byte <= clause.span.byte_end:
-                return idx
+        idx = bisect_right(starts, byte) - 1
+        if idx >= 0 and byte <= items[idx].span.byte_end:
+            return idx
         return None
 
     def clause_starting_after(comment: Token) -> int | None:
-        for idx, clause in enumerate(items):
-            if clause.span.byte_start >= comment.span.byte_end and \
-                    clause.span.start_line in (comment.span.end_line,
-                                               comment.span.end_line + 1):
-                return idx
+        # Start lines never decrease, so only the first candidate can match.
+        idx = bisect_left(starts, comment.span.byte_end)
+        if idx < len(items) and items[idx].span.start_line in (
+                comment.span.end_line, comment.span.end_line + 1):
+            return idx
         return None
+
+    # Each comment with the code token it trails, if any.
+    comments: list[tuple[Token, Token | None]] = []
+    last_code: Token | None = None
+    for tok in tokens:
+        if tok.kind not in COMMENT_KINDS:
+            last_code = tok
+        elif last_code is not None \
+                and last_code.span.end_line == tok.span.start_line:
+            comments.append((tok, last_code))
+        else:
+            comments.append((tok, None))
 
     # Group line-initial comments into blocks of adjacent lines.
     blocks: list[list[Token]] = []
-    for comment in comments:
-        line_initial = not any(
-            t.span.end_line == comment.span.start_line
-            and t.span.byte_end <= comment.span.byte_start
-            for t in code_tokens)
-        if not line_initial:
+    for comment, trailed in comments:
+        if trailed is not None:
             continue
         if blocks and blocks[-1][-1].span.end_line + 1 \
                 >= comment.span.start_line:
@@ -915,16 +933,12 @@ def _attach_comments(tokens: list[Token],
             for comment in block:
                 preceding[comment.span.byte_start] = idx
 
-    for comment in comments:
-        trailing_code = [
-            t for t in code_tokens
-            if t.span.end_line == comment.span.start_line
-            and t.span.byte_end <= comment.span.byte_start
-        ]
-        if trailing_code:
+    result: list[AttachedComment] = []
+    for comment, trailed in comments:
+        if trailed is not None:
             result.append(AttachedComment(
                 comment, CommentAttachment.TRAILING,
-                clause_at(trailing_code[-1].span.byte_start)))
+                clause_at(trailed.span.byte_start)))
         elif comment.span.byte_start in preceding:
             result.append(AttachedComment(
                 comment, CommentAttachment.PRECEDING,
@@ -937,9 +951,11 @@ def _attach_comments(tokens: list[Token],
 def group_predicates(program: Program) -> list[PredicateDef]:
     """Group clauses by predicate indicator in first-appearance order."""
     order: list[tuple[str, int]] = []
+    # Each indicator's clauses with their positions among the clauses that
+    # have an indicator (directives excluded).
     grouped: dict[tuple[str, int], list[tuple[int, Clause]]] = {}
-    clause_positions: list[tuple[int, tuple[str, int]]] = []
-    for idx, clause in enumerate(program.items):
+    position = 0
+    for clause in program.items:
         if clause.kind == ClauseKind.DIRECTIVE:
             continue
         ind = clause.indicator
@@ -948,16 +964,14 @@ def group_predicates(program: Program) -> list[PredicateDef]:
         if ind not in grouped:
             grouped[ind] = []
             order.append(ind)
-        grouped[ind].append((idx, clause))
-        clause_positions.append((idx, ind))
+        grouped[ind].append((position, clause))
+        position += 1
 
     defs: list[PredicateDef] = []
     for ind in order:
         entries = grouped[ind]
         first, last = entries[0][0], entries[-1][0]
-        contiguous = all(
-            other == ind
-            for idx, other in clause_positions if first <= idx <= last)
+        contiguous = last - first + 1 == len(entries)
         exported = True
         if program.exports is not None:
             exported = ind in program.exports

@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import os
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, Severity
@@ -215,14 +216,8 @@ class _Scanner:
                 self.line_starts.append(idx + 1)
 
     def position(self, offset: int) -> tuple[int, int]:
-        lo, hi = 0, len(self.line_starts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.line_starts[mid] <= offset:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo + 1, offset - self.line_starts[lo] + 1
+        line = bisect_right(self.line_starts, offset)
+        return line, offset - self.line_starts[line - 1] + 1
 
     def make_span(self, start: int, end: int) -> Span:
         sl, sc = self.position(start)

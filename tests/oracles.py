@@ -125,3 +125,63 @@ def singleton_names_from_tokens(tokens: list[Token],
         counts[token.text] = counts.get(token.text, 0) + 1
     return {name for name, count in counts.items()
             if count == 1 and not name.startswith("_")}
+
+
+def attach_comments_reference(tokens: list[Token], clause_spans: list):
+    """Comment attachment by brute force: every comment is checked against
+    every token and every clause span.
+
+    Returns ``(token, kind, clause_index)`` per comment in source order, with
+    ``kind`` one of ``"trailing"``, ``"preceding"``, ``"free"``.
+    """
+    comment_kinds = (TokenKind.LINE_COMMENT, TokenKind.BLOCK_COMMENT)
+    code_tokens = [t for t in tokens if t.kind not in comment_kinds]
+    comments = [t for t in tokens if t.kind in comment_kinds]
+
+    def clause_at(byte: int):
+        for idx, span in enumerate(clause_spans):
+            if span.byte_start <= byte <= span.byte_end:
+                return idx
+        return None
+
+    def clause_starting_after(comment: Token):
+        for idx, span in enumerate(clause_spans):
+            if span.byte_start >= comment.span.byte_end and \
+                    span.start_line in (comment.span.end_line,
+                                        comment.span.end_line + 1):
+                return idx
+        return None
+
+    def code_before_on_line(comment: Token) -> list[Token]:
+        return [t for t in code_tokens
+                if t.span.end_line == comment.span.start_line
+                and t.span.byte_end <= comment.span.byte_start]
+
+    blocks: list[list[Token]] = []
+    for comment in comments:
+        if code_before_on_line(comment):
+            continue
+        if blocks and blocks[-1][-1].span.end_line + 1 \
+                >= comment.span.start_line:
+            blocks[-1].append(comment)
+        else:
+            blocks.append([comment])
+    preceding: dict[int, int] = {}
+    for block in blocks:
+        idx = clause_starting_after(block[-1])
+        if idx is not None:
+            for comment in block:
+                preceding[comment.span.byte_start] = idx
+
+    result = []
+    for comment in comments:
+        trailing_code = code_before_on_line(comment)
+        if trailing_code:
+            result.append((comment, "trailing",
+                           clause_at(trailing_code[-1].span.byte_start)))
+        elif comment.span.byte_start in preceding:
+            result.append((comment, "preceding",
+                           preceding[comment.span.byte_start]))
+        else:
+            result.append((comment, "free", None))
+    return result

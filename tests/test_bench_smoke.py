@@ -1,0 +1,25 @@
+"""The benchmark script still runs: a tiny monolith workload, one round.
+
+The full smoke test of every workload lives next to the benchmark
+(``python -m pytest perfbench``).
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+
+
+def test_benchmark_smoke_run_is_correct():
+    done = subprocess.run(
+        [sys.executable, str(RUN_PY), "--workload", "monolith", "--seed", "3",
+         "--seconds", "1", "--trace", "0", "--smoke"],
+        capture_output=True, text=True, timeout=170)
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

@@ -109,6 +109,47 @@ def test_config_error_exits_two(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
+def test_config_indent_size_zero_exits_two(tmp_path, capsys):
+    config = write(tmp_path, "lint.cfg", "indent_size = 0\n")
+    path = write(tmp_path, "clean.pl", CLEAN)
+    assert main(["check", "--config", config, path]) == 2
+    err = capsys.readouterr().err
+    assert f"{config}:1:1: error [C01] bad value for indent_size" in err
+
+
+def test_config_max_line_length_zero_exits_two(tmp_path, capsys):
+    config = write(tmp_path, "lint.cfg", "max_line_length = 0\n")
+    path = write(tmp_path, "clean.pl", CLEAN)
+    assert main(["check", "--config", config, path]) == 2
+    err = capsys.readouterr().err
+    assert f"{config}:1:1: error [C01] bad value for max_line_length" in err
+
+
+def test_config_bad_public_name_pattern_exits_two(tmp_path, capsys):
+    config = write(tmp_path, "lint.cfg", "public_name_pattern = api_(\n")
+    path = write(tmp_path, "clean.pl", CLEAN)
+    assert main(["check", "--config", config, path]) == 2
+    err = capsys.readouterr().err
+    assert f"{config}:1:1: error [C01] bad value for public_name_pattern" \
+        in err
+
+
+def test_indent_flag_zero_exits_two(tmp_path, capsys):
+    path = write(tmp_path, "clean.pl", CLEAN)
+    assert main(["check", "--indent", "0", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error [C01] bad value for --indent" in captured.err
+
+
+def test_max_line_length_flag_zero_exits_two(tmp_path, capsys):
+    path = write(tmp_path, "clean.pl", CLEAN)
+    assert main(["fmt", "--max-line-length", "-3", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error [C01] bad value for --max-line-length" in captured.err
+
+
 def test_config_unknown_key_warns_but_continues(tmp_path, capsys):
     config = write(tmp_path, "lint.cfg", "mystery = 1\n")
     path = write(tmp_path, "clean.pl", CLEAN)

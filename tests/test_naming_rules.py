@@ -217,6 +217,20 @@ def test_n07_gap_in_chain():
     assert "State1" in diags[0].message
 
 
+def test_n07_huge_gap_names_first_few_and_counts_the_rest():
+    text = "p(S0, S20000000) :- q(S0, S20000000).\n"
+    diags = only(lint_text(text), "N07")
+    assert [d.message for d in diags] == [
+        "threaded state chain S0...S skips S1, S2, S3, S4, S5 and 19999994 "
+        "more"]
+    last = "S" + "9" * 20
+    text = f"p(S0, S3, {last}) :- q(S0, {last}).\n"
+    diags = only(lint_text(text), "N07")
+    assert [d.message for d in diags] == [
+        "threaded state chain S0...S skips S1, S2, S4, S5, S6 and "
+        "99999999999999999992 more"]
+
+
 def test_n07_contiguous_chain_clean():
     text = ("p(State0, State) :-\n"
             "    q(State0, State1),\n"

@@ -6,10 +6,10 @@ import enum
 import json
 import re
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 if TYPE_CHECKING:
-    from .reader import Program
+    from .reader import Facts, Program
     from .source_model import SourceFile, Span
 
 
@@ -177,6 +177,32 @@ _CATALOG: list[RuleDescriptor] = [
 
 REGISTRY: dict[str, RuleDescriptor] = {d.rule_id: d for d in _CATALOG}
 
+#: The check of each rule, registered by ``@rule`` in its family module.  A
+#: check takes the file's ``Facts`` and returns or yields its diagnostics.
+RULES: dict[str, Callable[["Facts"], Iterable[Diagnostic]]] = {}
+
+
+def rule(rule_id: str) -> Callable:
+    """Register the decorated function as the check of ``rule_id``, whose
+    descriptor is in ``_CATALOG``."""
+    if rule_id not in REGISTRY:
+        raise ValueError(f"rule {rule_id} has no catalog entry")
+
+    def register(check: Callable) -> Callable:
+        RULES[rule_id] = check
+        return check
+    return register
+
+
+def diag(rule_id: str, span: "Span", message: str,
+         severity: Severity | None = None, suggestion: str | None = None,
+         predicate: tuple[str, int] | None = None) -> Diagnostic:
+    """A diagnostic of ``rule_id``, by default at its catalog severity."""
+    return Diagnostic(rule_id=rule_id,
+                      severity=severity or REGISTRY[rule_id].default_severity,
+                      span=span, message=message, suggestion=suggestion,
+                      predicate=predicate)
+
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -315,6 +341,8 @@ _SCALAR_KEYS: dict[str, tuple[str, Callable]] = {
     "public_name_pattern": ("public_name_pattern", _parse_pattern),
 }
 
+_KEY_ALIASES = {"n06.enabled": "rule.N06.enabled"}
+
 _RULE_KEY = re.compile(r"rule\.([A-Za-z][A-Za-z0-9]*)\.(enabled|severity)$")
 
 
@@ -337,6 +365,7 @@ def load_config(text: str, path: str = "<config>") -> Config:
     rejected).
     """
     cfg = Config()
+    set_on: dict[str, int] = {}  # the line each scalar key was last set on
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -347,13 +376,9 @@ def load_config(text: str, path: str = "<config>") -> Config:
                            "(expected key = value)", path)
             continue
         key, _, value = line.partition("=")
-        key = key.strip()
+        key = _KEY_ALIASES.get(key.strip(), key.strip())
         value = value.strip()
         rule_match = _RULE_KEY.match(key)
-        if key == "n06.enabled":
-            rule_match = None
-            key = "rule.N06.enabled"
-            rule_match = _RULE_KEY.match(key)
         if rule_match:
             rule_id, attr = rule_match.group(1).upper(), rule_match.group(2)
             if rule_id not in REGISTRY:
@@ -373,12 +398,22 @@ def load_config(text: str, path: str = "<config>") -> Config:
             attr, parser = _SCALAR_KEYS[key]
             try:
                 setattr(cfg, attr, parser(value))
+                set_on[key] = lineno
             except ValueError as exc:
                 config_problem(cfg, Severity.ERROR, lineno,
                                f"bad value for {key}: {exc}", path)
             continue
         config_problem(cfg, Severity.WARNING, lineno,
                        f"unknown configuration key {key!r}", path)
+    # Checked once every line is read, so that key order does not matter.
+    if cfg.clause_lines_info > cfg.clause_lines_warn:
+        config_problem(
+            cfg, Severity.ERROR,
+            max(set_on.get("clause_lines_info", 1),
+                set_on.get("clause_lines_warn", 1)),
+            f"clause_lines_info ({cfg.clause_lines_info}) exceeds "
+            f"clause_lines_warn ({cfg.clause_lines_warn}); the L04 info "
+            "band would never fire", path)
     return cfg
 
 
@@ -412,45 +447,58 @@ def _suppressed_ranges(program: "Program") -> list[tuple[int, int, frozenset]]:
     return ranges
 
 
+def run_family(family: str, facts: "Facts") -> list[Diagnostic]:
+    """Run the enabled rules whose ids start with ``family`` ("L", "N", "D"
+    or "I"), in registration order.  A rule that raises becomes one E99 naming
+    it and the exception type; the family's other rules still report."""
+    from .source_model import Span  # deferred, as in config_problem
+
+    diags: list[Diagnostic] = []
+    for rule_id, check in RULES.items():
+        if not rule_id.startswith(family) or not facts.cfg.enabled(rule_id):
+            continue
+        try:
+            found = list(check(facts))
+        except Exception as exc:  # one rule's failure must not hide others
+            found = [diag("E99", Span(1, 1, 1, 1, 0, 0),
+                          f"internal rule failure in {rule_id}: "
+                          f"{type(exc).__name__}: {exc}")]
+        diags += found
+    return diags
+
+
 def run(src: "SourceFile", program: "Program", cfg: Config) -> list[Diagnostic]:
     """Run every enabled rule plus the collected syntax diagnostics.
 
-    A rule that raises internally becomes one E99 diagnostic; the run itself
-    never crashes.  Output is sorted by (line, column, rule id).
+    A rule family that raises internally becomes one E99 diagnostic; the run
+    itself never crashes.  Output is sorted by (line, column, rule id).
     """
     # Imported here: the rule modules import this module for Diagnostic.
     from . import doc_rules, idiom_rules, layout_rules, naming_rules
+    from .reader import Facts
     from .source_model import Span
 
+    facts = Facts(src, program, cfg)
     diags: list[Diagnostic] = list(program.syntax_diagnostics)
-    checkers = [
-        lambda: layout_rules.check_layout(src, program.tokens, program, cfg),
-        lambda: naming_rules.check_naming(program, cfg),
-        lambda: doc_rules.check_docs(program, cfg),
-        lambda: idiom_rules.check_idioms(program, src, cfg),
-    ]
-    for checker in checkers:
+    for check in (layout_rules.check_layout, naming_rules.check_naming,
+                  doc_rules.check_docs, idiom_rules.check_idioms):
         try:
-            diags.extend(checker())
+            diags.extend(check(facts))
         except Exception as exc:  # internal failure must not kill the run
-            diags.append(
-                Diagnostic(rule_id="E99", severity=Severity.ERROR,
-                           span=Span(1, 1, 1, 1, 0, 0),
-                           message=f"internal rule failure: {exc}"))
+            diags.append(diag("E99", Span(1, 1, 1, 1, 0, 0),
+                              f"internal rule failure: {exc}"))
 
     suppressions = _suppressed_ranges(program)
     out: list[Diagnostic] = []
-    for diag in diags:
-        if diag.rule_id in NON_SUPPRESSIBLE:
-            out.append(replace(diag, path=src.path))
+    for d in diags:
+        if d.rule_id in NON_SUPPRESSIBLE:
+            out.append(replace(d, path=src.path))
             continue
-        if not cfg.enabled(diag.rule_id):
-            continue
-        if any(start <= diag.span.start_line <= end and diag.rule_id in ids
+        if any(start <= d.span.start_line <= end and d.rule_id in ids
                for start, end, ids in suppressions):
             continue
-        severity = cfg.rule_severity.get(diag.rule_id, diag.severity)
-        out.append(replace(diag, severity=severity, path=src.path))
+        severity = cfg.rule_severity.get(d.rule_id, d.severity)
+        out.append(replace(d, severity=severity, path=src.path))
     out.sort(key=lambda d: (d.span.start_line, d.span.start_col, d.rule_id))
     return out
 

@@ -14,20 +14,20 @@ PlDoc's ``%!`` is accepted as an alias for ``%%``.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .diagnostics import Config, Diagnostic, REGISTRY
+from .diagnostics import Diagnostic, diag, rule, run_family
 from .reader import (
-    Atom,
-    Clause,
     ClauseKind,
     CommentAttachment,
     Compound,
+    Facts,
     PredicateDef,
     Program,
     Term,
     Variable,
-    group_predicates,
+    indicator_of,
     is_compound,
     leaf_goals,
     strip_module_qualifier,
@@ -236,21 +236,14 @@ def print_doc_head(head: DocHead) -> str:
 _CANDIDATE = re.compile(r"[a-z][A-Za-z0-9_]*\s*(\(|is\b|//|$)")
 
 
-def _diag(rule_id: str, span: Span, message: str,
-          predicate: tuple[str, int] | None = None,
-          suggestion: str | None = None) -> Diagnostic:
-    return Diagnostic(rule_id=rule_id,
-                      severity=REGISTRY[rule_id].default_severity,
-                      span=span, message=message, suggestion=suggestion,
-                      predicate=predicate)
-
-
 @dataclass
 class _DocBlock:
     clause_index: int
     tokens: list[Token]
     heads: list[tuple[DocHead, Token]] = field(default_factory=list)
     failure: tuple[DocHeadError, Token] | None = None
+    group: PredicateDef | None = None
+    group_index: int | None = None
 
     @property
     def marker(self) -> str:
@@ -299,157 +292,154 @@ def _collect_blocks(program: Program) -> list[_DocBlock]:
     return blocks
 
 
-def _called_indicators(clause: Clause) -> set[tuple[str, int]]:
+class _Docs:
+    """The doc blocks above clauses (not directives), each with the
+    predicate group of its clause, and what they document."""
+
+    def __init__(self, facts: Facts) -> None:
+        program = facts.program
+        self.groups = facts.predicates
+        #: The index in ``groups`` of each clause's group, by item index.
+        self.group_index: dict[int, int] = {}
+        clause_ids = {id(c): i for i, c in enumerate(program.items)}
+        for gi, group in enumerate(self.groups):
+            for clause in group.clauses:
+                self.group_index[clause_ids[id(clause)]] = gi
+        self.blocks = [
+            block for block in _collect_blocks(program)
+            if program.items[block.clause_index].kind != ClauseKind.DIRECTIVE]
+        #: Predicates with a '%%' head naming them, and the first head
+        #: written for each indicator.
+        self.documented: set[tuple[str, int]] = set()
+        self.heads_by_group: dict[tuple[str, int], DocHead] = {}
+        for block in self.blocks:
+            block.group_index = self.group_index.get(block.clause_index)
+            if block.group_index is None:
+                continue
+            block.group = group = self.groups[block.group_index]
+            for head, _token in block.heads:
+                if block.marker == "double" \
+                        and head.predicate_name == group.indicator[0]:
+                    self.documented.add(head.indicator)
+                self.heads_by_group.setdefault(head.indicator, head)
+
+
+def check_docs(facts: Facts) -> list[Diagnostic]:
+    return run_family("D", facts)
+
+
+def _called_indicators(goals: list[Term]) -> set[tuple[str, int]]:
+    """The predicates that ``goals`` call, looking inside ``\\+``."""
     called: set[tuple[str, int]] = set()
-    if clause.body is None:
-        return called
-
-    def record(goal: Term) -> None:
-        goal = strip_module_qualifier(goal)
-        if isinstance(goal, Atom):
-            called.add((goal.name, 0))
-        elif isinstance(goal, Compound):
-            called.add((goal.name, len(goal.args)))
-            if goal.name == "\\+" and len(goal.args) == 1:
-                for inner in leaf_goals(goal.args[0]):
-                    record(inner)
-
-    for goal in leaf_goals(clause.body):
-        record(goal)
+    stack = list(goals)
+    while stack:
+        goal = strip_module_qualifier(stack.pop())
+        indicator = indicator_of(goal)
+        if indicator is None:
+            continue
+        called.add(indicator)
+        if is_compound(goal, "\\+", 1):
+            stack.extend(leaf_goals(goal.args[0]))
     return called
 
 
-def check_docs(program: Program, cfg: Config) -> list[Diagnostic]:
-    diags: list[Diagnostic] = []
-    groups = group_predicates(program)
-    blocks = _collect_blocks(program)
-    system = cfg.mode_system
-
-    group_of_clause: dict[int, PredicateDef] = {}
-    group_index: dict[int, int] = {}
-    clause_ids = {id(c): i for i, c in enumerate(program.items)}
-    for gi, group in enumerate(groups):
-        for clause in group.clauses:
-            item_idx = clause_ids[id(clause)]
-            group_of_clause[item_idx] = group
-            group_index[item_idx] = gi
-
-    documented: set[tuple[str, int]] = set()
-    heads_by_group: dict[tuple[str, int], DocHead] = {}
-
-    for block in blocks:
-        attached = program.items[block.clause_index]
-        if attached.kind == ClauseKind.DIRECTIVE:
-            continue
-        group = group_of_clause.get(block.clause_index)
-        gi = group_index.get(block.clause_index)
-
-        # D02: the head must parse, and its modes must belong to the
-        # configured system.
-        if block.failure is not None:
-            error, token = block.failure
-            diags.append(_diag(
-                "D02", token.span,
-                f"documentation head does not parse: {error.message}",
-                predicate=group.indicator if group else None))
-        for head, token in block.heads:
-            for symbol in _invalid_modes(head, system):
-                diags.append(_diag(
-                    "D02", token.span,
-                    f"mode specifier '{symbol}' is not part of the "
-                    f"{system} system", predicate=head.indicator))
-
-        # D03: every head in the block must match an adjacent definition.
-        if group is not None and block.heads:
-            targets = [g.indicator
-                       for g in groups[gi:gi + len(block.heads)]]
-            for head, token in block.heads:
-                if head.indicator in targets:
-                    continue
-                name, arity = head.indicator
-                if name == group.indicator[0]:
-                    message = (f"documented arity {arity}, defined arity "
-                               f"{group.indicator[1]} for {name}")
-                else:
-                    message = (f"doc comment names {name}/{arity}, which is "
-                               "not defined adjacent to it")
-                diags.append(_diag("D03", token.span, message,
-                                   predicate=group.indicator))
-
-        # D04: a main doc comment should state determinism.
-        if block.marker == "double":
-            for head, token in block.heads:
-                if head.determinism is None:
-                    name, arity = head.indicator
-                    diags.append(_diag(
-                        "D04", token.span,
-                        f"documentation of {name}/{arity} does not state "
-                        "its determinism", predicate=head.indicator))
-
-        # D06: '%%' on a predicate the module does not export.
-        if block.marker == "double" and group is not None \
-                and program.has_module_directive and not group.exported:
-            name, arity = group.indicator
-            diags.append(_diag(
-                "D06", block.tokens[0].span,
-                f"auxiliary predicate {name}/{arity} is documented with "
-                "'%%'; use a single '%'", predicate=group.indicator))
-
-        # D07: outputs documented before inputs.
-        for head, token in block.heads:
-            seen_output: ArgDoc | None = None
-            for arg in head.args:
-                if arg.mode in _OUTPUT_MODES and seen_output is None:
-                    seen_output = arg
-                elif arg.mode in _INPUT_MODES and seen_output is not None:
-                    diags.append(_diag(
-                        "D07", token.span,
-                        f"output argument '{seen_output.name}' is "
-                        f"documented before input '{arg.name}'; order "
-                        "arguments inputs first, outputs last",
-                        predicate=head.indicator))
-                    break
-
-        if block.marker == "double" and group is not None:
-            for head, _token in block.heads:
-                if head.predicate_name == group.indicator[0]:
-                    documented.add(head.indicator)
-        if group is not None:
-            for head, _token in block.heads:
-                heads_by_group.setdefault(head.indicator, head)
-
-    # D01: which predicates require a main doc comment.
+@rule("D01")
+def _d01_undocumented(facts: Facts) -> Iterator[Diagnostic]:
+    docs = facts.context(_Docs)
+    groups = docs.groups
     required: list[PredicateDef] = []
-    if program.has_module_directive:
+    if facts.program.has_module_directive:
         required = [g for g in groups if g.exported]
         why = "exported"
     else:
         why = "called from other predicates in this file"
-        if cfg.require_docs_without_module:
+        if facts.cfg.require_docs_without_module:
             callers: dict[tuple[str, int], set[int]] = {}
-            for gi, group in enumerate(groups):
-                for clause in group.clauses:
-                    for ind in _called_indicators(clause):
-                        callers.setdefault(ind, set()).add(gi)
-            pattern = re.compile(cfg.public_name_pattern) \
-                if cfg.public_name_pattern else None
+            for idx, goals in enumerate(facts.leaf_goals):
+                gi = docs.group_index.get(idx)
+                if gi is None:
+                    continue
+                for ind in _called_indicators(goals):
+                    callers.setdefault(ind, set()).add(gi)
+            pattern = re.compile(facts.cfg.public_name_pattern) \
+                if facts.cfg.public_name_pattern else None
             for gi, group in enumerate(groups):
                 others = callers.get(group.indicator, set()) - {gi}
                 if others or (pattern
                               and pattern.search(group.indicator[0])):
                     required.append(group)
     for group in required:
-        if group.indicator in documented:
+        if group.indicator in docs.documented:
             continue
         name, arity = group.indicator
-        diags.append(_diag(
-            "D01", group.clauses[0].span,
-            f"predicate {name}/{arity} is {why} but has no '%%' "
-            "introductory comment", predicate=group.indicator))
+        yield diag("D01", group.clauses[0].span,
+                   f"predicate {name}/{arity} is {why} but has no '%%' "
+                   "introductory comment", predicate=group.indicator)
 
-    # D05: clause-head variables should reuse the documented names.
-    for group in groups:
-        head_doc = heads_by_group.get(group.indicator)
+
+@rule("D02")
+def _d02_malformed_head(facts: Facts) -> Iterator[Diagnostic]:
+    """The head must parse, and its modes must belong to the configured
+    system."""
+    system = facts.cfg.mode_system
+    for block in facts.context(_Docs).blocks:
+        if block.failure is not None:
+            error, token = block.failure
+            yield diag("D02", token.span,
+                       f"documentation head does not parse: {error.message}",
+                       predicate=block.group.indicator if block.group
+                       else None)
+        for head, token in block.heads:
+            for symbol in _invalid_modes(head, system):
+                yield diag("D02", token.span,
+                           f"mode specifier '{symbol}' is not part of the "
+                           f"{system} system", predicate=head.indicator)
+
+
+@rule("D03")
+def _d03_mismatch(facts: Facts) -> Iterator[Diagnostic]:
+    """Every head in a block must match an adjacent definition."""
+    docs = facts.context(_Docs)
+    for block in docs.blocks:
+        group = block.group
+        if group is None or not block.heads:
+            continue
+        gi = block.group_index
+        targets = [g.indicator for g in docs.groups[gi:gi + len(block.heads)]]
+        for head, token in block.heads:
+            if head.indicator in targets:
+                continue
+            name, arity = head.indicator
+            if name == group.indicator[0]:
+                message = (f"documented arity {arity}, defined arity "
+                           f"{group.indicator[1]} for {name}")
+            else:
+                message = (f"doc comment names {name}/{arity}, which is "
+                           "not defined adjacent to it")
+            yield diag("D03", token.span, message,
+                       predicate=group.indicator)
+
+
+@rule("D04")
+def _d04_determinism(facts: Facts) -> Iterator[Diagnostic]:
+    """A main doc comment should state determinism."""
+    for block in facts.context(_Docs).blocks:
+        if block.marker != "double":
+            continue
+        for head, token in block.heads:
+            if head.determinism is None:
+                name, arity = head.indicator
+                yield diag("D04", token.span,
+                           f"documentation of {name}/{arity} does not state "
+                           "its determinism", predicate=head.indicator)
+
+
+@rule("D05")
+def _d05_argument_names(facts: Facts) -> Iterator[Diagnostic]:
+    """Clause-head variables should reuse the documented names."""
+    docs = facts.context(_Docs)
+    for group in docs.groups:
+        head_doc = docs.heads_by_group.get(group.indicator)
         if head_doc is None:
             continue
         for clause in group.clauses:
@@ -464,9 +454,42 @@ def check_docs(program: Program, cfg: Config) -> list[Diagnostic]:
                 documented_name = head_doc.args[position].name
                 if arg.name != documented_name:
                     name, arity = group.indicator
-                    diags.append(_diag(
-                        "D05", arg.span,
-                        f"argument {position + 1} of {name}/{arity} is "
-                        f"named {arg.name} here but {documented_name} in "
-                        "its documentation", predicate=group.indicator))
-    return diags
+                    yield diag("D05", arg.span,
+                               f"argument {position + 1} of {name}/{arity} "
+                               f"is named {arg.name} here but "
+                               f"{documented_name} in its documentation",
+                               predicate=group.indicator)
+
+
+@rule("D06")
+def _d06_marker(facts: Facts) -> Iterator[Diagnostic]:
+    """'%%' on a predicate the module does not export."""
+    if not facts.program.has_module_directive:
+        return
+    for block in facts.context(_Docs).blocks:
+        group = block.group
+        if block.marker == "double" and group is not None \
+                and not group.exported:
+            name, arity = group.indicator
+            yield diag("D06", block.tokens[0].span,
+                       f"auxiliary predicate {name}/{arity} is documented "
+                       "with '%%'; use a single '%'",
+                       predicate=group.indicator)
+
+
+@rule("D07")
+def _d07_argument_order(facts: Facts) -> Iterator[Diagnostic]:
+    """Outputs documented before inputs."""
+    for block in facts.context(_Docs).blocks:
+        for head, token in block.heads:
+            seen_output: ArgDoc | None = None
+            for arg in head.args:
+                if arg.mode in _OUTPUT_MODES and seen_output is None:
+                    seen_output = arg
+                elif arg.mode in _INPUT_MODES and seen_output is not None:
+                    yield diag("D07", token.span,
+                               f"output argument '{seen_output.name}' is "
+                               f"documented before input '{arg.name}'; "
+                               "order arguments inputs first, outputs "
+                               "last", predicate=head.indicator)
+                    break

@@ -33,6 +33,7 @@ from .reader import (
     Variable,
     apply_directive_to_table,
     conjunction_goals,
+    contains_cut,
     is_atom,
     is_compound,
 )
@@ -398,7 +399,7 @@ class _ClauseFormatter:
             self.emit_goal(goal, indent + extra, suffix,
                            lead if index == 0 else None)
             if is_atom(goal, "repeat") and any(
-                    _mentions_cut(later) for later in goals[index + 1:]):
+                    contains_cut(later) for later in goals[index + 1:]):
                 cut_pending += 1
 
     def emit_goal(self, goal: Term, indent: int, suffix: str,
@@ -473,14 +474,6 @@ class _ClauseFormatter:
             self.emit_sequence(then_part, indent, final_suffix="")
         else:
             self.emit_sequence(branch, indent, final_suffix="", lead=prefix)
-
-
-def _mentions_cut(goal: Term) -> bool:
-    if is_atom(goal, "!"):
-        return True
-    if isinstance(goal, Compound) and goal.name in (",", ";", "->", "*->"):
-        return any(_mentions_cut(a) for a in goal.args)
-    return False
 
 
 def _branches(root: Compound) -> list[Term]:

@@ -3,182 +3,124 @@ variables, repeated magic numbers, reminder-tag inventory."""
 
 from __future__ import annotations
 
-from .diagnostics import Config, Diagnostic, REGISTRY, Severity
+from collections.abc import Iterator
+
+from .diagnostics import Diagnostic, Severity, diag, rule, run_family
 from .reader import (
-    Clause,
-    ClauseKind,
-    Compound,
+    Facts,
     Float,
     Integer,
-    Program,
-    Term,
-    Variable,
+    contains_cut,
     final_goal,
-    goal_sequences,
-    group_predicates,
     is_atom,
     is_compound,
-    leaf_goals,
     strip_module_qualifier,
     subterms,
 )
-from .source_model import SourceFile, Span, TokenKind
+from .source_model import Span, TokenKind
 
 
-def _diag(rule_id: str, span: Span, message: str,
-          severity: Severity | None = None, suggestion: str | None = None,
-          predicate: tuple[str, int] | None = None) -> Diagnostic:
-    return Diagnostic(rule_id=rule_id,
-                      severity=severity or REGISTRY[rule_id].default_severity,
-                      span=span, message=message, suggestion=suggestion,
-                      predicate=predicate)
-
-
-def check_idioms(program: Program, src: SourceFile,
-                 cfg: Config) -> list[Diagnostic]:
-    diags: list[Diagnostic] = []
-    diags += _i01_terminal_cut(program)
-    diags += _i02_repeat_without_cut(program)
-    diags += _i03_append_one_element(program)
-    diags += _i04_singletons(program)
-    diags += _i05_magic_numbers(program, cfg)
-    diags += _i06_reminder_tags(program)
-    diags += _i07_bare_conjunction(program)
-    return diags
+def check_idioms(facts: Facts) -> list[Diagnostic]:
+    return run_family("I", facts)
 
 
 # -- I01 --------------------------------------------------------------------
 
-def _i01_terminal_cut(program: Program) -> list[Diagnostic]:
-    diags = []
-    for pred in group_predicates(program):
+@rule("I01")
+def _i01_terminal_cut(facts: Facts) -> Iterator[Diagnostic]:
+    for pred in facts.predicates:
         last = pred.clauses[-1]
         if last.body is None:
             continue
         tail = final_goal(last.body)
         if is_atom(tail, "!"):
             name, arity = pred.indicator
-            diags.append(_diag(
-                "I01", tail.span,
-                f"cut at the end of the last clause of {name}/{arity}: "
-                "what alternatives is it supposed to eliminate?",
-                predicate=pred.indicator))
-    return diags
+            yield diag("I01", tail.span,
+                       f"cut at the end of the last clause of {name}/{arity}: "
+                       "what alternatives is it supposed to eliminate?",
+                       predicate=pred.indicator)
 
 
 # -- I02 --------------------------------------------------------------------
 
-def _contains_cut(goal: Term) -> bool:
-    if is_atom(goal, "!"):
-        return True
-    if isinstance(goal, Compound) and goal.name in (",", ";", "->", "*->"):
-        return any(_contains_cut(a) for a in goal.args)
-    return False
-
-
-def _i02_repeat_without_cut(program: Program) -> list[Diagnostic]:
-    diags = []
-    for clause in program.items:
-        if clause.body is None:
-            continue
-        for seq in goal_sequences(clause.body):
+@rule("I02")
+def _i02_repeat_without_cut(facts: Facts) -> Iterator[Diagnostic]:
+    for clause, sequences in zip(facts.program.items, facts.goal_sequences):
+        for seq in sequences:
             for idx, goal in enumerate(seq):
                 if not is_atom(goal, "repeat"):
                     continue
-                if not any(_contains_cut(later) for later in seq[idx + 1:]):
-                    diags.append(_diag(
-                        "I02", goal.span,
-                        "repeat with no following cut: when will it stop "
-                        "repeating?", predicate=clause.indicator))
-    return diags
+                if not any(contains_cut(later) for later in seq[idx + 1:]):
+                    yield diag("I02", goal.span,
+                               "repeat with no following cut: when will it "
+                               "stop repeating?", predicate=clause.indicator)
 
 
 # -- I03 --------------------------------------------------------------------
 
-def _i03_append_one_element(program: Program) -> list[Diagnostic]:
-    diags = []
-    for clause in program.items:
-        if clause.body is None:
-            continue
-        for goal in leaf_goals(clause.body):
+@rule("I03")
+def _i03_append_one_element(facts: Facts) -> Iterator[Diagnostic]:
+    for clause, goals in zip(facts.program.items, facts.leaf_goals):
+        for goal in goals:
             goal = strip_module_qualifier(goal)
             if not is_compound(goal, "append", 3):
                 continue
             first = goal.args[0]
             if is_compound(first, ".", 2) and is_atom(first.args[1], "[]"):
-                diags.append(_diag(
-                    "I03", goal.span,
-                    "append/3 with a one-element list as its first "
-                    "argument; use [Element|Rest] instead",
-                    suggestion="unify the result with [Element|Rest] "
-                    "directly", predicate=clause.indicator))
-    return diags
+                yield diag("I03", goal.span,
+                           "append/3 with a one-element list as its first "
+                           "argument; use [Element|Rest] instead",
+                           suggestion="unify the result with [Element|Rest] "
+                           "directly", predicate=clause.indicator)
 
 
 # -- I04 --------------------------------------------------------------------
 
-def collect_variable_counts(clause: Clause) -> dict[str, list[Variable]]:
-    """Occurrences of each named variable in a clause; anonymous ``_`` is
-    never aggregated."""
-    counts: dict[str, list[Variable]] = {}
-    for root in (clause.head, clause.body):
-        if root is None:
-            continue
-        for term in subterms(root):
-            if isinstance(term, Variable) and term.name != "_":
-                counts.setdefault(term.name, []).append(term)
-    return counts
-
-
-def _i04_singletons(program: Program) -> list[Diagnostic]:
-    diags = []
-    for clause in program.items:
-        for name, occurrences in collect_variable_counts(clause).items():
+@rule("I04")
+def _i04_singletons(facts: Facts) -> Iterator[Diagnostic]:
+    for clause, variables in zip(facts.program.items, facts.variables):
+        for name, occurrences in variables.items():
             if name.startswith("_"):
                 if len(occurrences) > 1:
-                    diags.append(_diag(
-                        "I04", occurrences[0].span,
-                        f"variable {name} is marked as a singleton by its "
-                        f"underscore but occurs {len(occurrences)} times",
-                        severity=Severity.INFO,
-                        predicate=clause.indicator))
+                    yield diag("I04", occurrences[0].span,
+                               f"variable {name} is marked as a singleton by "
+                               f"its underscore but occurs "
+                               f"{len(occurrences)} times",
+                               severity=Severity.INFO,
+                               predicate=clause.indicator)
             elif len(occurrences) == 1:
-                diags.append(_diag(
-                    "I04", occurrences[0].span,
-                    f"singleton variable {name}: it occurs only once in "
-                    "this clause",
-                    suggestion=f"replace {name} with _{name} if intentional",
-                    predicate=clause.indicator))
-    return diags
+                yield diag("I04", occurrences[0].span,
+                           f"singleton variable {name}: it occurs only once "
+                           "in this clause",
+                           suggestion=f"replace {name} with _{name} if "
+                           "intentional", predicate=clause.indicator)
 
 
 # -- I05 --------------------------------------------------------------------
 
-def _i05_magic_numbers(program: Program, cfg: Config) -> list[Diagnostic]:
+@rule("I05")
+def _i05_magic_numbers(facts: Facts) -> Iterator[Diagnostic]:
     by_text: dict[str, list[tuple[Span, object]]] = {}
-    for clause in program.items:
+    for clause in facts.program.items:
         for root in (clause.head, clause.body):
             if root is None:
                 continue
             for term in subterms(root):
                 if isinstance(term, (Integer, Float)):
-                    if term.value in cfg.magic_number_allowlist:
+                    if term.value in facts.cfg.magic_number_allowlist:
                         continue
                     text = term.lexeme or str(term.value)
                     by_text.setdefault(text, []).append(
                         (term.span, term.value))
-    diags = []
     for text in sorted(by_text, key=lambda t: by_text[t][0][0].byte_start):
         occurrences = by_text[text]
         if len(occurrences) < 2:
             continue
         lines = ", ".join(str(span.start_line) for span, _ in occurrences)
-        diags.append(_diag(
-            "I05", occurrences[0][0],
-            f"the number {text} occurs {len(occurrences)} times "
-            f"(lines {lines}); isolate it as the argument of a fact",
-            suggestion=f"define a fact such as named_constant({text})."))
-    return diags
+        yield diag("I05", occurrences[0][0],
+                   f"the number {text} occurs {len(occurrences)} times "
+                   f"(lines {lines}); isolate it as the argument of a fact",
+                   suggestion=f"define a fact such as named_constant({text}).")
 
 
 # -- I06 --------------------------------------------------------------------
@@ -186,9 +128,9 @@ def _i05_magic_numbers(program: Program, cfg: Config) -> list[Diagnostic]:
 _TAGS = ("%TBD:", "%FIX:")
 
 
-def _i06_reminder_tags(program: Program) -> list[Diagnostic]:
-    diags = []
-    for token in program.tokens:
+@rule("I06")
+def _i06_reminder_tags(facts: Facts) -> Iterator[Diagnostic]:
+    for token in facts.program.tokens:
         if token.kind != TokenKind.LINE_COMMENT:
             continue
         text = token.text
@@ -203,18 +145,16 @@ def _i06_reminder_tags(program: Program) -> list[Diagnostic]:
         if tag is not None:
             rest = text[len(tag):].strip()
             summary = f": {rest}" if rest else ""
-            diags.append(_diag(
-                "I06", token.span,
-                f"reminder tag {tag} found{summary}",
-                severity=Severity.INFO))
-    return diags
+            yield diag("I06", token.span,
+                       f"reminder tag {tag} found{summary}",
+                       severity=Severity.INFO)
 
 
 # -- I07 --------------------------------------------------------------------
 
-def _i07_bare_conjunction(program: Program) -> list[Diagnostic]:
-    diags = []
-    for clause in program.items:
+@rule("I07")
+def _i07_bare_conjunction(facts: Facts) -> Iterator[Diagnostic]:
+    for clause in facts.program.items:
         if clause.body is None:
             continue
         for term in subterms(clause.body):
@@ -224,9 +164,7 @@ def _i07_bare_conjunction(program: Program) -> list[Diagnostic]:
                 continue
             if any(is_compound(arg, ",", 2) and not arg.parenthesized
                    for arg in term.args):
-                diags.append(_diag(
-                    "I07", term.span,
-                    "conjunction mixed with disjunction on one line; add "
-                    "parentheses to make the precedence obvious",
-                    predicate=clause.indicator))
-    return diags
+                yield diag("I07", term.span,
+                           "conjunction mixed with disjunction on one line; "
+                           "add parentheses to make the precedence obvious",
+                           predicate=clause.indicator)

@@ -7,18 +7,11 @@ anonymous or underscore-prefixed variables are exempt from everything.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .diagnostics import Config, Diagnostic, REGISTRY
-from .reader import (
-    Compound,
-    Program,
-    Term,
-    Variable,
-    group_predicates,
-    is_compound,
-    subterms,
-)
+from .diagnostics import Diagnostic, diag, rule, run_family
+from .reader import Facts, Variable, is_compound, subterms
 from .source_model import Span, Token, TokenKind
 
 
@@ -86,13 +79,6 @@ _STATE_SUFFIX = re.compile(r"^(.*[^\d])(\d+)$")
 _IN_OUT = re.compile(r"^(.+)_(in|out)$")
 
 
-def _diag(rule_id: str, span: Span, message: str,
-          suggestion: str | None = None) -> Diagnostic:
-    return Diagnostic(rule_id=rule_id,
-                      severity=REGISTRY[rule_id].default_severity,
-                      span=span, message=message, suggestion=suggestion)
-
-
 def _snake_suggestion(name: str) -> str:
     words = split_identifier(name)
     return "_".join(seg.lower() for seg in words.segments if seg) + \
@@ -107,25 +93,21 @@ def _variable_suggestion(name: str) -> str:
         (words.trailing_digits or "")
 
 
-def check_naming(program: Program, cfg: Config) -> list[Diagnostic]:
-    diags: list[Diagnostic] = []
-    atom_tokens = _first_occurrences(
-        t for t in program.tokens
-        if t.kind == TokenKind.ATOM and _ALNUM_ATOM.match(t.text))
-    var_tokens = _first_occurrences(
-        t for t in program.tokens
-        if t.kind == TokenKind.VARIABLE and not t.text.startswith("_"))
-    predicates = group_predicates(program)
+def check_naming(facts: Facts) -> list[Diagnostic]:
+    return run_family("N", facts)
 
-    diags += _n01_intercaps(atom_tokens, var_tokens)
-    diags += _n02_word_caps(var_tokens)
-    diags += _n03_pronounceable(atom_tokens, var_tokens, cfg)
-    diags += _n04_number_words(atom_tokens, var_tokens, predicates, cfg)
-    diags += _n05_aux_suffix(predicates)
-    if cfg.enabled("N06"):
-        diags += _n06_list_pattern(program)
-    diags += _n07_threaded_state(program)
-    return diags
+
+class _Names:
+    """The first occurrence of each plain atom and each named variable."""
+
+    def __init__(self, facts: Facts) -> None:
+        tokens = facts.program.tokens
+        self.atoms = _first_occurrences(
+            t for t in tokens
+            if t.kind == TokenKind.ATOM and _ALNUM_ATOM.match(t.text))
+        self.variables = _first_occurrences(
+            t for t in tokens
+            if t.kind == TokenKind.VARIABLE and not t.text.startswith("_"))
 
 
 def _first_occurrences(tokens) -> list[Token]:
@@ -138,25 +120,22 @@ def _first_occurrences(tokens) -> list[Token]:
 
 # -- N01 --------------------------------------------------------------------
 
-def _n01_intercaps(atoms: list[Token], variables: list[Token]) -> list[Diagnostic]:
-    diags = []
-    for tok in atoms:
-        words = split_identifier(tok.text)
-        if _has_intercaps(words):
+@rule("N01")
+def _n01_intercaps(facts: Facts) -> Iterator[Diagnostic]:
+    names = facts.context(_Names)
+    for tok in names.atoms:
+        if _has_intercaps(split_identifier(tok.text)):
             suggestion = _snake_suggestion(tok.text)
-            diags.append(_diag(
-                "N01", tok.span,
-                f"atom '{tok.text}' uses internal capitalization; write "
-                f"'{suggestion}'", suggestion=suggestion))
-    for tok in variables:
-        words = split_identifier(tok.text)
-        if _has_intercaps(words):
+            yield diag("N01", tok.span,
+                       f"atom '{tok.text}' uses internal capitalization; "
+                       f"write '{suggestion}'", suggestion=suggestion)
+    for tok in names.variables:
+        if _has_intercaps(split_identifier(tok.text)):
             suggestion = _variable_suggestion(tok.text)
-            diags.append(_diag(
-                "N01", tok.span,
-                f"variable '{tok.text}' uses internal capitalization; "
-                f"write '{suggestion}'", suggestion=suggestion))
-    return diags
+            yield diag("N01", tok.span,
+                       f"variable '{tok.text}' uses internal "
+                       f"capitalization; write '{suggestion}'",
+                       suggestion=suggestion)
 
 
 # -- N02 --------------------------------------------------------------------
@@ -165,9 +144,9 @@ def _exempt_suffix(segment: str) -> bool:
     return re.fullmatch(r"(in|out|tmp)\d*", segment) is not None
 
 
-def _n02_word_caps(variables: list[Token]) -> list[Diagnostic]:
-    diags = []
-    for tok in variables:
+@rule("N02")
+def _n02_word_caps(facts: Facts) -> Iterator[Diagnostic]:
+    for tok in facts.context(_Names).variables:
         parts = tok.text.split("_")
         bad = False
         for idx, part in enumerate(parts):
@@ -183,47 +162,43 @@ def _n02_word_caps(variables: list[Token]) -> list[Diagnostic]:
                          or (idx == len(parts) - 1 and _exempt_suffix(part)))
                 else part[0].upper() + part[1:]
                 for idx, part in enumerate(parts))
-            diags.append(_diag(
-                "N02", tok.span,
-                f"variable '{tok.text}' has lowercase words; prefer "
-                f"'{suggestion}'", suggestion=suggestion))
-    return diags
+            yield diag("N02", tok.span,
+                       f"variable '{tok.text}' has lowercase words; prefer "
+                       f"'{suggestion}'", suggestion=suggestion)
 
 
 # -- N03 --------------------------------------------------------------------
 
-def _n03_pronounceable(atoms: list[Token], variables: list[Token],
-                       cfg: Config) -> list[Diagnostic]:
-    diags = []
-    for tok in atoms + variables:
-        words = split_identifier(tok.text)
-        for segment in words.segments:
+@rule("N03")
+def _n03_pronounceable(facts: Facts) -> Iterator[Diagnostic]:
+    names = facts.context(_Names)
+    for tok in names.atoms + names.variables:
+        for segment in split_identifier(tok.text).segments:
             letters = [c for c in segment if c.isalpha()]
             if len(segment) < 4 or not letters:
                 continue
-            if segment.lower() in cfg.pronounceable_allowlist:
+            if segment.lower() in facts.cfg.pronounceable_allowlist:
                 continue
             if not any(c.lower() in _VOWELS for c in letters):
-                diags.append(_diag(
-                    "N03", tok.span,
-                    f"name '{tok.text}' contains the unpronounceable "
-                    f"segment '{segment}'"))
+                yield diag("N03", tok.span,
+                           f"name '{tok.text}' contains the unpronounceable "
+                           f"segment '{segment}'")
                 break
-    return diags
 
 
 # -- N04 --------------------------------------------------------------------
 
-def _n04_number_words(atoms: list[Token], variables: list[Token],
-                      predicates, cfg: Config) -> list[Diagnostic]:
-    diags = []
-    defined = {p.indicator[0] for p in predicates}
+@rule("N04")
+def _n04_number_words(facts: Facts) -> Iterator[Diagnostic]:
+    names = facts.context(_Names)
+    cfg = facts.cfg
+    defined = {p.indicator[0] for p in facts.predicates}
     flagged: set[str] = set()
 
     def segments_of(name: str) -> list[str]:
         return [seg.lower() for seg in split_identifier(name).segments if seg]
 
-    for tok in atoms + variables:
+    for tok in names.atoms + names.variables:
         name = tok.text
         if name in flagged:
             continue
@@ -257,41 +232,34 @@ def _n04_number_words(atoms: list[Token], variables: list[Token],
                         break
         if hit is not None:
             flagged.add(name)
-            diags.append(_diag(
-                "N04", tok.span,
-                f"number word '{hit}' in '{name}'; use a digit "
-                f"(e.g. '{suggestion}')", suggestion=suggestion))
+            yield diag("N04", tok.span,
+                       f"number word '{hit}' in '{name}'; use a digit "
+                       f"(e.g. '{suggestion}')", suggestion=suggestion)
 
     if cfg.leet_enabled:
-        for tok in atoms:
+        for tok in names.atoms:
             name = tok.text
             if name in flagged or name.lower() in cfg.leet_allowlist:
                 continue
             if _LEET.search(name):
                 flagged.add(name)
-                diags.append(_diag(
-                    "N04", tok.span,
-                    f"digits embedded between letters in '{name}' make the "
-                    "spelling unpredictable"))
-    return diags
+                yield diag("N04", tok.span,
+                           f"digits embedded between letters in '{name}' "
+                           "make the spelling unpredictable")
 
 
 # -- N05 --------------------------------------------------------------------
 
-def _n05_aux_suffix(predicates) -> list[Diagnostic]:
-    diags = []
-    for pred in predicates:
+@rule("N05")
+def _n05_aux_suffix(facts: Facts) -> Iterator[Diagnostic]:
+    for pred in facts.predicates:
         name, arity = pred.indicator
         if name.endswith("_aux"):
-            diags.append(Diagnostic(
-                rule_id="N05",
-                severity=REGISTRY["N05"].default_severity,
-                span=pred.clauses[0].span,
-                message=f"predicate {name}/{arity} named with '_aux'; "
-                        "consider '_case', '_loop', '_unguarded', or the "
-                        "same name at a different arity",
-                predicate=pred.indicator))
-    return diags
+            yield diag("N05", pred.clauses[0].span,
+                       f"predicate {name}/{arity} named with '_aux'; "
+                       "consider '_case', '_loop', '_unguarded', or the "
+                       "same name at a different arity",
+                       predicate=pred.indicator)
 
 
 # -- N06 --------------------------------------------------------------------
@@ -303,9 +271,9 @@ def _n06_acceptable(head: str, tail: str) -> bool:
     return stem.startswith(head) or head.startswith(stem)
 
 
-def _n06_list_pattern(program: Program) -> list[Diagnostic]:
-    diags = []
-    for clause in program.items:
+@rule("N06")
+def _n06_list_pattern(facts: Facts) -> Iterator[Diagnostic]:
+    for clause in facts.program.items:
         for root in (clause.head, clause.body):
             if root is None:
                 continue
@@ -319,26 +287,13 @@ def _n06_list_pattern(program: Program) -> list[Diagnostic]:
                 if head.name.startswith("_") or tail.name.startswith("_"):
                     continue
                 if not _n06_acceptable(head.name, tail.name):
-                    diags.append(_diag(
-                        "N06", term.span,
-                        f"list pattern [{head.name}|{tail.name}]: name the "
-                        "tail after the element (e.g. "
-                        f"[{head.name}|{head.name}s])"))
-    return diags
+                    yield diag("N06", term.span,
+                               f"list pattern [{head.name}|{tail.name}]: "
+                               "name the tail after the element (e.g. "
+                               f"[{head.name}|{head.name}s])")
 
 
 # -- N07 --------------------------------------------------------------------
-
-def _clause_variables(clause) -> list[Variable]:
-    out = []
-    for root in (clause.head, clause.body):
-        if root is None:
-            continue
-        for term in subterms(root):
-            if isinstance(term, Variable):
-                out.append(term)
-    return out
-
 
 #: How many missing indices an N07 message names before it only counts.
 _MAX_LISTED_GAPS = 5
@@ -356,23 +311,20 @@ def _chain_gaps(indices: list[int]) -> tuple[list[int], int]:
     return listed, count
 
 
-def _n07_threaded_state(program: Program) -> list[Diagnostic]:
-    diags = []
-    for clause in program.items:
-        variables = _clause_variables(clause)
-        names = {}
-        for var in variables:
-            if not var.name.startswith("_") and var.name not in names:
-                names[var.name] = var
+@rule("N07")
+def _n07_threaded_state(facts: Facts) -> Iterator[Diagnostic]:
+    for variables in facts.variables:
         chains: dict[str, set[int]] = {}
         chain_spans: dict[str, Span] = {}
         in_out: list[str] = []
-        for name, var in names.items():
+        for name, occurrences in variables.items():
+            if name.startswith("_"):
+                continue
             match = _STATE_SUFFIX.match(name)
             if match:
                 chains.setdefault(match.group(1), set()).add(
                     int(match.group(2)))
-                chain_spans.setdefault(match.group(1), var.span)
+                chain_spans.setdefault(match.group(1), occurrences[0].span)
             if _IN_OUT.match(name):
                 in_out.append(name)
         for base, indices in chains.items():
@@ -381,14 +333,12 @@ def _n07_threaded_state(program: Program) -> list[Diagnostic]:
                 gaps = ", ".join(f"{base}{i}" for i in missing)
                 if count > len(missing):
                     gaps += f" and {count - len(missing)} more"
-                diags.append(_diag(
-                    "N07", chain_spans[base],
-                    f"threaded state chain {base}0...{base} skips {gaps}"))
+                yield diag("N07", chain_spans[base],
+                           f"threaded state chain {base}0...{base} skips "
+                           f"{gaps}")
         if chains and in_out:
             base = sorted(chains)[0]
-            diags.append(_diag(
-                "N07", chain_spans[base],
-                "clause mixes numbered state variables "
-                f"({base}{min(chains[base])}) with the _in/_out convention "
-                f"({in_out[0]}); pick one"))
-    return diags
+            yield diag("N07", chain_spans[base],
+                       "clause mixes numbered state variables "
+                       f"({base}{min(chains[base])}) with the _in/_out "
+                       f"convention ({in_out[0]}); pick one")

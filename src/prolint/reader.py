@@ -3,7 +3,8 @@ clauses and programs, with a mutable operator table.
 
 The reader interprets ``:- op(P, T, N)`` directives so that later clauses
 parse under the updated table, and extracts exports from a ``:- module(M, Es)``
-directive.  Other directives are stored but not executed.
+directive.  Other directives are stored but not executed.  ``Facts`` holds
+what the lint rules share about one read file.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 from .diagnostics import Diagnostic, Severity
 from .source_model import (
@@ -21,6 +24,9 @@ from .source_model import (
     TokenKind,
     scan,
 )
+
+if TYPE_CHECKING:
+    from .diagnostics import Config
 
 # ---------------------------------------------------------------------------
 # Terms
@@ -169,44 +175,23 @@ def leaf_goals(body: Term) -> list[Term]:
     return goals
 
 
-def _flatten_conjunction(term: Term, force_top: bool = False) -> list[Term]:
-    out: list[Term] = []
-    stack: list[tuple[Term, bool]] = [(term, True)]
-    while stack:
-        current, top = stack.pop()
-        if is_compound(current, ",", 2) and (not current.parenthesized
-                                             or (top and force_top)):
-            stack.append((current.args[1], False))
-            stack.append((current.args[0], False))
-        else:
-            out.append(current)
-    return out
-
-
 def goal_sequences(body: Term) -> list[list[Term]]:
     """Every and-then sequence of a body: the top-level one plus one per
     disjunction/if-then-else branch and parenthesized group, recursively."""
     sequences: list[list[Term]] = []
-    # Work items: ("seq", term, force) flattens into a new sequence;
-    # ("goal", term) dispatches a single already-sequenced goal.
-    work: list[tuple] = [("seq", body, False)]
+    work = [conjunction_goals(body)]
     while work:
-        item = work.pop()
-        if item[0] == "seq":
-            _, term, force = item
-            goals = _flatten_conjunction(term, force)
-            sequences.append(goals)
-            for goal in reversed(goals):
-                work.append(("goal", goal))
-        else:
-            goal = item[1]
+        goals = work.pop()
+        sequences.append(goals)
+        for goal in reversed(goals):
             if isinstance(goal, Compound) and len(goal.args) == 2 \
                     and goal.name in (";", "->", "*->"):
-                for branch in reversed(_branch_terms(goal)):
-                    work.append(("seq", branch, False))
+                work.extend(conjunction_goals(branch)
+                            for branch in reversed(_branch_terms(goal)))
             elif is_compound(goal, ",", 2):
                 # A parenthesized conjunction used as one goal.
-                work.append(("seq", goal, True))
+                work.append(conjunction_goals(goal.args[0])
+                            + conjunction_goals(goal.args[1]))
     return sequences
 
 
@@ -224,6 +209,15 @@ def _branch_terms(cluster: Compound) -> list[Term]:
         else:
             branches.append(term)
     return branches
+
+
+def contains_cut(goal: Term) -> bool:
+    """True when ``goal`` is a cut or a control construct holding one."""
+    if is_atom(goal, "!"):
+        return True
+    if isinstance(goal, Compound) and goal.name in CONTROL_FUNCTORS:
+        return any(contains_cut(a) for a in goal.args)
+    return False
 
 
 def final_goal(body: Term) -> Term:
@@ -981,6 +975,59 @@ def group_predicates(program: Program) -> list[PredicateDef]:
             contiguous=contiguous,
             exported=exported))
     return defs
+
+
+_Context = TypeVar("_Context")
+
+
+class Facts:
+    """What the rules know about one file.  Each fact is computed on first
+    use and shared by every rule that reads it; per-clause facts are lists
+    aligned with ``program.items``."""
+
+    def __init__(self, src: SourceFile, program: Program,
+                 cfg: "Config") -> None:
+        self.src = src
+        self.program = program
+        self.cfg = cfg
+        self._contexts: dict[Callable, object] = {}
+
+    @cached_property
+    def predicates(self) -> list[PredicateDef]:
+        return group_predicates(self.program)
+
+    @cached_property
+    def leaf_goals(self) -> list[list[Term]]:
+        return [leaf_goals(clause.body) if clause.body is not None else []
+                for clause in self.program.items]
+
+    @cached_property
+    def goal_sequences(self) -> list[list[list[Term]]]:
+        return [goal_sequences(clause.body) if clause.body is not None
+                else [] for clause in self.program.items]
+
+    @cached_property
+    def variables(self) -> list[dict[str, list[Variable]]]:
+        """Each clause's named variables with their occurrences, in order
+        of first occurrence; the anonymous ``_`` is never aggregated."""
+        out = []
+        for clause in self.program.items:
+            occurrences: dict[str, list[Variable]] = {}
+            for root in (clause.head, clause.body):
+                if root is None:
+                    continue
+                for term in subterms(root):
+                    if isinstance(term, Variable) and term.name != "_":
+                        occurrences.setdefault(term.name, []).append(term)
+            out.append(occurrences)
+        return out
+
+    def context(self, build: Callable[["Facts"], _Context]) -> _Context:
+        """A rule family's own shared context, ``build(self)``, built on
+        first use."""
+        if build not in self._contexts:
+            self._contexts[build] = build(self)
+        return self._contexts[build]
 
 
 def program_from_source(src: SourceFile) -> Program:

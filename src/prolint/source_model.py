@@ -12,6 +12,7 @@ import os
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .diagnostics import Diagnostic, Severity
 
@@ -105,55 +106,42 @@ class Token:
 
 @dataclass
 class SourceFile:
+    """A file's text with its line index, built once: ``line_starts`` holds
+    the offset of each line (one more entry than newlines), ``line_texts``
+    each line without its newline and carriage return."""
+
     path: str
     content: str
     lines: list[LineInfo] = field(default_factory=list)
+    line_starts: list[int] = field(init=False, repr=False)
+    line_texts: list[str] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        pieces = self.content.split("\n")
+        self.line_starts = list(
+            accumulate((len(piece) + 1 for piece in pieces[:-1]), initial=0))
+        if pieces[-1] == "":
+            pieces.pop()
+        self.line_texts = [piece[:-1] if piece.endswith("\r") else piece
+                           for piece in pieces]
         if not self.lines:
-            self.lines = line_metrics_for(self.content)
+            self.lines = [_line_info(number, text) for number, text
+                          in enumerate(self.line_texts, start=1)]
 
     def line_text(self, number: int) -> str:
         """Return the text of a physical line, without its newline."""
-        raw = _split_lines(self.content)
-        text = raw[number - 1]
-        return text[:-1] if text.endswith("\r") else text
+        return self.line_texts[number - 1]
 
 
-def _split_lines(content: str) -> list[str]:
-    if content == "":
-        return []
-    pieces = content.split("\n")
-    if pieces and pieces[-1] == "":
-        pieces.pop()
-    return pieces
-
-
-def line_metrics_for(content: str) -> list[LineInfo]:
-    infos: list[LineInfo] = []
-    for idx, raw in enumerate(_split_lines(content), start=1):
-        text = raw[:-1] if raw.endswith("\r") else raw
-        indent = 0
-        for ch in text:
-            if ch in " \t":
-                indent += 1
-            else:
-                break
-        infos.append(
-            LineInfo(
-                number=idx,
-                length=len(text),
-                indent_width=indent,
-                has_tab="\t" in text,
-                is_blank=text.strip() == "",
-            )
-        )
-    return infos
+def _line_info(number: int, text: str) -> LineInfo:
+    return LineInfo(number=number, length=len(text),
+                    indent_width=len(text) - len(text.lstrip(" \t")),
+                    has_tab="\t" in text, is_blank=text.strip() == "")
 
 
 def line_metrics(src: SourceFile) -> list[LineInfo]:
     """One LineInfo per physical line of ``src``."""
-    return line_metrics_for(src.content)
+    return src.lines
 
 
 def load_source(path: str | os.PathLike) -> SourceFile:
@@ -210,10 +198,7 @@ class _Scanner:
         self.i = 0
         self.tokens: list[Token] = []
         self.diagnostics: list[Diagnostic] = []
-        self.line_starts = [0]
-        for idx, ch in enumerate(self.text):
-            if ch == "\n":
-                self.line_starts.append(idx + 1)
+        self.line_starts = src.line_starts
 
     def position(self, offset: int) -> tuple[int, int]:
         line = bisect_right(self.line_starts, offset)

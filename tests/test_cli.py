@@ -117,6 +117,17 @@ def test_config_indent_size_zero_exits_two(tmp_path, capsys):
     assert f"{config}:1:1: error [C01] bad value for indent_size" in err
 
 
+def test_config_clause_lines_info_above_warn_exits_two(tmp_path, capsys):
+    # The warn limit comes first, so the check must wait for every line.
+    config = write(tmp_path, "lint.cfg", "clause_lines_warn = 10\n"
+                   "# comment\nclause_lines_info = 20\n")
+    path = write(tmp_path, "clean.pl", CLEAN)
+    assert main(["check", "--config", config, path]) == 2
+    err = capsys.readouterr().err
+    assert f"{config}:3:1: error [C01] clause_lines_info (20) exceeds " \
+        "clause_lines_warn (10)" in err
+
+
 def test_config_max_line_length_zero_exits_two(tmp_path, capsys):
     config = write(tmp_path, "lint.cfg", "max_line_length = 0\n")
     path = write(tmp_path, "clean.pl", CLEAN)

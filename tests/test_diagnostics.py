@@ -158,6 +158,31 @@ def test_rule_crash_becomes_internal_diagnostic(monkeypatch):
     assert "E99" in rule_ids(diags)
 
 
+def _boom(facts):
+    raise RuntimeError("boom")
+
+
+def test_rule_crash_names_the_rule_and_spares_its_family(monkeypatch):
+    from prolint import diagnostics
+
+    monkeypatch.setitem(diagnostics.RULES, "L03", _boom)
+    diags = lint_text("\tfoo.\n")
+    assert [d.message for d in diags if d.rule_id == "E99"] == [
+        "internal rule failure in L03: RuntimeError: boom"]
+    assert "L01" in rule_ids(diags)
+
+
+def test_disabled_rule_is_never_called(monkeypatch):
+    from prolint import diagnostics
+
+    monkeypatch.setitem(diagnostics.RULES, "L03", _boom)
+    cfg = Config()
+    cfg.rule_enabled["L03"] = False
+    diags = lint_text("\tfoo.\n", cfg)
+    assert "E99" not in rule_ids(diags)
+    assert "L01" in rule_ids(diags)
+
+
 def test_render_text_format():
     diags = [d for d in lint_text("\tfoo.\n", path="f.pl")
              if d.rule_id == "L01"]

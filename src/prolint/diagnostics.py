@@ -426,10 +426,11 @@ SUPPRESSION_COMMENT = re.compile(
     r"%+\s*prolint:\s*allow\s+([A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*)")
 
 
-def _suppressed_ranges(program: "Program") -> list[tuple[int, int, frozenset]]:
-    """Clause line ranges whose head line carries a ``% prolint: allow``
-    comment, with the rule ids it names."""
-    ranges = []
+def _suppressed_lines(program: "Program") -> dict[int, frozenset]:
+    """Map every line of each clause whose head line carries a
+    ``% prolint: allow`` comment to the rule ids allowed there.  Clauses can
+    share a line (``a. b. % prolint: allow L05``), so a line's ids are the
+    union over the clauses that cover it."""
     trailing_by_line: dict[int, set[str]] = {}
     for attached in program.comments:
         if attached.kind.value != "trailing":
@@ -439,12 +440,14 @@ def _suppressed_ranges(program: "Program") -> list[tuple[int, int, frozenset]]:
             ids = {part.strip().upper() for part in m.group(1).split(",")}
             line = attached.token.span.start_line
             trailing_by_line.setdefault(line, set()).update(ids)
+    allowed: dict[int, frozenset] = {}
     for clause in program.items:
         ids = trailing_by_line.get(clause.span.start_line)
         if ids:
-            ranges.append((clause.span.start_line, clause.span.end_line,
-                           frozenset(ids)))
-    return ranges
+            for line in range(clause.span.start_line,
+                              clause.span.end_line + 1):
+                allowed[line] = allowed.get(line, frozenset()) | ids
+    return allowed
 
 
 def run_family(family: str, facts: "Facts") -> list[Diagnostic]:
@@ -488,14 +491,13 @@ def run(src: "SourceFile", program: "Program", cfg: Config) -> list[Diagnostic]:
             diags.append(diag("E99", Span(1, 1, 1, 1, 0, 0),
                               f"internal rule failure: {exc}"))
 
-    suppressions = _suppressed_ranges(program)
+    allowed = _suppressed_lines(program)
     out: list[Diagnostic] = []
     for d in diags:
         if d.rule_id in NON_SUPPRESSIBLE:
             out.append(replace(d, path=src.path))
             continue
-        if any(start <= d.span.start_line <= end and d.rule_id in ids
-               for start, end, ids in suppressions):
+        if d.rule_id in allowed.get(d.span.start_line, ()):
             continue
         severity = cfg.rule_severity.get(d.rule_id, d.severity)
         out.append(replace(d, severity=severity, path=src.path))

@@ -84,6 +84,10 @@ def _atom_text(name: str, lexeme: str | None) -> str:
 class _Renderer:
     def __init__(self, ops: OperatorTable) -> None:
         self.ops = ops
+        # id(term) -> (term, text, priority).  Holding the term keeps its id
+        # from being reused while the cache lives; the cache must not
+        # outlive ``ops``, since an op/3 directive changes every rendering.
+        self._rendered: dict[int, tuple[Term, str, int]] = {}
 
     def priority(self, term: Term) -> int:
         if isinstance(term, Atom) and not term.quoted \
@@ -103,12 +107,17 @@ class _Renderer:
 
     def render(self, term: Term, max_prec: int,
                force_parens: bool = False) -> str:
-        text, priority = self._render(term, max_prec)
+        # The lookup stays inline: a helper would add a frame per nesting
+        # level and lower the depth that renders without RecursionError.
+        entry = self._rendered.get(id(term))
+        if entry is None:
+            entry = self._rendered[id(term)] = (term, *self._render(term))
+        _, text, priority = entry
         if force_parens or priority > max_prec:
             return f"({text})"
         return text
 
-    def _render(self, term: Term, max_prec: int) -> tuple[str, int]:
+    def _render(self, term: Term) -> tuple[str, int]:
         if isinstance(term, Variable):
             return term.name, 0
         if isinstance(term, (Integer, Float)):
@@ -117,10 +126,9 @@ class _Renderer:
             return (term.lexeme or f'"{term.text}"'), 0
         if isinstance(term, Atom):
             return _atom_text(term.name, term.lexeme), self.priority(term)
-        return self._render_compound(term, max_prec)
+        return self._render_compound(term)
 
-    def _render_compound(self, term: Compound,
-                         max_prec: int) -> tuple[str, int]:
+    def _render_compound(self, term: Compound) -> tuple[str, int]:
         name, args = term.name, term.args
         if name == "." and len(args) == 2:
             return self._render_list(term), 0

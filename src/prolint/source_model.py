@@ -274,7 +274,7 @@ class _Scanner:
                 if not self.scan_quoted(start, "`", TokenKind.STRING,
                                         "unterminated back-quoted string"):
                     return
-            elif ch.isdigit():
+            elif ch.isdecimal():
                 self.scan_number(start)
             elif _is_var_start(ch):
                 self.scan_ident(start, TokenKind.VARIABLE)
@@ -340,22 +340,22 @@ class _Scanner:
             self.scan_char_code(start)
             return
         i = start
-        while i < n and text[i].isdigit():
+        while i < n and text[i].isdecimal():
             i += 1
         is_float = False
-        if i + 1 < n and text[i] == "." and text[i + 1].isdigit():
+        if i + 1 < n and text[i] == "." and text[i + 1].isdecimal():
             is_float = True
             i += 1
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
         if i < n and text[i] in "eE":
             j = i + 1
             if j < n and text[j] in "+-":
                 j += 1
-            if j < n and text[j].isdigit():
+            if j < n and text[j].isdecimal():
                 is_float = True
                 i = j
-                while i < n and text[i].isdigit():
+                while i < n and text[i].isdecimal():
                     i += 1
         self.i = i
         lexeme = text[start:i]

@@ -1,4 +1,6 @@
-"""The benchmark script still runs: a tiny monolith workload, one round.
+"""The benchmark script still runs: tiny monolith and library workloads, one
+round each.  The library's deep data terms put the formatter's wrapping under
+the benchmark's formatter checks.
 
 The full smoke test of every workload lives next to the benchmark
 (``python -m pytest perfbench``).
@@ -11,12 +13,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
 
-def test_benchmark_smoke_run_is_correct():
+@pytest.mark.parametrize("workload", ["monolith", "library"])
+def test_benchmark_smoke_run_is_correct(workload):
     done = subprocess.run(
-        [sys.executable, str(RUN_PY), "--workload", "monolith", "--seed", "3",
+        [sys.executable, str(RUN_PY), "--workload", workload, "--seed", "3",
          "--seconds", "1", "--trace", "0", "--smoke"],
         capture_output=True, text=True, timeout=170)
     assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]

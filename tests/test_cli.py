@@ -189,6 +189,19 @@ def test_directory_recursion_and_extension_filter(tmp_path, capsys):
     assert "a.pl" in out and "b.pro" in out and "ignored.txt" not in out
 
 
+def test_non_decimal_digit_file_reported_with_the_others(tmp_path, capsys):
+    write(tmp_path, "superscript.pl", "x(\u00b2).\n")
+    write(tmp_path, "tabbed.pl", TABBED)
+    assert main(["check", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "superscript.pl:1:3: error [E01]" in out
+    assert "tabbed.pl" in out and "[L01]" in out
+    assert main(["fmt", "--check", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "superscript.pl" in captured.out + captured.err
+    assert "tabbed.pl" in captured.out
+
+
 def test_unknown_flag_exits_two(capsys):
     assert main(["check", "--frobnicate", "x.pl"]) == 2
 

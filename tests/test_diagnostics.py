@@ -244,3 +244,25 @@ def test_suppression_comment_applies_to_clause():
     i01 = [d for d in diags if d.rule_id == "I01"]
     assert len(i01) == 1
     assert i01[0].span.start_line == 3
+
+
+def test_suppression_on_a_line_shared_by_two_clauses():
+    shared = "/* header */\n\na :- b, c. d :- e, f."
+    assert rule_ids(lint_text(shared + "\n")) == ["L05", "L06", "L12", "L05"]
+    assert rule_ids(lint_text(shared + "  % prolint: allow L05\n")) \
+        == ["L06", "L12"]
+    # p's lines 3-4 and s's line 4 overlap: line 4 allows both ids.
+    overlapping = ("/* header */\n\np :- % prolint: allow L05\n"
+                   "    q, r. s :- t, u.")
+    assert rule_ids(lint_text(overlapping + "\n")) == ["L06", "L12"]
+    assert rule_ids(lint_text(overlapping + "  % prolint: allow L06\n")) \
+        == ["L12"]
+
+
+def test_suppression_over_many_clauses():
+    clauses = "".join(f"p{i}(X) :- a(X), b. % prolint: allow L05\n"
+                      for i in range(2000))
+    text = "/* header */\n\n" + clauses
+    assert rule_ids(lint_text(text.replace(" % prolint: allow L05", ""))) \
+        .count("L05") == 2000
+    assert "L05" not in rule_ids(lint_text(text))

@@ -15,6 +15,8 @@ from prolint import (
     source_from_text,
     structurally_equal,
 )
+from prolint.formatter import _Renderer
+from prolint.reader import subterms
 from prolint.source_model import TokenKind, scan
 
 from gen import gen_file
@@ -289,3 +291,43 @@ def test_suppression_comment_reattaches_to_head_line():
     src = source_from_text(out, "x.pl")
     diags = run(src, program_from_source(src), Config())
     assert not [d for d in diags if d.rule_id == "I01"]
+
+
+def _nested_fact(depth: int) -> str:
+    """A fact whose argument nests ``depth`` levels and is far too wide for
+    one line, so the formatter wraps it at every level."""
+    return "p(" + "f(aaaaaaaaaa, " * depth + "x" + ")" * depth + ").\n"
+
+
+@pytest.mark.parametrize("depth", [40, 80])
+def test_wrapping_renders_each_subterm_once(depth, monkeypatch):
+    program = program_from_source(source_from_text(_nested_fact(depth)))
+    assert not program.syntax_diagnostics
+    calls = 0
+    original = _Renderer._render
+
+    def counting(self, *args):
+        nonlocal calls
+        calls += 1
+        return original(self, *args)
+
+    monkeypatch.setattr(_Renderer, "_render", counting)
+    out = format_program(program)
+    assert len(out.splitlines()) > depth  # wrapped at every level
+    head = program.items[0].head
+    assert calls <= sum(1 for _ in subterms(head))
+
+
+def test_deepest_readable_term_formats_and_reads_back():
+    # The reader's nesting limit depends on the stack depth it is called
+    # at, so find it from here rather than hard-coding it.
+    def read(text):
+        return program_from_source(source_from_text(text))
+
+    depth = next(d for d in range(200, 0, -1)
+                 if not read(_nested_fact(d)).syntax_diagnostics)
+    program = read(_nested_fact(depth))
+    out = format_program(program)
+    reread = read(out)
+    assert not reread.syntax_diagnostics
+    assert structurally_equal(program.items[0].head, reread.items[0].head)

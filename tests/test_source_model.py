@@ -119,6 +119,21 @@ def test_scan_float_forms():
     assert tokens[2].value == 2.5e-3
 
 
+def test_scan_non_decimal_digits_are_stray_characters():
+    # isdigit() holds for these but int() rejects them: they must not reach
+    # the number scanner.
+    tokens, diags = scan(source_from_text("x(\u00b2, \u00b9, \u2460)."))
+    assert [t.text for t in tokens if t.kind == TokenKind.PUNCTUATION] \
+        == ["\u00b2", "\u00b9", "\u2460"]
+    assert [d.rule_id for d in diags] == ["E01"] * 3
+    assert "unexpected character" in diags[0].message
+    # Other decimal digits still scan as numbers.
+    tokens, diags = scan(source_from_text("x(\u0663, 1.5e\u00b2)."))
+    assert (tokens[2].kind, tokens[2].value) == (TokenKind.INTEGER, 3)
+    assert (tokens[4].kind, tokens[4].value) == (TokenKind.FLOAT, 1.5)
+    assert diags == []
+
+
 def test_scan_quoted_atom_verbatim():
     tokens, _ = scan(source_from_text("write('CPU time = ')"))
     quoted = [t for t in tokens if t.kind == TokenKind.QUOTED_ATOM]

@@ -233,14 +233,24 @@ def _cmd_fmt(args: argparse.Namespace, cfg: Config) -> int:
                   file=sys.stderr)
             failed = True
             continue
+        try:
+            if args.check_only:
+                canonical, divergence = check_format(src, program, style)
+            else:
+                text = format_program(program, style)
+        except RecursionError:
+            # The reader takes long operator chains without recursion; the
+            # renderer recurses once per operand.
+            print(f"prolint: {path}: not formatted (term nested too deeply "
+                  "to format)", file=sys.stderr)
+            failed = True
+            continue
         if args.check_only:
-            canonical, divergence = check_format(src, program, style)
             if not canonical:
                 print(f"{path}: needs formatting (first difference at "
                       f"{divergence.start_line}:{divergence.start_col})")
                 failed = True
         elif args.write:
-            text = format_program(program, style)
             if text != src.content:
                 try:
                     _write_in_place(path, text)
@@ -248,7 +258,7 @@ def _cmd_fmt(args: argparse.Namespace, cfg: Config) -> int:
                     print(f"prolint: {path}: {exc}", file=sys.stderr)
                     io_error = True
         else:
-            sys.stdout.write(format_program(program, style))
+            sys.stdout.write(text)
     if io_error:
         return 2
     return 1 if failed else 0

@@ -9,6 +9,8 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
+from functools import cached_property
+from itertools import takewhile
 
 from .diagnostics import Diagnostic, Severity, diag, rule, run_family
 from .reader import (
@@ -42,8 +44,7 @@ class _Lines:
     def __init__(self, facts: Facts) -> None:
         self.src = src = facts.src
         self.tokens = tokens = facts.program.tokens
-        self.code_tokens = [t for t in tokens
-                            if t.kind not in COMMENT_KINDS]
+        self.code_tokens = facts.program.code_tokens
         self.texts = src.line_texts
         self.offsets = src.line_starts
         self.first_by_line: dict[int, Token] = {}
@@ -68,15 +69,19 @@ class _Lines:
             elif tok.kind in _CLOSERS:
                 depth = max(0, depth - 1)
             prev = tok
-        # Byte ranges whose contents are data or prose, not layout; sorted
-        # and non-overlapping, as the tokens are.
-        non_code = [t for t in tokens if t.kind in NON_CODE_KINDS]
-        self.non_code_starts = [t.span.byte_start for t in non_code]
-        self.non_code_ends = [t.span.byte_end for t in non_code]
+
+    @cached_property
+    def _non_code(self) -> tuple[list[int], list[int]]:
+        """Starts and ends of the byte ranges whose contents are data or
+        prose, not layout; sorted and non-overlapping, as the tokens are."""
+        non_code = [t for t in self.tokens if t.kind in NON_CODE_KINDS]
+        return ([t.span.byte_start for t in non_code],
+                [t.span.byte_end for t in non_code])
 
     def inside_non_code(self, byte: int) -> bool:
-        idx = bisect_right(self.non_code_starts, byte) - 1
-        return idx >= 0 and byte < self.non_code_ends[idx]
+        starts, ends = self._non_code
+        idx = bisect_right(starts, byte) - 1
+        return idx >= 0 and byte < ends[idx]
 
     def span_at(self, line: int, col: int, width: int = 1) -> Span:
         byte = self.offsets[line - 1] + col - 1
@@ -394,10 +399,7 @@ def _l11_header(facts: Facts) -> Iterator[Diagnostic]:
     program = facts.program
     if not program.items:
         return
-    first_code = ctx.code_tokens[0] if ctx.code_tokens else None
-    leading = [t for t in ctx.tokens if t.kind in COMMENT_KINDS
-               and (first_code is None
-                    or t.span.byte_end <= first_code.span.byte_start)]
+    leading = list(takewhile(lambda t: t.kind in COMMENT_KINDS, ctx.tokens))
     qualifies = any(t.kind == TokenKind.BLOCK_COMMENT for t in leading)
     if not qualifies:
         run = 0

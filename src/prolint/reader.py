@@ -407,6 +407,8 @@ class Program:
     exports: list[tuple[str, int]] | None = None
     module_name: str | None = None
     tokens: list[Token] = field(default_factory=list)
+    #: ``tokens`` without the comments, as the parser reads them.
+    code_tokens: list[Token] = field(default_factory=list)
     syntax_diagnostics: list[Diagnostic] = field(default_factory=list)
     comma_roles: dict[int, str] = field(default_factory=dict)
 
@@ -822,6 +824,7 @@ def read_program(tokens: list[Token]) -> tuple[Program, list[Diagnostic]]:
     program = Program(tokens=tokens)
     diagnostics: list[Diagnostic] = []
     parser = _Parser(tokens, program.operator_table, program.comma_roles)
+    program.code_tokens = parser.tokens
 
     while parser.peek() is not None:
         tok = parser.peek()

@@ -13,12 +13,12 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic, Severity
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """A contiguous source region.
 
     Line and column numbers are 1-based; ``end_col`` is exclusive.
@@ -166,7 +166,15 @@ def source_from_text(text: str, path: str = "<string>") -> SourceFile:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-_SYMBOL_CHARS = frozenset("#$&*+-./:<=>?@^~\\")
+#: One token after its whitespace gap; the group that matched says what
+#: starts there.  ``\w`` is exactly ``str.isalnum()`` or ``_``, so group 4
+#: is an identifier's full extent.  The catch-all excludes whitespace, so
+#: the gap at the end of the file matches nothing.
+_TOKEN = re.compile(
+    r"[ \t\r\n]*(?:(%[^\n]*)|(/\*)|(['\"`])|(\w+)"
+    r"|([#$&*+\-./:<=>?@^~\\]+)|([()\[\]{},|])|([!;])|([^ \t\r\n]))")
+_LINE_COMMENT, _BLOCK_COMMENT, _QUOTE, _WORD, _SYMBOLIC, _SINGLE, _SOLO = \
+    range(1, 8)
 _SINGLE_KINDS = {
     "(": TokenKind.OPEN_PAREN,
     ")": TokenKind.CLOSE_PAREN,
@@ -177,260 +185,54 @@ _SINGLE_KINDS = {
     ",": TokenKind.COMMA,
     "|": TokenKind.BAR,
 }
-_BASED_INT = re.compile(r"0[xX][0-9a-fA-F]+|0[oO][0-7]+|0[bB][01]+")
+#: A quoted item: doubled quotes, and escapes, where ``\x`` and octal ones
+#: run to a closing backslash but stop at a newline or the quote.
+#: Possessive, so that a missing close quote fails without backtracking.
+_QUOTED = {
+    quote: re.compile(
+        rf"{quote}(?:[^{quote}\\]++|{quote}{quote}"
+        rf"|\\(?:[x0-7][^\\\n{quote}]*+\\?|.))*+{quote}", re.DOTALL)
+    for quote in "'\"`"
+}
+_QUOTED_KINDS = {
+    "'": (TokenKind.QUOTED_ATOM, "unterminated quoted atom"),
+    '"': (TokenKind.STRING, "unterminated string"),
+    "`": (TokenKind.STRING, "unterminated back-quoted string"),
+}
+#: Groups: a based integer, a character code, then a decimal numeral whose
+#: fraction or exponent makes it a float.
+_NUMBER = re.compile(r"(0[xX][0-9a-fA-F]+|0[oO][0-7]+|0[bB][01]+)|(0')"
+                     r"|\d+(\.\d+)?([eE][+-]?\d+)?")
+_SIMPLE_ESCAPES = {"a": 7, "b": 8, "f": 12, "n": 10, "r": 13, "t": 9,
+                   "v": 11, "\\": 92, "'": 39, '"': 34, "`": 96, "0": 0}
 
 
-def _is_var_start(ch: str) -> bool:
-    return ch == "_" or (ch.isalpha() and (ch.isupper() or ch.istitle()))
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch == "_" or ch.isalnum()
-
-
-class _Scanner:
-    """Single pass over the source text producing tokens and diagnostics."""
-
-    def __init__(self, src: SourceFile) -> None:
-        self.src = src
-        self.text = src.content
-        self.n = len(src.content)
-        self.i = 0
-        self.tokens: list[Token] = []
-        self.diagnostics: list[Diagnostic] = []
-        self.line_starts = src.line_starts
-
-    def position(self, offset: int) -> tuple[int, int]:
-        line = bisect_right(self.line_starts, offset)
-        return line, offset - self.line_starts[line - 1] + 1
-
-    def make_span(self, start: int, end: int) -> Span:
-        sl, sc = self.position(start)
-        el, ec = self.position(end) if end > start else (sl, sc)
-        return Span(sl, sc, el, ec, start, end)
-
-    def emit(self, kind: TokenKind, start: int, end: int,
-             value: int | float | None = None) -> None:
-        spaces = 0
-        k = start
-        while k > 0 and self.text[k - 1] == " ":
-            spaces += 1
-            k -= 1
-        prev_end = self.tokens[-1].span.byte_end if self.tokens else 0
-        newline = "\n" in self.text[prev_end:start]
-        self.tokens.append(
-            Token(
-                kind=kind,
-                text=self.text[start:end],
-                span=self.make_span(start, end),
-                preceded_by_newline=newline,
-                preceding_spaces=spaces,
-                value=value,
-            )
-        )
-
-    def error(self, start: int, end: int, message: str) -> None:
-        self.diagnostics.append(
-            Diagnostic(
-                rule_id="E01",
-                severity=Severity.ERROR,
-                span=self.make_span(start, end),
-                message=message,
-                path=self.src.path,
-            )
-        )
-
-    def scan(self) -> None:
-        text, n = self.text, self.n
-        while self.i < n:
-            ch = text[self.i]
-            if ch in " \t\r\n":
-                self.i += 1
-                continue
-            start = self.i
-            if ch == "%":
-                end = text.find("\n", start)
-                end = n if end < 0 else end
-                self.i = end
-                self.emit(TokenKind.LINE_COMMENT, start, end)
-            elif ch == "/" and text.startswith("/*", start):
-                close = text.find("*/", start + 2)
-                if close < 0:
-                    self.emit(TokenKind.ERROR, start, n)
-                    self.error(start, n, "unterminated block comment")
-                    self.i = n
-                    return
-                self.i = close + 2
-                self.emit(TokenKind.BLOCK_COMMENT, start, self.i)
-            elif ch == "'":
-                if not self.scan_quoted(start, "'", TokenKind.QUOTED_ATOM,
-                                        "unterminated quoted atom"):
-                    return
-            elif ch == '"':
-                if not self.scan_quoted(start, '"', TokenKind.STRING,
-                                        "unterminated string"):
-                    return
-            elif ch == "`":
-                if not self.scan_quoted(start, "`", TokenKind.STRING,
-                                        "unterminated back-quoted string"):
-                    return
-            elif ch.isdecimal():
-                self.scan_number(start)
-            elif _is_var_start(ch):
-                self.scan_ident(start, TokenKind.VARIABLE)
-            elif ch.isalpha():
-                self.scan_ident(start, TokenKind.ATOM)
-            elif ch in _SINGLE_KINDS:
-                self.i += 1
-                self.emit(_SINGLE_KINDS[ch], start, self.i)
-            elif ch in "!;":
-                self.i += 1
-                self.emit(TokenKind.ATOM, start, self.i)
-            elif ch in _SYMBOL_CHARS:
-                self.scan_symbolic(start)
-            else:
-                self.i += 1
-                self.emit(TokenKind.PUNCTUATION, start, self.i)
-                self.error(start, self.i, f"unexpected character {ch!r}")
-
-    def scan_quoted(self, start: int, quote: str, kind: TokenKind,
-                    what: str) -> bool:
-        """Consume a quoted token; on missing close quote emit an error token
-        to end-of-file and stop the scan (returns False)."""
-        text, n = self.text, self.n
-        i = start + 1
-        while i < n:
-            ch = text[i]
-            if ch == quote:
-                if i + 1 < n and text[i + 1] == quote:
-                    i += 2
-                    continue
-                self.i = i + 1
-                self.emit(kind, start, self.i)
-                return True
-            if ch == "\\":
-                i += 1
-                if i >= n:
-                    break
-                esc = text[i]
-                if esc in "x01234567":
-                    i += 1
-                    while i < n and text[i] not in "\\\n" + quote:
-                        i += 1
-                    if i < n and text[i] == "\\":
-                        i += 1
-                else:
-                    i += 1
-            else:
-                i += 1
-        self.emit(TokenKind.ERROR, start, n)
-        self.error(start, n, what)
-        self.i = n
-        return False
-
-    def scan_number(self, start: int) -> None:
-        text, n = self.text, self.n
-        m = _BASED_INT.match(text, start)
-        if m:
-            self.i = m.end()
-            self.emit(TokenKind.INTEGER, start, self.i,
-                      value=int(m.group(0), 0))
-            return
-        if text.startswith("0'", start):
-            self.scan_char_code(start)
-            return
-        i = start
-        while i < n and text[i].isdecimal():
-            i += 1
-        is_float = False
-        if i + 1 < n and text[i] == "." and text[i + 1].isdecimal():
-            is_float = True
-            i += 1
-            while i < n and text[i].isdecimal():
-                i += 1
-        if i < n and text[i] in "eE":
-            j = i + 1
-            if j < n and text[j] in "+-":
-                j += 1
-            if j < n and text[j].isdecimal():
-                is_float = True
-                i = j
-                while i < n and text[i].isdecimal():
-                    i += 1
-        self.i = i
-        lexeme = text[start:i]
-        if is_float:
-            self.emit(TokenKind.FLOAT, start, i, value=float(lexeme))
-        else:
-            self.emit(TokenKind.INTEGER, start, i, value=int(lexeme))
-
-    def scan_char_code(self, start: int) -> None:
-        """``0'c`` forms, including ``0''`` / ``0'''`` and escapes."""
-        text, n = self.text, self.n
-        i = start + 2
-        if i >= n:
-            self.i = n
-            self.emit(TokenKind.ERROR, start, n)
-            self.error(start, n, "unterminated character code")
-            return
-        ch = text[i]
-        if ch == "'":
-            i += 1
-            if i < n and text[i] == "'":
-                i += 1
-            self.i = i
-            self.emit(TokenKind.INTEGER, start, i, value=ord("'"))
-            return
-        if ch == "\\":
-            i += 1
-            value = ord("\\")
-            if i < n:
-                esc = text[i]
-                simple = {"a": 7, "b": 8, "f": 12, "n": 10, "r": 13,
-                          "t": 9, "v": 11, "\\": 92, "'": 39, '"': 34,
-                          "`": 96, "0": 0}
-                if esc == "x" or esc.isdigit():
-                    j = i + 1
-                    while j < n and text[j] not in "\\ \t\n":
-                        j += 1
-                    digits = text[i + 1:j] if esc == "x" else text[i:j]
-                    base = 16 if esc == "x" else 8
-                    try:
-                        value = int(digits, base)
-                    except ValueError:
-                        value = 0
-                    i = j + 1 if j < n and text[j] == "\\" else j
-                else:
-                    value = simple.get(esc, ord(esc))
-                    i += 1
-            self.i = i
-            self.emit(TokenKind.INTEGER, start, i, value=value)
-            return
-        self.i = i + 1
-        self.emit(TokenKind.INTEGER, start, self.i, value=ord(ch))
-
-    def scan_ident(self, start: int, kind: TokenKind) -> None:
-        text, n = self.text, self.n
-        i = start + 1
-        while i < n and _is_ident_char(text[i]):
-            i += 1
-        self.i = i
-        self.emit(kind, start, i)
-
-    def scan_symbolic(self, start: int) -> None:
-        text, n = self.text, self.n
-        i = start + 1
-        while i < n and text[i] in _SYMBOL_CHARS:
-            i += 1
-        lexeme = text[start:i]
-        if lexeme == ".":
-            nxt = text[i] if i < n else ""
-            if nxt == "" or nxt in " \t\r\n" or nxt == "%":
-                self.i = i
-                self.emit(TokenKind.END, start, i)
-                return
-        self.i = i
-        self.emit(TokenKind.ATOM, start, i)
+def _char_code(text: str, start: int) -> tuple[int, int]:
+    """End and value of the ``0'c`` form at ``start``, including ``0''``,
+    ``0'''`` and escapes; the end is -1 when the text stops after ``0'``."""
+    n = len(text)
+    i = start + 2
+    if i >= n:
+        return -1, 0
+    ch = text[i]
+    if ch == "'":
+        return (i + 2 if text.startswith("'", i + 1) else i + 1), ord("'")
+    if ch != "\\":
+        return i + 1, ord(ch)
+    i += 1
+    if i >= n:
+        return i, ord("\\")
+    esc = text[i]
+    if esc != "x" and not esc.isdigit():
+        return i + 1, _SIMPLE_ESCAPES.get(esc, ord(esc))
+    j = i + 1
+    while j < n and text[j] not in "\\ \t\n":
+        j += 1
+    try:
+        value = int(text[i + 1:j], 16) if esc == "x" else int(text[i:j], 8)
+    except ValueError:
+        value = 0
+    return (j + 1 if j < n and text[j] == "\\" else j), value
 
 
 def scan(src: SourceFile) -> tuple[list[Token], list[Diagnostic]]:
@@ -441,6 +243,110 @@ def scan(src: SourceFile) -> tuple[list[Token], list[Diagnostic]]:
     token spanning to end-of-file plus one diagnostic, and scanning stops at
     that point.
     """
-    scanner = _Scanner(src)
-    scanner.scan()
-    return scanner.tokens, scanner.diagnostics
+    text = src.content
+    n = len(text)
+    line_starts = src.line_starts
+    tokens: list[Token] = []
+    diagnostics: list[Diagnostic] = []
+    match = _TOKEN.match
+    # The cursor's line and the offset where that line starts, moved on by
+    # the newlines of each gap and by the tokens that can span lines.
+    pos = line_start = 0
+    line = 1
+    # Spaces ending the previous token, which only a character code such
+    # as ``0' `` has; they count towards the next token's spaces.
+    trailing = 0
+    while (m := match(text, pos)) is not None:
+        group = m.lastindex
+        start = m.start(group)
+        end = m.end()
+        if start == pos:
+            newline = False
+            spaces = trailing
+        else:
+            gap = text[pos:start]
+            spaces = len(gap) - len(gap.rstrip(" "))
+            if spaces == start - pos:
+                spaces += trailing
+            newline = "\n" in gap
+            if newline:
+                line += gap.count("\n")
+                line_start = pos + gap.rindex("\n") + 1
+        value = None
+        problem = None
+        trailing = 0
+        multi_line = False
+        if group == _WORD:
+            ch = text[start]
+            if ch.isdecimal():
+                number = _NUMBER.match(text, start)
+                end = number.end()
+                if number.lastindex == 1:
+                    kind, value = TokenKind.INTEGER, int(number.group(), 0)
+                elif number.lastindex == 2:
+                    multi_line = True  # the character may be a newline
+                    end, value = _char_code(text, start)
+                    if end < 0:
+                        kind, end, value = TokenKind.ERROR, n, None
+                        problem = "unterminated character code"
+                    else:
+                        kind = TokenKind.INTEGER
+                        lexeme = text[start:end]
+                        trailing = len(lexeme) - len(lexeme.rstrip(" "))
+                elif number.lastindex is None:
+                    kind, value = TokenKind.INTEGER, int(number.group())
+                else:
+                    kind, value = TokenKind.FLOAT, float(number.group())
+            elif ch == "_" or ch.isalpha() and (ch.isupper() or ch.istitle()):
+                kind = TokenKind.VARIABLE
+            elif ch.isalpha():
+                kind = TokenKind.ATOM
+            else:
+                kind, end = TokenKind.PUNCTUATION, start + 1
+                problem = f"unexpected character {ch!r}"
+        elif group == _SYMBOLIC:
+            if end - start == 1 and text[start] == "." \
+                    and (end == n or text[end] in " \t\r\n%"):
+                kind = TokenKind.END
+            else:
+                kind = TokenKind.ATOM
+        elif group == _SINGLE:
+            kind = _SINGLE_KINDS[text[start]]
+        elif group == _SOLO:
+            kind = TokenKind.ATOM
+        elif group == _LINE_COMMENT:
+            kind = TokenKind.LINE_COMMENT
+        elif group == _QUOTE:
+            kind, what = _QUOTED_KINDS[text[start]]
+            quoted = _QUOTED[text[start]].match(text, start)
+            multi_line = True
+            if quoted is None:
+                kind, end, problem = TokenKind.ERROR, n, what
+            else:
+                end = quoted.end()
+        elif group == _BLOCK_COMMENT:
+            kind = TokenKind.BLOCK_COMMENT
+            multi_line = True
+            end = text.find("*/", start + 2) + 2
+            if end == 1:
+                kind, end = TokenKind.ERROR, n
+                problem = "unterminated block comment"
+        else:
+            kind = TokenKind.PUNCTUATION
+            problem = f"unexpected character {text[start]!r}"
+        start_line, start_col = line, start - line_start + 1
+        if multi_line:
+            line = bisect_right(line_starts, end)
+            line_start = line_starts[line - 1]
+        span = Span(start_line, start_col, line, end - line_start + 1,
+                    start, end)
+        tokens.append(Token(kind, text[start:end], span, newline, spaces,
+                            value))
+        if problem is not None:
+            diagnostics.append(Diagnostic(
+                rule_id="E01", severity=Severity.ERROR, span=span,
+                message=problem, path=src.path))
+            if kind is TokenKind.ERROR:
+                break
+        pos = end
+    return tokens, diagnostics

@@ -1,6 +1,7 @@
-"""The benchmark script still runs: tiny monolith and library workloads, one
-round each.  The library's deep data terms put the formatter's wrapping under
-the benchmark's formatter checks.
+"""The benchmark script still runs: tiny monolith, library and tree workloads,
+one round each.  The library's deep data terms put the formatter's wrapping
+under the benchmark's formatter checks; the tree's many small messy files in
+nested directories put path expansion and per-file work under them.
 
 The full smoke test of every workload lives next to the benchmark
 (``python -m pytest perfbench``).
@@ -18,7 +19,7 @@ import pytest
 RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
 
-@pytest.mark.parametrize("workload", ["monolith", "library"])
+@pytest.mark.parametrize("workload", ["monolith", "library", "tree"])
 def test_benchmark_smoke_run_is_correct(workload):
     done = subprocess.run(
         [sys.executable, str(RUN_PY), "--workload", workload, "--seed", "3",

@@ -202,6 +202,18 @@ def test_non_decimal_digit_file_reported_with_the_others(tmp_path, capsys):
     assert "tabbed.pl" in captured.out
 
 
+def test_chain_too_long_to_format_reported_with_the_others(tmp_path,
+                                                          capsys):
+    chain = " + ".join(["a"] * 1000)
+    write(tmp_path, "a_chain.pl", f"p(X) :-\n    X = {chain}.\n")
+    write(tmp_path, "b_tabbed.pl", TABBED)
+    assert main(["fmt", "--check", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "a_chain.pl: not formatted (term nested too deeply to format)" \
+        in captured.err
+    assert "b_tabbed.pl: needs formatting" in captured.out
+
+
 def test_unknown_flag_exits_two(capsys):
     assert main(["check", "--frobnicate", "x.pl"]) == 2
 

@@ -189,15 +189,13 @@ _SINGLE_KINDS = {
 #: run to a closing backslash but stop at a newline or the quote.
 #: Possessive, so that a missing close quote fails without backtracking.
 _QUOTED = {
-    quote: re.compile(
-        rf"{quote}(?:[^{quote}\\]++|{quote}{quote}"
-        rf"|\\(?:[x0-7][^\\\n{quote}]*+\\?|.))*+{quote}", re.DOTALL)
-    for quote in "'\"`"
-}
-_QUOTED_KINDS = {
-    "'": (TokenKind.QUOTED_ATOM, "unterminated quoted atom"),
-    '"': (TokenKind.STRING, "unterminated string"),
-    "`": (TokenKind.STRING, "unterminated back-quoted string"),
+    quote: (re.compile(rf"{quote}(?:[^{quote}\\]++|{quote}{quote}"
+                       rf"|\\(?:[x0-7][^\\\n{quote}]*+\\?|.))*+{quote}",
+                       re.DOTALL), kind, what)
+    for quote, kind, what in (
+        ("'", TokenKind.QUOTED_ATOM, "unterminated quoted atom"),
+        ('"', TokenKind.STRING, "unterminated string"),
+        ("`", TokenKind.STRING, "unterminated back-quoted string"))
 }
 #: Groups: a based integer, a character code, then a decimal numeral whose
 #: fraction or exponent makes it a float.
@@ -297,10 +295,11 @@ def scan(src: SourceFile) -> tuple[list[Token], list[Diagnostic]]:
                     kind, value = TokenKind.INTEGER, int(number.group())
                 else:
                     kind, value = TokenKind.FLOAT, float(number.group())
-            elif ch == "_" or ch.isalpha() and (ch.isupper() or ch.istitle()):
+            elif ch == "_":
                 kind = TokenKind.VARIABLE
             elif ch.isalpha():
-                kind = TokenKind.ATOM
+                kind = TokenKind.VARIABLE if ch.isupper() or ch.istitle() \
+                    else TokenKind.ATOM
             else:
                 kind, end = TokenKind.PUNCTUATION, start + 1
                 problem = f"unexpected character {ch!r}"
@@ -317,8 +316,8 @@ def scan(src: SourceFile) -> tuple[list[Token], list[Diagnostic]]:
         elif group == _LINE_COMMENT:
             kind = TokenKind.LINE_COMMENT
         elif group == _QUOTE:
-            kind, what = _QUOTED_KINDS[text[start]]
-            quoted = _QUOTED[text[start]].match(text, start)
+            pattern, kind, what = _QUOTED[text[start]]
+            quoted = pattern.match(text, start)
             multi_line = True
             if quoted is None:
                 kind, end, problem = TokenKind.ERROR, n, what

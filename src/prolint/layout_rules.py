@@ -9,7 +9,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
-from functools import cached_property
 from itertools import takewhile
 
 from .diagnostics import Diagnostic, Severity, diag, rule, run_family
@@ -69,19 +68,15 @@ class _Lines:
             elif tok.kind in _CLOSERS:
                 depth = max(0, depth - 1)
             prev = tok
-
-    @cached_property
-    def _non_code(self) -> tuple[list[int], list[int]]:
-        """Starts and ends of the byte ranges whose contents are data or
-        prose, not layout; sorted and non-overlapping, as the tokens are."""
-        non_code = [t for t in self.tokens if t.kind in NON_CODE_KINDS]
-        return ([t.span.byte_start for t in non_code],
-                [t.span.byte_end for t in non_code])
+        # Byte ranges whose contents are data or prose, not layout; sorted
+        # and non-overlapping, as the tokens are.
+        non_code = [t for t in tokens if t.kind in NON_CODE_KINDS]
+        self.non_code_starts = [t.span.byte_start for t in non_code]
+        self.non_code_ends = [t.span.byte_end for t in non_code]
 
     def inside_non_code(self, byte: int) -> bool:
-        starts, ends = self._non_code
-        idx = bisect_right(starts, byte) - 1
-        return idx >= 0 and byte < ends[idx]
+        idx = bisect_right(self.non_code_starts, byte) - 1
+        return idx >= 0 and byte < self.non_code_ends[idx]
 
     def span_at(self, line: int, col: int, width: int = 1) -> Span:
         byte = self.offsets[line - 1] + col - 1

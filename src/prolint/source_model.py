@@ -185,13 +185,15 @@ _SINGLE_KINDS = {
     ",": TokenKind.COMMA,
     "|": TokenKind.BAR,
 }
-#: A quoted item: doubled quotes, and escapes, where ``\x`` and octal ones
-#: run to a closing backslash but stop at a newline or the quote.
-#: Possessive, so that a missing close quote fails without backtracking.
+#: A quoted item up to its closing quote: doubled quotes, and escapes, where
+#: ``\x`` and octal ones run to a closing backslash but stop at a newline or
+#: the quote.  Nothing follows the loop that could fail, so the first match
+#: is the greedy one and is found without backtracking; the scanner checks
+#: the closing quote itself.
 _QUOTED = {
-    quote: (re.compile(rf"{quote}(?:[^{quote}\\]++|{quote}{quote}"
-                       rf"|\\(?:[x0-7][^\\\n{quote}]*+\\?|.))*+{quote}",
-                       re.DOTALL), kind, what)
+    quote: (re.compile(rf"{quote}(?:[^{quote}\\]+|{quote}{quote}"
+                       rf"|\\(?:[x0-7][^\\\n{quote}]*\\?|.))*", re.DOTALL),
+            kind, what)
     for quote, kind, what in (
         ("'", TokenKind.QUOTED_ATOM, "unterminated quoted atom"),
         ('"', TokenKind.STRING, "unterminated string"),
@@ -316,13 +318,14 @@ def scan(src: SourceFile) -> tuple[list[Token], list[Diagnostic]]:
         elif group == _LINE_COMMENT:
             kind = TokenKind.LINE_COMMENT
         elif group == _QUOTE:
-            pattern, kind, what = _QUOTED[text[start]]
-            quoted = pattern.match(text, start)
+            quote = text[start]
+            pattern, kind, what = _QUOTED[quote]
+            end = pattern.match(text, start).end()
             multi_line = True
-            if quoted is None:
-                kind, end, problem = TokenKind.ERROR, n, what
+            if text.startswith(quote, end):
+                end += 1
             else:
-                end = quoted.end()
+                kind, end, problem = TokenKind.ERROR, n, what
         elif group == _BLOCK_COMMENT:
             kind = TokenKind.BLOCK_COMMENT
             multi_line = True

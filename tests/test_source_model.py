@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import prolint
 from prolint.source_model import (
     TokenKind,
     line_metrics,
@@ -164,6 +168,30 @@ def test_unterminated_quote_stops_scan():
     assert tokens[-1].span.byte_end == len("foo('oops.\nbar(1).\n")
     assert len(diags) == 1
     assert "unterminated" in diags[0].message
+
+
+def test_unterminated_quote_with_many_escapes_fails_fast():
+    # Each \x escape may end at its backslash or before it; a pattern
+    # that backtracks over that choice takes exponential time to fail.  The
+    # scan runs in a child process so that such a regression times out
+    # instead of hanging the suite.
+    code = (
+        "from prolint.source_model import scan, source_from_text\n"
+        "for q in '\\'\"`':\n"
+        "    text = 'a(' + q + '\\\\x1' * 40 + '\\\\0 ' * 40 + 'b.\\n'\n"
+        "    tokens, diags = scan(source_from_text(text))\n"
+        "    print(tokens[-1].kind.name, tokens[-1].span.byte_end == len(text),"
+        " diags[0].message)\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(prolint.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "ERROR True unterminated quoted atom",
+        "ERROR True unterminated string",
+        "ERROR True unterminated back-quoted string",
+    ]
 
 
 def test_unterminated_block_comment():

@@ -19,7 +19,7 @@ from .doc_rules import (
     parse_doc_head,
     print_doc_head,
 )
-from .formatter import FormatError, FormatStyle, check_format, format_program
+from .formatter import FormatError, check_format, format_program
 from .reader import (
     Clause,
     ClauseKind,
@@ -34,12 +34,10 @@ from .reader import (
     structurally_equal,
 )
 from .source_model import (
-    LineInfo,
     SourceFile,
     Span,
     Token,
     TokenKind,
-    line_metrics,
     load_source,
     scan,
     source_from_text,
@@ -49,11 +47,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArgDoc", "Clause", "ClauseKind", "Config", "Diagnostic", "DocHead",
-    "DocHeadError", "FormatError", "FormatStyle", "LineInfo",
-    "MODE_SYSTEMS", "OperatorTable", "PredicateDef", "Program", "REGISTRY",
-    "RuleDescriptor", "Severity", "SourceFile", "Span", "Token", "TokenKind",
-    "check_format", "conjunction_goals", "format_program",
-    "group_predicates", "line_metrics", "load_config", "load_source",
+    "DocHeadError", "FormatError", "MODE_SYSTEMS", "OperatorTable",
+    "PredicateDef", "Program", "REGISTRY", "RuleDescriptor", "Severity",
+    "SourceFile", "Span", "Token", "TokenKind", "check_format",
+    "conjunction_goals", "format_program", "group_predicates",
+    "load_config", "load_source",
     "parse_doc_head", "print_doc_head", "program_from_source",
     "read_program", "read_term", "render_json", "render_text", "run",
     "scan", "source_from_text", "structurally_equal",

@@ -25,7 +25,7 @@ from .diagnostics import (
     render_text,
     run,
 )
-from .formatter import FormatStyle, check_format, format_program
+from .formatter import check_format, format_program
 from .reader import program_from_source
 from .source_model import SourceFile, load_source, source_from_text
 
@@ -211,7 +211,6 @@ def _write_in_place(path: str, text: str) -> None:
 
 def _cmd_fmt(args: argparse.Namespace, cfg: Config) -> int:
     files = _expand_paths(args.paths, cfg)
-    style = FormatStyle.from_config(cfg)
     failed = False
     io_error = False
     if args.write and "-" in files:
@@ -235,9 +234,9 @@ def _cmd_fmt(args: argparse.Namespace, cfg: Config) -> int:
             continue
         try:
             if args.check_only:
-                canonical, divergence = check_format(src, program, style)
+                canonical, divergence = check_format(src, program, cfg)
             else:
-                text = format_program(program, style)
+                text = format_program(program, cfg)
         except RecursionError:
             # The reader takes long operator chains without recursion; the
             # renderer recurses once per operand.

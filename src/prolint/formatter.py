@@ -37,20 +37,7 @@ from .reader import (
     is_atom,
     is_compound,
 )
-from .source_model import SourceFile, Span, Token
-
-
-@dataclass
-class FormatStyle:
-    indent_size: int = 4
-    max_line: int = 79
-    eol_comment_max: int = 40
-
-    @classmethod
-    def from_config(cls, cfg: Config) -> "FormatStyle":
-        return cls(indent_size=cfg.indent_size,
-                   max_line=cfg.max_line_length,
-                   eol_comment_max=cfg.eol_comment_max)
+from .source_model import SYMBOL_CHARS, SourceFile, Span, Token
 
 
 class FormatError(Exception):
@@ -66,7 +53,7 @@ class FormatError(Exception):
 # ---------------------------------------------------------------------------
 
 _PLAIN_ATOM = re.compile(r"[a-z][a-zA-Z0-9_]*$")
-_SYMBOLIC_ATOM = re.compile(r"[#$&*+\-./:<=>?@^~\\]+$")
+_SYMBOLIC_ATOM = re.compile(rf"[{re.escape(SYMBOL_CHARS)}]+$")
 _SOLO_ATOMS = frozenset({"[]", "{}", "!", ";", ",", "|"})
 
 
@@ -180,8 +167,8 @@ class _Renderer:
                 return False
         elif name != ":":
             return False
-        symbolic = "#$&*+-./:<=>?@^~\\"
-        return left[-1] not in symbolic and right[0] not in symbolic
+        return left[-1] not in SYMBOL_CHARS \
+            and right[0] not in SYMBOL_CHARS
 
     def _render_list(self, term: Compound) -> str:
         elements = []
@@ -285,12 +272,11 @@ class _Out:
 
 
 class _ClauseFormatter:
-    def __init__(self, renderer: _Renderer, style: FormatStyle,
+    def __init__(self, renderer: _Renderer, cfg: Config,
                  interior: list[Token]) -> None:
         self.r = renderer
-        self.style = style
-        self.unit = style.indent_size
-        self.width = style.max_line
+        self.unit = cfg.indent_size
+        self.width = cfg.max_line_length
         self.interior = sorted(interior, key=lambda t: t.span.byte_start)
         self.next_comment = 0
         self.out = _Out()
@@ -576,13 +562,14 @@ def _clause_index_map(program: Program) -> dict[int, int]:
     return {id(clause): idx for idx, clause in enumerate(program.items)}
 
 
-def format_program(program: Program, style: FormatStyle | None = None) -> str:
-    """Rewrite a parsed program in the canonical style.
+def format_program(program: Program, cfg: Config | None = None) -> str:
+    """Rewrite a parsed program in the canonical style, with the indent
+    unit, line width and end-of-line comment limit of ``cfg``.
 
     Raises FormatError when the program carries any syntax diagnostic; a
     broken parse cannot be reprinted faithfully.
     """
-    style = style or FormatStyle()
+    cfg = cfg or Config()
     if program.syntax_diagnostics:
         raise FormatError(program.syntax_diagnostics[0])
 
@@ -603,10 +590,9 @@ def format_program(program: Program, style: FormatStyle | None = None) -> str:
             output.append(token.text.rstrip())
         idx = index_of[id(clause)]
         renderer = _Renderer(table)
-        formatter = _ClauseFormatter(renderer, style,
-                                     interior.get(idx, []))
+        formatter = _ClauseFormatter(renderer, cfg, interior.get(idx, []))
         out = formatter.format_clause(clause)
-        _attach_trailing(out, trailing.get(idx, []), style)
+        _attach_trailing(out, trailing.get(idx, []), cfg)
         output.extend(out.lines)
         if clause.kind == ClauseKind.DIRECTIVE:
             apply_directive_to_table(clause.body, table)
@@ -617,8 +603,7 @@ def format_program(program: Program, style: FormatStyle | None = None) -> str:
     return "\n".join(output) + "\n"
 
 
-def _attach_trailing(out: _Out, comments: list[Token],
-                     style: FormatStyle) -> None:
+def _attach_trailing(out: _Out, comments: list[Token], cfg: Config) -> None:
     from .diagnostics import SUPPRESSION_COMMENT
 
     for token in sorted(comments, key=lambda t: t.span.byte_start):
@@ -637,8 +622,8 @@ def _attach_trailing(out: _Out, comments: list[Token],
         if target is None:
             target = len(out.lines) - 1
         candidate = out.lines[target] + " " + text
-        if len(candidate) <= style.max_line \
-                and len(text) <= style.eol_comment_max:
+        if len(candidate) <= cfg.max_line_length \
+                and len(text) <= cfg.eol_comment_max:
             out.lines[target] = candidate
         else:
             first = target
@@ -653,10 +638,10 @@ def _attach_trailing(out: _Out, comments: list[Token],
 
 
 def check_format(src: SourceFile, program: Program,
-                 style: FormatStyle | None = None) -> tuple[bool, Span | None]:
-    """True when the source text is already canonical; otherwise the span of
-    the first divergence."""
-    formatted = format_program(program, style)
+                 cfg: Config | None = None) -> tuple[bool, Span | None]:
+    """True when the source text is already canonical under ``cfg``;
+    otherwise the span of the first divergence."""
+    formatted = format_program(program, cfg)
     original = src.content
     if formatted == original:
         return True, None

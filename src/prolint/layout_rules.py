@@ -88,6 +88,11 @@ class _Lines:
         return self.src.content[byte:end]
 
 
+def _indent_width(text: str) -> int:
+    """Columns of leading spaces and tabs, a tab counting as one."""
+    return len(text) - len(text.lstrip(" \t"))
+
+
 def check_layout(facts: Facts) -> list[Diagnostic]:
     return run_family("L", facts)
 
@@ -125,7 +130,7 @@ def _l02_indentation(facts: Facts) -> Iterator[Diagnostic]:
             continue  # a clause-start line; L06 owns it
         if first.kind in _CLOSERS:
             continue  # closing brackets may align with their opener
-        indent = ctx.src.lines[line_no - 1].indent_width
+        indent = _indent_width(ctx.texts[line_no - 1])
         depth = ctx.depth_at_line.get(line_no, 0)
         if indent < unit:
             yield diag("L02", ctx.span_at(line_no, 1, max(indent, 1)),
@@ -338,7 +343,7 @@ def _l08_disjunctions(facts: Facts) -> Iterator[Diagnostic]:
 
 @rule("L09")
 def _l09_repeat_indent(facts: Facts) -> Iterator[Diagnostic]:
-    lines = facts.src.lines
+    texts = facts.src.line_texts
     for clause, sequences in zip(facts.program.items, facts.goal_sequences):
         for seq in sequences:
             for idx, goal in enumerate(seq):
@@ -350,7 +355,7 @@ def _l09_repeat_indent(facts: Facts) -> Iterator[Diagnostic]:
                 if cut_idx is None:
                     continue
                 repeat_line = goal.span.start_line
-                required = lines[repeat_line - 1].indent_width \
+                required = _indent_width(texts[repeat_line - 1]) \
                     + facts.cfg.indent_size
                 prev_line = repeat_line
                 for between in seq[idx + 1:cut_idx]:
@@ -358,7 +363,7 @@ def _l09_repeat_indent(facts: Facts) -> Iterator[Diagnostic]:
                     if line_no == prev_line:
                         continue
                     prev_line = line_no
-                    if lines[line_no - 1].indent_width < required:
+                    if _indent_width(texts[line_no - 1]) < required:
                         yield diag("L09", between.span,
                                    "goals between repeat and its cut should "
                                    f"be indented one extra level (column "
@@ -441,6 +446,7 @@ def _l11_header(facts: Facts) -> Iterator[Diagnostic]:
 @rule("L12")
 def _l12_vertical_space(facts: Facts) -> Iterator[Diagnostic]:
     program = facts.program
+    texts = facts.src.line_texts
     preceding_start: dict[int, int] = {}
     for attached in program.comments:
         if attached.kind == CommentAttachment.PRECEDING \
@@ -458,7 +464,7 @@ def _l12_vertical_space(facts: Facts) -> Iterator[Diagnostic]:
                                               second.span.start_line)
         blanks = sum(
             1 for line_no in range(first.span.end_line + 1, effective_start)
-            if facts.src.lines[line_no - 1].is_blank)
+            if not texts[line_no - 1].strip())
         same = first.indicator == second.indicator
         if same and blanks > 0:
             name, arity = second.indicator

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, diag, rule, run_family
 from .reader import Facts, Variable, is_compound, subterms
-from .source_model import Span, Token, TokenKind
+from .source_model import MAX_INTEGER_DIGITS, Span, Token, TokenKind
 
 
 @dataclass
@@ -20,22 +20,15 @@ class IdentifierWords:
     """An identifier split into word segments.
 
     Segments are split on underscores and on lower-to-upper case
-    transitions; rejoining segments with their separators (plus the trailing
-    digits) reproduces the original spelling.
+    transitions; ``separators[i]`` (``"_"`` or ``""``) stands between
+    ``segments[i]`` and ``segments[i + 1]``, and the trailing digits, if
+    any, follow the last segment.
     """
 
     original: str
     segments: list[str]
     separators: list[str]
     trailing_digits: str | None = None
-
-    def rejoin(self) -> str:
-        out = []
-        for i, seg in enumerate(self.segments):
-            out.append(seg)
-            if i < len(self.separators):
-                out.append(self.separators[i])
-        return "".join(out) + (self.trailing_digits or "")
 
 
 def split_identifier(name: str) -> IdentifierWords:
@@ -321,7 +314,8 @@ def _n07_threaded_state(facts: Facts) -> Iterator[Diagnostic]:
             if name.startswith("_"):
                 continue
             match = _STATE_SUFFIX.match(name)
-            if match:
+            # A suffix too long to be an integer literal is no state index.
+            if match and len(match.group(2)) <= MAX_INTEGER_DIGITS:
                 chains.setdefault(match.group(1), set()).add(
                     int(match.group(2)))
                 chain_spans.setdefault(match.group(1), occurrences[0].span)

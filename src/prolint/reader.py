@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Callable, TypeVar
 from .diagnostics import Diagnostic, Severity
 from .source_model import (
     COMMENT_KINDS,
+    ESCAPES,
     SourceFile,
     Span,
     Token,
@@ -152,22 +153,22 @@ def strip_module_qualifier(goal: Term) -> Term:
 
 #: Functors whose arguments are control positions rather than data.
 CONTROL_FUNCTORS = frozenset({",", ";", "->", "*->"})
+#: The control functors that split a body into branches.
+_BRANCH_FUNCTORS = CONTROL_FUNCTORS - {","}
 
 
-def _is_control(term: Term) -> bool:
-    return isinstance(term, Compound) and term.name in CONTROL_FUNCTORS \
-        and len(term.args) == 2
-
-
-def leaf_goals(body: Term) -> list[Term]:
-    """All goal positions of a body, descending through conjunctions,
-    disjunctions, if-then-elses and parenthesized groups (but not into the
-    arguments of ordinary goals such as ``\\+`` or ``findall``)."""
+def leaf_goals(body: Term,
+               functors: frozenset[str] = CONTROL_FUNCTORS) -> list[Term]:
+    """All goal positions of a body, left to right, descending through the
+    binary compounds named in ``functors``: by default conjunctions,
+    disjunctions, if-then-elses and parenthesized groups (but never into
+    the arguments of ordinary goals such as ``\\+`` or ``findall``)."""
     goals: list[Term] = []
     stack = [body]
     while stack:
         term = stack.pop()
-        if _is_control(term):
+        if isinstance(term, Compound) and term.name in functors \
+                and len(term.args) == 2:
             stack.append(term.args[1])
             stack.append(term.args[0])
         else:
@@ -185,30 +186,17 @@ def goal_sequences(body: Term) -> list[list[Term]]:
         sequences.append(goals)
         for goal in reversed(goals):
             if isinstance(goal, Compound) and len(goal.args) == 2 \
-                    and goal.name in (";", "->", "*->"):
+                    and goal.name in _BRANCH_FUNCTORS:
+                # Every ``;`` link and both sides of every ``->`` is one
+                # branch body.
+                branches = leaf_goals(goal, _BRANCH_FUNCTORS)
                 work.extend(conjunction_goals(branch)
-                            for branch in reversed(_branch_terms(goal)))
+                            for branch in reversed(branches))
             elif is_compound(goal, ",", 2):
                 # A parenthesized conjunction used as one goal.
                 work.append(conjunction_goals(goal.args[0])
                             + conjunction_goals(goal.args[1]))
     return sequences
-
-
-def _branch_terms(cluster: Compound) -> list[Term]:
-    """The branch bodies of one disjunction/if-then-else cluster: every
-    ``;`` chain link flattened, conditions and branches of ``->`` split."""
-    branches: list[Term] = []
-    stack: list[Term] = [cluster]
-    while stack:
-        term = stack.pop()
-        if isinstance(term, Compound) and len(term.args) == 2 \
-                and term.name in (";", "->", "*->"):
-            stack.append(term.args[1])
-            stack.append(term.args[0])
-        else:
-            branches.append(term)
-    return branches
 
 
 def contains_cut(goal: Term) -> bool:
@@ -224,7 +212,8 @@ def final_goal(body: Term) -> Term:
     """The syntactic tail of a body: the last conjunct, descending into the
     last branch of a trailing disjunction or if-then-else."""
     term = body
-    while _is_control(term):
+    while isinstance(term, Compound) and term.name in CONTROL_FUNCTORS \
+            and len(term.args) == 2:
         term = term.args[1]
     return term
 
@@ -291,7 +280,7 @@ _DEFAULT_OPERATORS: list[tuple[int, str, tuple[str, ...]]] = [
 
 
 class OperatorTable:
-    """Active operator definitions; at most one prefix and one infix-or-
+    """The operators in force: at most one prefix and one infix-or-
     postfix definition per name."""
 
     def __init__(self) -> None:
@@ -345,12 +334,6 @@ class OperatorTable:
                       for d in (self._prefix.get(name), self._infix.get(name),
                                 self._postfix.get(name)) if d]
         return max(priorities, default=0)
-
-    def definitions(self) -> list[OperatorDef]:
-        defs = (list(self._prefix.values()) + list(self._infix.values())
-                + list(self._postfix.values()))
-        defs.sort(key=lambda d: (-d.priority, d.name, d.type))
-        return defs
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +435,6 @@ def _unquote(text: str) -> str:
     body = text[1:-1]
     out: list[str] = []
     i = 0
-    simple = {"a": "\a", "b": "\b", "f": "\f", "n": "\n", "r": "\r",
-              "t": "\t", "v": "\v", "\\": "\\", "'": "'", '"': '"',
-              "`": "`", "0": "\0"}
     while i < len(body):
         ch = body[i]
         if ch == quote and i + 1 < len(body) and body[i + 1] == quote:
@@ -472,11 +452,11 @@ def _unquote(text: str) -> str:
                 digits = body[j:k]
                 try:
                     out.append(chr(int(digits, 16 if esc == "x" else 8)))
-                except ValueError:
+                except (ValueError, OverflowError):
                     out.append(digits)
                 i = k + 1 if k < len(body) and body[k] == "\\" else k
             else:
-                out.append(simple.get(esc, esc))
+                out.append(ESCAPES.get(esc, esc))
                 i += 2
         else:
             out.append(ch)

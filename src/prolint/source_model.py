@@ -34,22 +34,6 @@ class Span(NamedTuple):
     byte_end: int
 
 
-@dataclass(frozen=True)
-class LineInfo:
-    """Per-physical-line metrics.
-
-    ``length`` excludes the newline (and a trailing carriage return); a tab
-    counts as one character.  ``indent_width`` counts leading whitespace
-    characters.  ``has_tab`` is true when a tab occurs anywhere on the line.
-    """
-
-    number: int
-    length: int
-    indent_width: int
-    has_tab: bool
-    is_blank: bool
-
-
 class TokenKind(enum.Enum):
     ATOM = "atom"
     QUOTED_ATOM = "quoted_atom"
@@ -89,30 +73,27 @@ COMMENT_KINDS = frozenset({TokenKind.LINE_COMMENT, TokenKind.BLOCK_COMMENT})
 class Token:
     """One lexical unit.
 
-    ``text`` is the verbatim lexeme (quotes and escapes as written).
-    ``preceding_spaces`` counts the run of space characters directly before
-    the token on its own line; ``preceded_by_newline`` is true when at least
-    one newline separates it from the previous token (false for the first
-    token of the file).
+    ``text`` is the verbatim lexeme (quotes and escapes as written), and
+    ``span`` locates it in the file; the layout between tokens is read
+    from the file through the spans.  ``value`` is the number an
+    ``integer`` or ``float`` token denotes, and None for every other kind.
     """
 
     kind: TokenKind
     text: str
     span: Span
-    preceded_by_newline: bool = False
-    preceding_spaces: int = 0
     value: int | float | None = None
 
 
 @dataclass
 class SourceFile:
-    """A file's text with its line index, built once: ``line_starts`` holds
-    the offset of each line (one more entry than newlines), ``line_texts``
-    each line without its newline and carriage return."""
+    """A file's text with its line index, built once from ``content``:
+    ``line_starts`` holds the offset of each line (one more entry than
+    newlines), ``line_texts`` each line without its newline and carriage
+    return."""
 
     path: str
     content: str
-    lines: list[LineInfo] = field(default_factory=list)
     line_starts: list[int] = field(init=False, repr=False)
     line_texts: list[str] = field(init=False, repr=False)
 
@@ -124,24 +105,6 @@ class SourceFile:
             pieces.pop()
         self.line_texts = [piece[:-1] if piece.endswith("\r") else piece
                            for piece in pieces]
-        if not self.lines:
-            self.lines = [_line_info(number, text) for number, text
-                          in enumerate(self.line_texts, start=1)]
-
-    def line_text(self, number: int) -> str:
-        """Return the text of a physical line, without its newline."""
-        return self.line_texts[number - 1]
-
-
-def _line_info(number: int, text: str) -> LineInfo:
-    return LineInfo(number=number, length=len(text),
-                    indent_width=len(text) - len(text.lstrip(" \t")),
-                    has_tab="\t" in text, is_blank=text.strip() == "")
-
-
-def line_metrics(src: SourceFile) -> list[LineInfo]:
-    """One LineInfo per physical line of ``src``."""
-    return src.lines
 
 
 def load_source(path: str | os.PathLike) -> SourceFile:
@@ -166,13 +129,25 @@ def source_from_text(text: str, path: str = "<string>") -> SourceFile:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
+#: The characters that make up symbolic atoms such as ``=..`` or ``:-``.
+SYMBOL_CHARS = "#$&*+-./:<=>?@^~\\"
+#: What each one-character escape in a quoted item stands for; any other
+#: escaped character stands for itself.
+ESCAPES = {"a": "\a", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t",
+           "v": "\v", "\\": "\\", "'": "'", '"': '"', "`": "`", "0": "\0"}
+#: The most digits a decimal integer may have: the least limit that
+#: ``PYTHONINTMAXSTRDIGITS`` can put on CPython's ``int(str)``, so that
+#: what scans does not depend on that setting.
+MAX_INTEGER_DIGITS = 640
+
 #: One token after its whitespace gap; the group that matched says what
 #: starts there.  ``\w`` is exactly ``str.isalnum()`` or ``_``, so group 4
 #: is an identifier's full extent.  The catch-all excludes whitespace, so
 #: the gap at the end of the file matches nothing.
 _TOKEN = re.compile(
     r"[ \t\r\n]*(?:(%[^\n]*)|(/\*)|(['\"`])|(\w+)"
-    r"|([#$&*+\-./:<=>?@^~\\]+)|([()\[\]{},|])|([!;])|([^ \t\r\n]))")
+    rf"|([{re.escape(SYMBOL_CHARS)}]+)"
+    r"|([()\[\]{},|])|([!;])|([^ \t\r\n]))")
 _LINE_COMMENT, _BLOCK_COMMENT, _QUOTE, _WORD, _SYMBOLIC, _SINGLE, _SOLO = \
     range(1, 8)
 _SINGLE_KINDS = {
@@ -203,8 +178,6 @@ _QUOTED = {
 #: fraction or exponent makes it a float.
 _NUMBER = re.compile(r"(0[xX][0-9a-fA-F]+|0[oO][0-7]+|0[bB][01]+)|(0')"
                      r"|\d+(\.\d+)?([eE][+-]?\d+)?")
-_SIMPLE_ESCAPES = {"a": 7, "b": 8, "f": 12, "n": 10, "r": 13, "t": 9,
-                   "v": 11, "\\": 92, "'": 39, '"': 34, "`": 96, "0": 0}
 
 
 def _char_code(text: str, start: int) -> tuple[int, int]:
@@ -224,7 +197,7 @@ def _char_code(text: str, start: int) -> tuple[int, int]:
         return i, ord("\\")
     esc = text[i]
     if esc != "x" and not esc.isdigit():
-        return i + 1, _SIMPLE_ESCAPES.get(esc, ord(esc))
+        return i + 1, ord(ESCAPES.get(esc, esc))
     j = i + 1
     while j < n and text[j] not in "\\ \t\n":
         j += 1
@@ -253,28 +226,17 @@ def scan(src: SourceFile) -> tuple[list[Token], list[Diagnostic]]:
     # the newlines of each gap and by the tokens that can span lines.
     pos = line_start = 0
     line = 1
-    # Spaces ending the previous token, which only a character code such
-    # as ``0' `` has; they count towards the next token's spaces.
-    trailing = 0
     while (m := match(text, pos)) is not None:
         group = m.lastindex
         start = m.start(group)
         end = m.end()
-        if start == pos:
-            newline = False
-            spaces = trailing
-        else:
-            gap = text[pos:start]
-            spaces = len(gap) - len(gap.rstrip(" "))
-            if spaces == start - pos:
-                spaces += trailing
-            newline = "\n" in gap
-            if newline:
-                line += gap.count("\n")
-                line_start = pos + gap.rindex("\n") + 1
+        if start != pos:
+            last_newline = text.rfind("\n", pos, start)
+            if last_newline >= 0:
+                line += text.count("\n", pos, last_newline + 1)
+                line_start = last_newline + 1
         value = None
         problem = None
-        trailing = 0
         multi_line = False
         if group == _WORD:
             ch = text[start]
@@ -291,10 +253,13 @@ def scan(src: SourceFile) -> tuple[list[Token], list[Diagnostic]]:
                         problem = "unterminated character code"
                     else:
                         kind = TokenKind.INTEGER
-                        lexeme = text[start:end]
-                        trailing = len(lexeme) - len(lexeme.rstrip(" "))
                 elif number.lastindex is None:
-                    kind, value = TokenKind.INTEGER, int(number.group())
+                    if end - start > MAX_INTEGER_DIGITS:
+                        kind = TokenKind.PUNCTUATION
+                        problem = ("integer has more than "
+                                   f"{MAX_INTEGER_DIGITS} digits")
+                    else:
+                        kind, value = TokenKind.INTEGER, int(number.group())
                 else:
                     kind, value = TokenKind.FLOAT, float(number.group())
             elif ch == "_":
@@ -342,8 +307,7 @@ def scan(src: SourceFile) -> tuple[list[Token], list[Diagnostic]]:
             line_start = line_starts[line - 1]
         span = Span(start_line, start_col, line, end - line_start + 1,
                     start, end)
-        tokens.append(Token(kind, text[start:end], span, newline, spaces,
-                            value))
+        tokens.append(Token(kind, text[start:end], span, value))
         if problem is not None:
             diagnostics.append(Diagnostic(
                 rule_id="E01", severity=Severity.ERROR, span=span,

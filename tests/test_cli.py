@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 
+import prolint
 from prolint.cli import main
 
 from snippets import SAME_LENGTH
@@ -200,6 +204,38 @@ def test_non_decimal_digit_file_reported_with_the_others(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "superscript.pl" in captured.out + captured.err
     assert "tabbed.pl" in captured.out
+
+
+def test_over_long_integer_reported_with_the_others(tmp_path, capsys):
+    write(tmp_path, "long.pl", "x(" + "1" * 5000 + ").\n")
+    write(tmp_path, "tabbed.pl", TABBED)
+    assert main(["check", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "long.pl:1:3: error [E01] integer has more than 640 digits" \
+        in out
+    assert "tabbed.pl" in out and "[L01]" in out
+
+
+def test_integer_digit_bound_ignores_python_limit(tmp_path):
+    # PYTHONINTMAXSTRDIGITS=640 makes int() refuse the 641-digit numeral
+    # that the bound already turns into an E01.
+    path = write(tmp_path, "long.pl",
+                 f"x({'7' * 640}).\ny({'7' * 641}).\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(prolint.__file__)))
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    runs = []
+    for limit in (None, "640"):
+        if limit is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        runs.append(subprocess.run(
+            [sys.executable, "-m", "prolint.cli", "check", "--format",
+             "json", path], env=env, capture_output=True, text=True,
+            timeout=60))
+    assert runs[0].stderr == runs[1].stderr == ""
+    assert runs[0].stdout == runs[1].stdout
+    rules = [d["rule"] for d in json.loads(runs[0].stdout)["diagnostics"]]
+    assert rules.count("E01") == 1
 
 
 def test_chain_too_long_to_format_reported_with_the_others(tmp_path,

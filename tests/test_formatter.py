@@ -7,7 +7,6 @@ import pytest
 from prolint import (
     Config,
     FormatError,
-    FormatStyle,
     check_format,
     format_program,
     program_from_source,
@@ -23,9 +22,9 @@ from gen import gen_file
 from snippets import ALL_SNIPPETS, PROCESS_QUERIES, SAME_LENGTH
 
 
-def fmt(text: str, style: FormatStyle | None = None) -> str:
+def fmt(text: str, cfg: Config | None = None) -> str:
     program = program_from_source(source_from_text(text))
-    return format_program(program, style)
+    return format_program(program, cfg)
 
 
 def comment_texts(text: str):

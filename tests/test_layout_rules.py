@@ -313,9 +313,11 @@ def test_l11_module_with_block_comment_ok():
 # -- L12 ---------------------------------------------------------------------
 
 def test_l12_blank_between_same_predicate_clauses():
-    diags = only(lint_text("p(1).\n\np(2).\n"), "L12")
-    assert len(diags) == 1
-    assert "p/1" in diags[0].message
+    # A line of only layout characters is blank too.
+    for blank in ("", " \t"):
+        diags = only(lint_text(f"p(1).\n{blank}\np(2).\n"), "L12")
+        assert len(diags) == 1
+        assert "p/1" in diags[0].message
 
 
 def test_l12_missing_blank_between_predicates():
@@ -326,6 +328,7 @@ def test_l12_missing_blank_between_predicates():
 
 def test_l12_canonical_spacing_clean():
     assert only(lint_text("p(1).\np(2).\n\nq.\n"), "L12") == []
+    assert only(lint_text("p(1).\np(2).\n   \nq.\n"), "L12") == []
 
 
 def test_l12_attached_comment_counts_with_its_clause():

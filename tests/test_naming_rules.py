@@ -7,7 +7,7 @@ import pytest
 from prolint import Config
 from prolint.naming_rules import split_identifier
 
-from conftest import lint_text
+from conftest import lint_text, rule_ids
 
 
 def only(diags, rule_id):
@@ -38,7 +38,10 @@ def test_split_identifier_rejoins():
     fuzzed = ["".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 12)))
               for _ in range(60)]
     for name in specific + fuzzed:
-        assert split_identifier(name).rejoin() == name
+        words = split_identifier(name)
+        rejoined = "".join(segment + separator for segment, separator
+                           in zip(words.segments, words.separators + [""]))
+        assert rejoined + (words.trailing_digits or "") == name
 
 
 # -- N01 ----------------------------------------------------------------------
@@ -229,6 +232,14 @@ def test_n07_huge_gap_names_first_few_and_counts_the_rest():
     assert [d.message for d in diags] == [
         "threaded state chain S0...S skips S1, S2, S4, S5, S6 and "
         "99999999999999999992 more"]
+
+
+def test_n07_suffix_longer_than_an_integer_is_no_state_index():
+    long_name = "S" + "1" * 5000
+    text = f"p({long_name}, {long_name}) :- q({long_name}, {long_name}).\n"
+    diags = lint_text(text)
+    assert "E99" not in rule_ids(diags)
+    assert only(diags, "N07") == []
 
 
 def test_n07_contiguous_chain_clean():

@@ -202,6 +202,13 @@ def test_quoted_atom_name_unescaped():
     assert term.lexeme == "'it''s ok'"
 
 
+def test_quoted_atom_escapes_out_of_range_keep_their_digits():
+    # Past U+10FFFF, and past what chr() takes at all, the digits stand
+    # for themselves.
+    term = parse_term_text(r"'a\t\x110000\b\x" + "f" * 30 + r"\'")
+    assert term.name == "a\t110000b" + "f" * 30
+
+
 def test_bar_reads_as_disjunction():
     body = parse_body("t :- a | b.\n")
     assert term_to_tuple(body) == (";", "a", "b")

@@ -1,5 +1,7 @@
 """The tokenizer against the character-at-a-time reference in ``oracles``:
-equal tokens and diagnostics, every field compared."""
+equal tokens and diagnostics, every field of ``Token`` and ``Diagnostic``
+compared.  The reference also records the layout before each token, which
+``Token`` does not carry; that part is left out of the comparison."""
 
 from __future__ import annotations
 
@@ -32,8 +34,7 @@ def _span(span) -> tuple:
 def scanned(text: str):
     """``scan``'s tokens and diagnostics as the reference's plain tuples."""
     tokens, diagnostics = scan(source_from_text(text))
-    return ([(t.kind.value, t.text, _span(t.span), t.preceded_by_newline,
-              t.preceding_spaces, t.value) for t in tokens],
+    return ([(t.kind.value, t.text, _span(t.span), t.value) for t in tokens],
             [(d.rule_id, d.severity.label, _span(d.span), d.message,
               d.suggestion, d.predicate, d.path) for d in diagnostics])
 
@@ -41,9 +42,10 @@ def scanned(text: str):
 def assert_matches_reference(text: str) -> None:
     got_tokens, got_diags = scanned(text)
     want_tokens, want_diags = scan_reference(text)
+    want_tokens = [t[:3] + t[5:] for t in want_tokens]
     # Compare values with their types, so that 1 and 1.0 differ.
-    assert [t[:5] + (type(t[5]),) for t in got_tokens] \
-        == [t[:5] + (type(t[5]),) for t in want_tokens], repr(text)
+    assert [t[:3] + (type(t[3]),) for t in got_tokens] \
+        == [t[:3] + (type(t[3]),) for t in want_tokens], repr(text)
     assert got_tokens == want_tokens, repr(text)
     assert got_diags == want_diags, repr(text)
 

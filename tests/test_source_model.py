@@ -8,9 +8,10 @@ import sys
 import pytest
 
 import prolint
+from prolint.layout_rules import _indent_width
 from prolint.source_model import (
+    MAX_INTEGER_DIGITS,
     TokenKind,
-    line_metrics,
     load_source,
     scan,
     source_from_text,
@@ -25,40 +26,27 @@ def kinds(tokens):
 
 def test_empty_input_has_no_lines():
     src = source_from_text("")
-    assert src.lines == []
-    assert sum(1 for line in src.lines if not line.is_blank) == 0
-
-
-def test_single_fact_line_metrics():
-    src = source_from_text("a.\n")
-    assert len(src.lines) == 1
-    assert src.lines[0].length == 2
-    assert src.lines[0].has_tab is False
+    assert src.line_texts == []
+    assert src.line_starts == [0]
 
 
 def test_leading_tab_line():
-    src = source_from_text("\tfoo.\n")
-    assert src.lines[0].has_tab is True
-    assert src.lines[0].indent_width == 1
-
-
-def test_line_metrics_examples():
-    src = source_from_text("x" * 79 + "\n    foo\n  \t x\n")
-    infos = line_metrics(src)
-    assert infos[0].length == 79
-    assert infos[1].indent_width == 4
-    assert infos[2].has_tab is True
+    src = source_from_text("\tfoo.\n  \t x\n")
+    assert src.line_texts == ["\tfoo.", "  \t x"]
+    # Layout rules count a tab as one column of indentation.
+    assert [_indent_width(text) for text in src.line_texts] == [1, 4]
 
 
 def test_blank_line_detection():
-    src = source_from_text("a.\n   \n\nb.\n")
-    assert [line.is_blank for line in src.lines] == [False, True, True, False]
+    src = source_from_text("a.\n   \n\nb.")
+    assert src.line_texts == ["a.", "   ", "", "b."]
+    assert src.line_starts == [0, 3, 7, 8]
 
 
 def test_crlf_accepted():
     src = source_from_text("a.\r\nb.\r\n")
-    assert len(src.lines) == 2
-    assert src.lines[0].length == 2
+    assert src.line_texts == ["a.", "b."]
+    assert src.line_starts == [0, 4, 8]
     tokens, diags = scan(src)
     assert diags == []
     assert [t.text for t in tokens] == ["a", ".", "b", "."]
@@ -215,15 +203,6 @@ def test_end_token_requires_following_layout():
                              TokenKind.END]
 
 
-def test_preceding_space_and_newline_flags():
-    tokens, _ = scan(source_from_text("foo(  bar).\nbaz.\n"))
-    bar = next(t for t in tokens if t.text == "bar")
-    assert bar.preceding_spaces == 2
-    assert bar.preceded_by_newline is False
-    baz = next(t for t in tokens if t.text == "baz")
-    assert baz.preceded_by_newline is True
-
-
 def _assert_lossless(text: str) -> None:
     src = source_from_text(text)
     tokens, _ = scan(src)
@@ -269,12 +248,31 @@ def test_tokens_ordered_and_non_overlapping():
         assert before.span.byte_end <= after.span.byte_start
 
 
-def test_line_info_invariants_fuzz():
+def test_line_texts_invariants_fuzz():
     rng = random.Random(31)
     for _ in range(20):
-        src = source_from_text(gen_file(rng))
-        for info in src.lines:
-            assert info.indent_width <= info.length
-            text = src.line_text(info.number)
-            assert info.is_blank == (len(text.strip()) == 0)
-            assert info.length == len(text)
+        text = gen_file(rng)
+        if rng.random() < 0.5:
+            text = text.replace("\n", "\r\n")
+        src = source_from_text(text)
+        assert len(src.line_starts) == text.count("\n") + 1
+        assert len(src.line_texts) \
+            == len(src.line_starts) - text.endswith("\n")
+        for start, line in zip(src.line_starts, src.line_texts):
+            end = text.find("\n", start)
+            assert text[start:end if end >= 0 else len(text)] \
+                .removesuffix("\r") == line
+            assert _indent_width(line) <= len(line)
+
+
+def test_over_long_integer_is_one_error_and_scanning_goes_on():
+    bound = MAX_INTEGER_DIGITS
+    text = f"x({'1' * bound}, {'2' * (bound + 1)}, {'3' * 5000}.5). y.\n"
+    tokens, diags = scan(source_from_text(text))
+    assert tokens[2].value == int("1" * bound)
+    assert (tokens[4].kind, tokens[4].value) == (TokenKind.PUNCTUATION, None)
+    assert tokens[4].span.byte_end - tokens[4].span.byte_start == bound + 1
+    assert tokens[6].kind == TokenKind.FLOAT
+    assert [t.text for t in tokens[-3:]] == [".", "y", "."]
+    assert [(d.rule_id, d.span, d.message) for d in diags] == [
+        ("E01", tokens[4].span, f"integer has more than {bound} digits")]

@@ -36,8 +36,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH",
                         help="configuration file (default: ./.prolint "
                              "when present)")
-    parser.add_argument("--max-line-length", type=int, metavar="N")
-    parser.add_argument("--indent", type=int, metavar="N")
+    parser.add_argument("--max-line-length", metavar="N")
+    parser.add_argument("--indent", metavar="N")
     parser.add_argument("--mode-system",
                         choices=["recommended", "pldoc", "simple"])
     parser.add_argument("--enable", metavar="ID,...",
@@ -107,7 +107,7 @@ def _configure(args: argparse.Namespace) -> tuple[Config, int]:
         if value is None:
             continue
         try:
-            setattr(cfg, attr, parse_positive_int(str(value)))
+            setattr(cfg, attr, parse_positive_int(value))
         except ValueError as exc:
             option = "--" + flag.replace("_", "-")
             config_problem(cfg, Severity.ERROR, 1,

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import enum
-import json
 import re
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Callable, Iterable
 
 if TYPE_CHECKING:
@@ -253,8 +253,21 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
+#: The largest magnitude of an integer setting.  Longer values are rejected
+#: before ``int()`` sees them, so that the interpreter's own digit limit
+#: (``PYTHONINTMAXSTRDIGITS``) never decides whether a config loads.
+MAX_INTEGER_SETTING = 10_000
+
+
 def _parse_int(value: str) -> int:
-    return int(value.strip())
+    text = value.strip()
+    too_large = f"expected at most {MAX_INTEGER_SETTING} in magnitude"
+    if len(text.lstrip("+-").lstrip("0")) > len(str(MAX_INTEGER_SETTING)):
+        raise ValueError(too_large)
+    number = int(text)
+    if abs(number) > MAX_INTEGER_SETTING:
+        raise ValueError(too_large)
+    return number
 
 
 def parse_positive_int(value: str) -> int:
@@ -296,7 +309,7 @@ def _parse_indicator_list(value: str) -> frozenset:
         if not item:
             continue
         name, _, arity = item.partition("/")
-        out.add((name.strip(), int(arity.strip())))
+        out.add((name.strip(), _parse_int(arity)))
     return frozenset(out)
 
 
@@ -482,7 +495,7 @@ def run(src: "SourceFile", program: "Program", cfg: Config) -> list[Diagnostic]:
     from .source_model import Span
 
     facts = Facts(src, program, cfg)
-    diags: list[Diagnostic] = list(program.syntax_diagnostics)
+    diags: list[Diagnostic] = []
     for check in (layout_rules.check_layout, naming_rules.check_naming,
                   doc_rules.check_docs, idiom_rules.check_idioms):
         try:
@@ -492,15 +505,16 @@ def run(src: "SourceFile", program: "Program", cfg: Config) -> list[Diagnostic]:
                               f"internal rule failure: {exc}"))
 
     allowed = _suppressed_lines(program)
-    out: list[Diagnostic] = []
+    # The program keeps its syntax diagnostics for later runs and ``fmt``,
+    # so they are copied; ``diag`` made the rule diagnostics for this run.
+    out = [replace(d, path=src.path) for d in program.syntax_diagnostics]
     for d in diags:
-        if d.rule_id in NON_SUPPRESSIBLE:
-            out.append(replace(d, path=src.path))
-            continue
-        if d.rule_id in allowed.get(d.span.start_line, ()):
-            continue
-        severity = cfg.rule_severity.get(d.rule_id, d.severity)
-        out.append(replace(d, severity=severity, path=src.path))
+        if d.rule_id not in NON_SUPPRESSIBLE:
+            if d.rule_id in allowed.get(d.span.start_line, ()):
+                continue
+            d.severity = cfg.rule_severity.get(d.rule_id, d.severity)
+        d.path = src.path
+        out.append(d)
     out.sort(key=lambda d: (d.span.start_line, d.span.start_col, d.rule_id))
     return out
 
@@ -520,23 +534,36 @@ def render_text(diags: list[Diagnostic]) -> str:
 
 
 def render_json(diags: list[Diagnostic]) -> str:
-    entries = []
+    """The ``{"diagnostics": [...], "summary": {...}}`` document, laid out
+    byte for byte as ``json.dumps(document, indent=2)`` lays it out.  It is
+    written here because ``json.dumps`` falls back to its pure-Python
+    encoder whenever ``indent`` is set."""
+    quote = encode_basestring_ascii
     counts = {sev.label: 0 for sev in
               (Severity.ERROR, Severity.WARNING, Severity.INFO, Severity.HINT)}
+    entries = []
     for d in diags:
-        counts[d.severity.label] += 1
-        entries.append({
-            "path": d.path,
-            "line": d.span.start_line,
-            "col": d.span.start_col,
-            "end_line": d.span.end_line,
-            "end_col": d.span.end_col,
-            "rule": d.rule_id,
-            "severity": d.severity.label,
-            "message": d.message,
-            "suggestion": d.suggestion,
-            "predicate": (f"{d.predicate[0]}/{d.predicate[1]}"
-                          if d.predicate else None),
-        })
-    document = {"diagnostics": entries, "summary": counts}
-    return json.dumps(document, indent=2) + "\n"
+        label = d.severity.label
+        counts[label] += 1
+        span = d.span
+        suggestion = "null" if d.suggestion is None else quote(d.suggestion)
+        predicate = (quote(f"{d.predicate[0]}/{d.predicate[1]}")
+                     if d.predicate else "null")
+        entries.append(
+            "    {\n"
+            f'      "path": {quote(d.path)},\n'
+            f'      "line": {span.start_line},\n'
+            f'      "col": {span.start_col},\n'
+            f'      "end_line": {span.end_line},\n'
+            f'      "end_col": {span.end_col},\n'
+            f'      "rule": {quote(d.rule_id)},\n'
+            f'      "severity": "{label}",\n'
+            f'      "message": {quote(d.message)},\n'
+            f'      "suggestion": {suggestion},\n'
+            f'      "predicate": {predicate}\n'
+            "    }")
+    listed = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+    summary = ",\n".join(f'    "{label}": {count}'
+                         for label, count in counts.items())
+    return (f'{{\n  "diagnostics": {listed},\n'
+            f'  "summary": {{\n{summary}\n  }}\n}}\n')

@@ -4,6 +4,7 @@ variables, repeated magic numbers, reminder-tag inventory."""
 from __future__ import annotations
 
 from collections.abc import Iterator
+from itertools import chain
 
 from .diagnostics import Diagnostic, Severity, diag, rule, run_family
 from .reader import (
@@ -15,7 +16,6 @@ from .reader import (
     is_atom,
     is_compound,
     strip_module_qualifier,
-    subterms,
 )
 from .source_model import Span, TokenKind
 
@@ -101,17 +101,13 @@ def _i04_singletons(facts: Facts) -> Iterator[Diagnostic]:
 @rule("I05")
 def _i05_magic_numbers(facts: Facts) -> Iterator[Diagnostic]:
     by_text: dict[str, list[tuple[Span, object]]] = {}
-    for clause in facts.program.items:
-        for root in (clause.head, clause.body):
-            if root is None:
-                continue
-            for term in subterms(root):
-                if isinstance(term, (Integer, Float)):
-                    if term.value in facts.cfg.magic_number_allowlist:
-                        continue
-                    text = term.lexeme or str(term.value)
-                    by_text.setdefault(text, []).append(
-                        (term.span, term.value))
+    for head_terms, body_terms in facts.terms:
+        for term in chain(head_terms, body_terms):
+            if isinstance(term, (Integer, Float)):
+                if term.value in facts.cfg.magic_number_allowlist:
+                    continue
+                text = term.lexeme or str(term.value)
+                by_text.setdefault(text, []).append((term.span, term.value))
     for text in sorted(by_text, key=lambda t: by_text[t][0][0].byte_start):
         occurrences = by_text[text]
         if len(occurrences) < 2:
@@ -154,10 +150,8 @@ def _i06_reminder_tags(facts: Facts) -> Iterator[Diagnostic]:
 
 @rule("I07")
 def _i07_bare_conjunction(facts: Facts) -> Iterator[Diagnostic]:
-    for clause in facts.program.items:
-        if clause.body is None:
-            continue
-        for term in subterms(clause.body):
+    for clause, (_, body_terms) in zip(facts.program.items, facts.terms):
+        for term in body_terms:
             if not is_compound(term, ";", 2):
                 continue
             if term.span.start_line != term.span.end_line:

@@ -9,9 +9,10 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 from .diagnostics import Diagnostic, diag, rule, run_family
-from .reader import Facts, Variable, is_compound, subterms
+from .reader import Facts, Variable, is_compound
 from .source_model import MAX_INTEGER_DIGITS, Span, Token, TokenKind
 
 
@@ -25,7 +26,6 @@ class IdentifierWords:
     any, follow the last segment.
     """
 
-    original: str
     segments: list[str]
     separators: list[str]
     trailing_digits: str | None = None
@@ -53,7 +53,7 @@ def split_identifier(name: str) -> IdentifierWords:
             current += ch
         prev = ch
     segments.append(current)
-    return IdentifierWords(name, segments, separators, digits)
+    return IdentifierWords(segments, separators, digits)
 
 
 def _has_intercaps(words: IdentifierWords) -> bool:
@@ -66,20 +66,20 @@ _NUMBER_WORDS = (
     "thirteen fourteen fifteen sixteen seventeen eighteen nineteen twenty"
 ).split()
 _NUMBER_VALUE = {w: i + 1 for i, w in enumerate(_NUMBER_WORDS)}
+#: At most one number word can follow a name's last underscore.
+_NUMBER_SUFFIX = re.compile(r"_(%s)\Z" % "|".join(_NUMBER_WORDS))
 _ALNUM_ATOM = re.compile(r"[a-z][A-Za-z0-9_]*$")
 _LEET = re.compile(r"[A-Za-z][0-9]+[A-Za-z]")
 _STATE_SUFFIX = re.compile(r"^(.*[^\d])(\d+)$")
 _IN_OUT = re.compile(r"^(.+)_(in|out)$")
 
 
-def _snake_suggestion(name: str) -> str:
-    words = split_identifier(name)
+def _snake_suggestion(words: IdentifierWords) -> str:
     return "_".join(seg.lower() for seg in words.segments if seg) + \
         (words.trailing_digits or "")
 
 
-def _variable_suggestion(name: str) -> str:
-    words = split_identifier(name)
+def _variable_suggestion(words: IdentifierWords) -> str:
     fixed = [seg[0].upper() + seg[1:] if seg else seg
              for seg in words.segments]
     return "_".join(seg for seg in fixed if seg) + \
@@ -91,7 +91,8 @@ def check_naming(facts: Facts) -> list[Diagnostic]:
 
 
 class _Names:
-    """The first occurrence of each plain atom and each named variable."""
+    """The first occurrence of each plain atom and each named variable, and
+    the words of each name, split once per file."""
 
     def __init__(self, facts: Facts) -> None:
         tokens = facts.program.tokens
@@ -101,6 +102,16 @@ class _Names:
         self.variables = _first_occurrences(
             t for t in tokens
             if t.kind == TokenKind.VARIABLE and not t.text.startswith("_"))
+        self.words: dict[str, IdentifierWords] = {
+            tok.text: split_identifier(tok.text)
+            for tok in self.atoms + self.variables}
+
+    def split(self, name: str) -> IdentifierWords:
+        """The words of ``name``, which need not be a collected name."""
+        words = self.words.get(name)
+        if words is None:
+            words = self.words[name] = split_identifier(name)
+        return words
 
 
 def _first_occurrences(tokens) -> list[Token]:
@@ -117,14 +128,16 @@ def _first_occurrences(tokens) -> list[Token]:
 def _n01_intercaps(facts: Facts) -> Iterator[Diagnostic]:
     names = facts.context(_Names)
     for tok in names.atoms:
-        if _has_intercaps(split_identifier(tok.text)):
-            suggestion = _snake_suggestion(tok.text)
+        words = names.words[tok.text]
+        if _has_intercaps(words):
+            suggestion = _snake_suggestion(words)
             yield diag("N01", tok.span,
                        f"atom '{tok.text}' uses internal capitalization; "
                        f"write '{suggestion}'", suggestion=suggestion)
     for tok in names.variables:
-        if _has_intercaps(split_identifier(tok.text)):
-            suggestion = _variable_suggestion(tok.text)
+        words = names.words[tok.text]
+        if _has_intercaps(words):
+            suggestion = _variable_suggestion(words)
             yield diag("N01", tok.span,
                        f"variable '{tok.text}' uses internal "
                        f"capitalization; write '{suggestion}'",
@@ -166,7 +179,7 @@ def _n02_word_caps(facts: Facts) -> Iterator[Diagnostic]:
 def _n03_pronounceable(facts: Facts) -> Iterator[Diagnostic]:
     names = facts.context(_Names)
     for tok in names.atoms + names.variables:
-        for segment in split_identifier(tok.text).segments:
+        for segment in names.words[tok.text].segments:
             letters = [c for c in segment if c.isalpha()]
             if len(segment) < 4 or not letters:
                 continue
@@ -189,25 +202,22 @@ def _n04_number_words(facts: Facts) -> Iterator[Diagnostic]:
     flagged: set[str] = set()
 
     def segments_of(name: str) -> list[str]:
-        return [seg.lower() for seg in split_identifier(name).segments if seg]
+        return [seg.lower() for seg in names.split(name).segments if seg]
 
     for tok in names.atoms + names.variables:
         name = tok.text
         if name in flagged:
             continue
-        segs = segments_of(name)
         hit: str | None = None
         suggestion: str | None = None
-        lowered = name.lower()
-        for word in _NUMBER_WORDS:
-            if lowered.endswith("_" + word):
-                hit = word
-                suggestion = name[:len(name) - len(word)] \
-                    + str(_NUMBER_VALUE[word])
-                break
-        if hit is None:
+        suffix = _NUMBER_SUFFIX.search(name.lower())
+        if suffix:
+            hit = suffix.group(1)
+            suggestion = name[:len(name) - len(hit)] + str(_NUMBER_VALUE[hit])
+        elif name in defined:
+            segs = segments_of(name)
             for idx, seg in enumerate(segs):
-                if seg in _NUMBER_VALUE and name in defined:
+                if seg in _NUMBER_VALUE:
                     siblings = False
                     for other in _NUMBER_WORDS:
                         if other == seg:
@@ -266,24 +276,21 @@ def _n06_acceptable(head: str, tail: str) -> bool:
 
 @rule("N06")
 def _n06_list_pattern(facts: Facts) -> Iterator[Diagnostic]:
-    for clause in facts.program.items:
-        for root in (clause.head, clause.body):
-            if root is None:
+    for head_terms, body_terms in facts.terms:
+        for term in chain(head_terms, body_terms):
+            if not is_compound(term, ".", 2):
                 continue
-            for term in subterms(root):
-                if not is_compound(term, ".", 2):
-                    continue
-                head, tail = term.args
-                if not isinstance(head, Variable) \
-                        or not isinstance(tail, Variable):
-                    continue
-                if head.name.startswith("_") or tail.name.startswith("_"):
-                    continue
-                if not _n06_acceptable(head.name, tail.name):
-                    yield diag("N06", term.span,
-                               f"list pattern [{head.name}|{tail.name}]: "
-                               "name the tail after the element (e.g. "
-                               f"[{head.name}|{head.name}s])")
+            head, tail = term.args
+            if not isinstance(head, Variable) \
+                    or not isinstance(tail, Variable):
+                continue
+            if head.name.startswith("_") or tail.name.startswith("_"):
+                continue
+            if not _n06_acceptable(head.name, tail.name):
+                yield diag("N06", term.span,
+                           f"list pattern [{head.name}|{tail.name}]: "
+                           "name the tail after the element (e.g. "
+                           f"[{head.name}|{head.name}s])")
 
 
 # -- N07 --------------------------------------------------------------------

@@ -13,6 +13,7 @@ import enum
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, TypeVar
 
 from .diagnostics import Diagnostic, Severity
@@ -218,14 +219,16 @@ def final_goal(body: Term) -> Term:
     return term
 
 
-def subterms(term: Term):
-    """Pre-order iteration over a term and all of its subterms."""
+def subterms(term: Term) -> list[Term]:
+    """A term and all of its subterms, in pre-order."""
+    out: list[Term] = []
     stack = [term]
     while stack:
         t = stack.pop()
-        yield t
+        out.append(t)
         if isinstance(t, Compound):
             stack.extend(reversed(t.args))
+    return out
 
 
 def render_canonical(term: Term) -> str:
@@ -990,18 +993,22 @@ class Facts:
                 else [] for clause in self.program.items]
 
     @cached_property
+    def terms(self) -> list[tuple[list[Term], list[Term]]]:
+        """Each clause's head subterms and body subterms, in pre-order."""
+        return [(subterms(clause.head) if clause.head is not None else [],
+                 subterms(clause.body) if clause.body is not None else [])
+                for clause in self.program.items]
+
+    @cached_property
     def variables(self) -> list[dict[str, list[Variable]]]:
         """Each clause's named variables with their occurrences, in order
         of first occurrence; the anonymous ``_`` is never aggregated."""
         out = []
-        for clause in self.program.items:
+        for head_terms, body_terms in self.terms:
             occurrences: dict[str, list[Variable]] = {}
-            for root in (clause.head, clause.body):
-                if root is None:
-                    continue
-                for term in subterms(root):
-                    if isinstance(term, Variable) and term.name != "_":
-                        occurrences.setdefault(term.name, []).append(term)
+            for term in chain(head_terms, body_terms):
+                if isinstance(term, Variable) and term.name != "_":
+                    occurrences.setdefault(term.name, []).append(term)
             out.append(occurrences)
         return out
 

@@ -5,14 +5,18 @@ recursive operator-precedence algorithm: it works iteratively with explicit
 operand/operator stacks.  The singleton counter works straight off the token
 stream rather than the parsed term tree.  The reference scanner walks the
 text one character at a time with its own line index, where the tokenizer
-matches one compiled pattern per token and counts lines as it goes.
+matches one compiled pattern per token and counts lines as it goes.  The
+reference JSON renderer builds the document as dicts and lists and hands it
+to ``json.dumps``, where ``render_json`` writes the text itself.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from bisect import bisect_right
 
+from prolint.diagnostics import Diagnostic
 from prolint.reader import (
     Atom,
     Compound,
@@ -391,3 +395,26 @@ def scan_reference(text: str, path: str = "<string>"):
             emit("punctuation", start, i)
             error(start, i, f"unexpected character {ch!r}")
     return tokens, diagnostics
+
+
+def render_json_reference(diags: list[Diagnostic]) -> str:
+    """The ``check --format json`` document as ``json.dumps`` writes it."""
+    entries = []
+    counts = {"error": 0, "warning": 0, "info": 0, "hint": 0}
+    for d in diags:
+        counts[d.severity.label] += 1
+        entries.append({
+            "path": d.path,
+            "line": d.span.start_line,
+            "col": d.span.start_col,
+            "end_line": d.span.end_line,
+            "end_col": d.span.end_col,
+            "rule": d.rule_id,
+            "severity": d.severity.label,
+            "message": d.message,
+            "suggestion": d.suggestion,
+            "predicate": (f"{d.predicate[0]}/{d.predicate[1]}"
+                          if d.predicate else None),
+        })
+    document = {"diagnostics": entries, "summary": counts}
+    return json.dumps(document, indent=2) + "\n"

@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import prolint
 from prolint.cli import main
 
@@ -236,6 +238,58 @@ def test_integer_digit_bound_ignores_python_limit(tmp_path):
     assert runs[0].stdout == runs[1].stdout
     rules = [d["rule"] for d in json.loads(runs[0].stdout)["diagnostics"]]
     assert rules.count("E01") == 1
+
+
+@pytest.mark.parametrize("command", ["check", "fmt"])
+@pytest.mark.parametrize("key", ["indent_size", "max_line_length",
+                                 "clause_lines_info", "clause_lines_warn",
+                                 "eol_comment_max"])
+def test_huge_integer_setting_exits_two(tmp_path, capsys, command, key):
+    config = write(tmp_path, "lint.cfg", f"{key} = 1{'0' * 20}\n")
+    path = write(tmp_path, "clean.pl", CLEAN)
+    assert main([command, "--config", config, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{config}:1:1: error [C01] bad value for {key}: expected at " \
+        "most 10000 in magnitude" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--indent", "--max-line-length"])
+def test_huge_integer_flag_exits_two(tmp_path, capsys, flag):
+    path = write(tmp_path, "clean.pl", CLEAN)
+    assert main(["fmt", flag, "1" + "0" * 20, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error [C01] bad value for {flag}: expected at most 10000" \
+        in captured.err
+
+
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_integer_setting_bound_ignores_python_limit(tmp_path, source):
+    # A 700-digit value is over PYTHONINTMAXSTRDIGITS=640 but under the
+    # interpreter's default limit; either way it is the same C01.
+    huge = "7" * 700
+    path = write(tmp_path, "clean.pl", CLEAN)
+    if source == "config":
+        config = write(tmp_path, "lint.cfg", f"indent_size = {huge}\n")
+        args, where, key = ["--config", config], config, "indent_size"
+    else:
+        args, where, key = ["--indent", huge], "<command line>", "--indent"
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(prolint.__file__)))
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    runs = []
+    for limit in (None, "640"):
+        if limit is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = limit
+        runs.append(subprocess.run(
+            [sys.executable, "-m", "prolint.cli", "check", *args, path],
+            env=env, capture_output=True, text=True, timeout=60))
+    for done in runs:
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == f"{where}:1:1: error [C01] bad value for " \
+            f"{key}: expected at most 10000 in magnitude\n"
 
 
 def test_chain_too_long_to_format_reported_with_the_others(tmp_path,

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import copy
 import json
+import random
 
 from prolint import (
+    REGISTRY,
     Config,
+    Diagnostic,
     Severity,
+    Span,
     load_config,
     program_from_source,
     render_json,
@@ -14,6 +19,7 @@ from prolint import (
 )
 
 from conftest import lint_text, rule_ids
+from oracles import render_json_reference
 
 
 def test_severity_total_order():
@@ -212,6 +218,61 @@ def test_render_json_fields():
     assert "end_line" in entry and "end_col" in entry
     assert "suggestion" in entry and "predicate" in entry
     assert document["summary"]["warning"] >= 1
+
+
+#: Characters JSON must escape or may pass through: quotes, backslashes,
+#: every control character, DEL, non-ASCII BMP characters and characters
+#: outside the BMP, which ASCII-only JSON writes as surrogate pairs.
+_JSON_ALPHABET = ('"\\/ aZ09' + "".join(map(chr, range(0x20))) + "\x7f"
+                  + "\xe9\u0436\u03bb\u2028\ufeff\uffff"
+                  + "\U0001f600\U00010000\U0010ffff")
+
+
+def _random_text(rng: random.Random) -> str:
+    return "".join(rng.choice(_JSON_ALPHABET)
+                   for _ in range(rng.randrange(12)))
+
+
+def test_render_json_matches_json_dumps():
+    rng = random.Random(11)
+    catalog = sorted(REGISTRY)
+    diags = []
+    for _ in range(2500):
+        line, col = rng.randrange(1, 10**6), rng.randrange(1, 500)
+        diags.append(Diagnostic(
+            rule_id=rng.choice(catalog),
+            severity=rng.choice(list(Severity)),
+            span=Span(line, col, line + rng.randrange(3), col + 1, 0, 0),
+            message=_random_text(rng),
+            suggestion=rng.choice([None, _random_text(rng)]),
+            predicate=rng.choice([None, (_random_text(rng),
+                                         rng.randrange(9))]),
+            path=_random_text(rng)))
+    assert render_json([]) == render_json_reference([])
+    rendered = render_json(diags)
+    assert "\\ud83d\\ude00" in rendered and '"suggestion": null' in rendered
+    assert rendered == render_json_reference(diags)
+
+
+def test_run_is_repeatable():
+    text = ("/* header */\n\n"
+            "p(X, Y) :- q(X), r. % prolint: allow I04\n"
+            "s(Z) :- t.\n"
+            "u :- v w.\n"
+            "isWrong(A) :- a(A),b(A).\n")
+    src = source_from_text(text, "f.pl")
+    program = program_from_source(src)
+    syntax = copy.deepcopy(program.syntax_diagnostics)
+    assert [d.rule_id for d in syntax] == ["E02"]
+    cfg = Config()
+    cfg.rule_severity["I04"] = Severity.ERROR
+    first = run(src, program, cfg)
+    second = run(src, program, cfg)
+    assert first == second
+    assert render_json(first) == render_json(second)
+    assert [(d.span.start_line, d.severity) for d in first
+            if d.rule_id == "I04"] == [(4, Severity.ERROR)]
+    assert program.syntax_diagnostics == syntax
 
 
 def test_output_ordering_by_position_then_rule():

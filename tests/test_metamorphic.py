@@ -1,0 +1,97 @@
+"""Metamorphic checks: how the diagnostics must change when the input or the
+configuration changes in a known way, over seeded programs.
+
+The programs are the benchmark's library modules at seed 1 and 100
+``gen_file`` outputs.  Each is read once; ``run`` then lints the same
+``Program`` under each configuration, as the properties need.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import random
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from prolint import (
+    REGISTRY,
+    Severity,
+    program_from_source,
+    run,
+    source_from_text,
+)
+from prolint.cli import _configure, build_parser
+from prolint.diagnostics import NON_SUPPRESSIBLE
+
+from gen import gen_file
+
+_WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" \
+    / "workloads.py"
+
+
+def _library_modules() -> list[str]:
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  _WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    rng = random.Random(1)
+    return [workloads.make_library_module(rng, index)[0]
+            for index in range(workloads.LIBRARY_MODULES)]
+
+
+@pytest.fixture(scope="module")
+def programs():
+    rng = random.Random(2024)
+    texts = _library_modules() + [gen_file(rng) for _ in range(100)]
+    out = []
+    for index, text in enumerate(texts):
+        src = source_from_text(text, f"m{index:03d}.pl")
+        out.append((src, program_from_source(src)))
+    return out
+
+
+_PARSER = build_parser()
+
+
+def _config(*flags: str):
+    """The Config that ``prolint check FLAGS`` runs with."""
+    cfg, code = _configure(_PARSER.parse_args(["check", *flags, "x.pl"]))
+    assert code == 0
+    return cfg
+
+
+def _picked_rules(programs) -> list[tuple]:
+    """Each program with its default diagnostics and one rule id: mostly one
+    that fires on it, sometimes one that does not."""
+    rng = random.Random(7)
+    suppressible = sorted(set(REGISTRY) - NON_SUPPRESSIBLE)
+    default = _config()
+    picked = []
+    for src, program in programs:
+        base = run(src, program, default)
+        fired = sorted({d.rule_id for d in base} - NON_SUPPRESSIBLE)
+        pool = fired if fired and rng.random() < 0.8 else suppressible
+        picked.append((src, program, base, rng.choice(pool)))
+    return picked
+
+
+def test_config_algebra(programs, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # no ./.prolint reaches the configs
+    picked = _picked_rules(programs)
+    assert sum(rule_id in {d.rule_id for d in base}
+               for _, _, base, rule_id in picked) >= len(picked) // 2
+    for src, program, base, rule_id in picked:
+        # --disable X removes exactly X's diagnostics.
+        disabled = run(src, program, _config("--disable", rule_id))
+        assert disabled == [d for d in base if d.rule_id != rule_id], \
+            (src.path, rule_id)
+        # --severity X=info changes only X's severities.
+        lowered = run(src, program,
+                      _config("--severity", f"{rule_id}=info"))
+        assert lowered == [replace(d, severity=Severity.INFO)
+                           if d.rule_id == rule_id else d
+                           for d in base], (src.path, rule_id)

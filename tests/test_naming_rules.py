@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from prolint import Config
+from prolint import (
+    Config,
+    TokenKind,
+    program_from_source,
+    run,
+    source_from_text,
+)
+from prolint import naming_rules
 from prolint.naming_rules import split_identifier
 
 from conftest import lint_text, rule_ids
@@ -42,6 +49,33 @@ def test_split_identifier_rejoins():
         rejoined = "".join(segment + separator for segment, separator
                            in zip(words.segments, words.separators + [""]))
         assert rejoined + (words.trailing_digits or "") == name
+
+
+def test_each_name_is_split_once(monkeypatch):
+    # Names recur across clauses; step_one/step_two make N04 compare every
+    # defined name, and the quoted 'Odd Name' is defined but not collected.
+    text = ("step_one(ListIn, Count_two) :- walkTree(ListIn), strng(X).\n"
+            "step_two(ListIn, Count_two) :- walkTree(ListIn), strng(X).\n"
+            "'Odd Name'(ListIn) :- step_one(ListIn, _), walkTree(ListIn).\n"
+            "cnt_list(ListIn) :- step_two(ListIn, strng).\n")
+    src = source_from_text(text)
+    program = program_from_source(src)
+    names = {t.text for t in program.tokens
+             if t.kind is TokenKind.ATOM and t.text[0].islower()
+             or t.kind is TokenKind.VARIABLE and not t.text.startswith("_")}
+    quoted = {c.indicator[0] for c in program.items} - names
+    calls = []
+
+    def counting(name):
+        calls.append(name)
+        return split_identifier(name)
+
+    monkeypatch.setattr(naming_rules, "split_identifier", counting)
+    diags = run(src, program, Config())
+    assert {"N01", "N03", "N04"} <= {d.rule_id for d in diags}
+    assert quoted == {"Odd Name"}
+    assert len(calls) == len(set(calls))
+    assert len(calls) <= len(names) + len(quoted)
 
 
 # -- N01 ----------------------------------------------------------------------

@@ -238,8 +238,9 @@ def _cmd_fmt(args: argparse.Namespace, cfg: Config) -> int:
             else:
                 text = format_program(program, cfg)
         except RecursionError:
-            # The reader takes long operator chains without recursion; the
-            # renderer recurses once per operand.
+            # The reader takes terms nested up to its depth limit, and
+            # operator chains of any length, without recursion; the
+            # renderer recurses once per nesting level or operand.
             print(f"prolint: {path}: not formatted (term nested too deeply "
                   "to format)", file=sys.stderr)
             failed = True

@@ -287,7 +287,13 @@ def _parse_pattern(value: str) -> str:
 
 
 def _parse_number(value: str):
+    from .source_model import MAX_INTEGER_DIGITS
+
     text = value.strip()
+    # As in _parse_int: the length is checked before ``int()`` sees it.
+    digits = text.lstrip("+-").replace("_", "")
+    if digits.isdecimal() and len(digits) > MAX_INTEGER_DIGITS:
+        raise ValueError(f"integer has more than {MAX_INTEGER_DIGITS} digits")
     try:
         return int(text)
     except ValueError:

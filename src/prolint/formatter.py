@@ -153,7 +153,12 @@ class _Renderer:
                     - (1 if definition.type == "yf" else 0)
                 return (f"{self.render(args[0], arg_max)} {name}",
                         definition.priority)
-        rendered = ", ".join(self.render(a, 999) for a in args)
+        # A loop, not a generator expression, which would add a frame per
+        # nesting level.
+        texts = []
+        for arg in args:
+            texts.append(self.render(arg, 999))
+        rendered = ", ".join(texts)
         functor = _atom_text(name, term.functor_lexeme)
         return f"{functor}({rendered})", 0
 

@@ -35,13 +35,13 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Variable:
     name: str
     span: Span
 
 
-@dataclass
+@dataclass(slots=True)
 class Atom:
     name: str
     span: Span
@@ -54,28 +54,28 @@ class Atom:
         return self.lexeme if self.lexeme is not None else self.name
 
 
-@dataclass
+@dataclass(slots=True)
 class Integer:
     value: int
     span: Span
     lexeme: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class Float:
     value: float
     span: Span
     lexeme: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class Str:
     text: str
     span: Span
     lexeme: str = ""
 
 
-@dataclass
+@dataclass(slots=True)
 class Compound:
     name: str
     args: list
@@ -108,20 +108,25 @@ def indicator_of(head: Term) -> tuple[str, int] | None:
 
 
 def term_signature(term: Term) -> tuple:
-    """A structural fingerprint: spans and parenthesization excluded,
-    variables compared by name."""
-    if isinstance(term, Variable):
-        return ("var", term.name)
-    if isinstance(term, Atom):
-        return ("atom", term.name)
-    if isinstance(term, Integer):
-        return ("int", term.value)
-    if isinstance(term, Float):
-        return ("float", term.value)
-    if isinstance(term, Str):
-        return ("str", term.lexeme or term.text)
-    return ("compound", term.name,
-            tuple(term_signature(a) for a in term.args))
+    """A structural fingerprint: each subterm's functor and arity, or its
+    value, in pre-order; spans and parenthesization excluded, variables
+    compared by name.  It is flat, because comparing nested tuples recurses
+    in C once per level and fails on a deep term."""
+    signature = []
+    for t in subterms(term):
+        if isinstance(t, Compound):
+            signature.append(("compound", t.name, len(t.args)))
+        elif isinstance(t, Variable):
+            signature.append(("var", t.name))
+        elif isinstance(t, Atom):
+            signature.append(("atom", t.name))
+        elif isinstance(t, Integer):
+            signature.append(("int", t.value))
+        elif isinstance(t, Float):
+            signature.append(("float", t.value))
+        else:
+            signature.append(("str", t.lexeme or t.text))
+    return tuple(signature)
 
 
 def structurally_equal(a: Term, b: Term) -> bool:
@@ -202,10 +207,13 @@ def goal_sequences(body: Term) -> list[list[Term]]:
 
 def contains_cut(goal: Term) -> bool:
     """True when ``goal`` is a cut or a control construct holding one."""
-    if is_atom(goal, "!"):
-        return True
-    if isinstance(goal, Compound) and goal.name in CONTROL_FUNCTORS:
-        return any(contains_cut(a) for a in goal.args)
+    stack = [goal]
+    while stack:
+        term = stack.pop()
+        if is_atom(term, "!"):
+            return True
+        if isinstance(term, Compound) and term.name in CONTROL_FUNCTORS:
+            stack.extend(term.args)
     return False
 
 
@@ -229,23 +237,6 @@ def subterms(term: Term) -> list[Term]:
         if isinstance(t, Compound):
             stack.extend(reversed(t.args))
     return out
-
-
-def render_canonical(term: Term) -> str:
-    """Print a term in canonical prefix notation (operator-free)."""
-    if isinstance(term, Variable):
-        return term.name
-    if isinstance(term, Atom):
-        return term.text
-    if isinstance(term, Integer):
-        return str(term.value)
-    if isinstance(term, Float):
-        return repr(term.value)
-    if isinstance(term, Str):
-        return term.lexeme or term.text
-    args = ", ".join(render_canonical(a) for a in term.args)
-    name = term.name if term.name.isidentifier() else f"'{term.name}'"
-    return f"{name}({args})"
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +285,9 @@ class OperatorTable:
     @classmethod
     def default(cls) -> "OperatorTable":
         table = cls()
-        for priority, type_, names in _DEFAULT_OPERATORS:
-            for name in names:
-                table.add(priority, type_, name)
+        table._prefix.update(_DEFAULT_TABLE._prefix)
+        table._infix.update(_DEFAULT_TABLE._infix)
+        table._postfix.update(_DEFAULT_TABLE._postfix)
         return table
 
     def add(self, priority: int, type_: str, name: str) -> None:
@@ -337,6 +328,19 @@ class OperatorTable:
                       for d in (self._prefix.get(name), self._infix.get(name),
                                 self._postfix.get(name)) if d]
         return max(priorities, default=0)
+
+
+def _prebuilt_default() -> OperatorTable:
+    table = OperatorTable()
+    for priority, type_, names in _DEFAULT_OPERATORS:
+        for name in names:
+            table.add(priority, type_, name)
+    return table
+
+
+#: What ``OperatorTable.default`` copies: building the table anew for each
+#: file took 54 ``add`` calls.
+_DEFAULT_TABLE = _prebuilt_default()
 
 
 # ---------------------------------------------------------------------------
@@ -407,29 +411,61 @@ class Program:
 # Parser
 # ---------------------------------------------------------------------------
 
+#: The most brackets (parentheses, argument lists, lists, curly terms) and
+#: prefix operators a term may hold open at once.  Deeper terms are one E02
+#: at the start of their clause.  Infix operators awaiting their right
+#: operand are not counted: between two counted levels each one waits at a
+#: lower priority than the one below it (or, once, at the same), so their
+#: number per level is bounded by the number of operator priorities.
+MAX_TERM_DEPTH = 5000
+
 
 class SyntaxProblem(Exception):
-    def __init__(self, token: Token | None, message: str) -> None:
+    """A term that does not read: ``token`` is where (None to anchor the
+    problem at the clause start), ``pos`` the index in the code tokens
+    where reading stopped."""
+
+    def __init__(self, token: Token | None, message: str, pos: int) -> None:
         super().__init__(message)
         self.token = token
         self.message = message
+        self.pos = pos
 
+
+# The parser tests kinds through module globals: an Enum member read as a
+# class attribute costs about ten times as much.
+_ATOM = TokenKind.ATOM
+_QUOTED_ATOM = TokenKind.QUOTED_ATOM
+_VARIABLE = TokenKind.VARIABLE
+_INTEGER = TokenKind.INTEGER
+_FLOAT = TokenKind.FLOAT
+_STRING = TokenKind.STRING
+_OPEN_PAREN = TokenKind.OPEN_PAREN
+_CLOSE_PAREN = TokenKind.CLOSE_PAREN
+_OPEN_BRACKET = TokenKind.OPEN_BRACKET
+_CLOSE_BRACKET = TokenKind.CLOSE_BRACKET
+_OPEN_BRACE = TokenKind.OPEN_BRACE
+_CLOSE_BRACE = TokenKind.CLOSE_BRACE
+_COMMA = TokenKind.COMMA
+_BAR = TokenKind.BAR
+_END = TokenKind.END
+_ERROR = TokenKind.ERROR
 
 _OPERAND_KINDS = frozenset({
-    TokenKind.VARIABLE, TokenKind.INTEGER, TokenKind.FLOAT, TokenKind.STRING,
-    TokenKind.OPEN_PAREN, TokenKind.OPEN_BRACKET, TokenKind.OPEN_BRACE,
-    TokenKind.ATOM, TokenKind.QUOTED_ATOM,
+    _VARIABLE, _INTEGER, _FLOAT, _STRING, _OPEN_PAREN, _OPEN_BRACKET,
+    _OPEN_BRACE, _ATOM, _QUOTED_ATOM,
 })
 
 _CLOSERS = frozenset({
-    TokenKind.CLOSE_PAREN, TokenKind.CLOSE_BRACKET, TokenKind.CLOSE_BRACE,
-    TokenKind.COMMA, TokenKind.BAR, TokenKind.END,
+    _CLOSE_PAREN, _CLOSE_BRACKET, _CLOSE_BRACE, _COMMA, _BAR, _END,
 })
+
+_new_tuple = tuple.__new__
 
 
 def _merge(a: Span, b: Span) -> Span:
-    return Span(a.start_line, a.start_col, b.end_line, b.end_col,
-                a.byte_start, b.byte_end)
+    # tuple.__new__ skips the named tuple's Python-level __new__.
+    return _new_tuple(Span, (a[0], a[1], b[2], b[3], a[4], b[5]))
 
 
 def _unquote(text: str) -> str:
@@ -467,274 +503,353 @@ def _unquote(text: str) -> str:
     return "".join(out)
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token], ops: OperatorTable,
-                 comma_roles: dict[int, str] | None = None) -> None:
-        self.tokens = [t for t in tokens if t.kind not in COMMENT_KINDS]
-        self.pos = 0
-        self.ops = ops
-        self.comma_roles = comma_roles if comma_roles is not None else {}
+# What each pending frame of ``_parse`` waits for.  Every frame ends with the
+# priority that the expression holding the awaited term continues at.
+_INFIX = 0       # (kind, left, operator token, functor, priority, limit)
+_PREFIX = 1      # (kind, name, operator token, priority, limit)
+_CHAIN = 2       # (kind, operands, [(functor, token)], priority, limit)
+_CHAIN_LAST = 3  # as _CHAIN, for the last operand's same-priority operator
+_PAREN = 4       # (kind, open token, limit)
+_CURLY = 5       # (kind, open token, limit)
+_ARGS = 6        # (kind, name, name token, args, limit)
+_LIST = 7        # (kind, open token, elements, limit)
+_TAIL = 8        # as _LIST, after the bar
 
-    def peek(self, ahead: int = 0) -> Token | None:
-        idx = self.pos + ahead
-        return self.tokens[idx] if idx < len(self.tokens) else None
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _parse(tokens: list[Token], pos: int, ops: OperatorTable,
+           comma_roles: dict[int, str]) -> tuple[Term, int]:
+    """Read one term of priority at most 1200 from the comment-free
+    ``tokens`` at ``pos``; return it with the position after it.
 
-    def expect(self, kind: TokenKind, what: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
-            raise SyntaxProblem(tok, f"expected {what}")
-        return self.advance()
-
-    # -- term parsing -----------------------------------------------------
-
-    def parse_term(self, max_prec: int) -> Term:
-        term, _ = self.parse_term_prec(max_prec)
-        return term
-
-    def _infix_name(self) -> str | None:
-        tok = self.peek()
-        if tok is None:
-            return None
-        if tok.kind == TokenKind.ATOM:
-            return tok.text
-        if tok.kind == TokenKind.COMMA:
-            return ","
-        if tok.kind == TokenKind.BAR:
-            return "|"
-        return None
-
-    def parse_term_prec(self, max_prec: int) -> tuple[Term, int]:
-        left, left_prec = self.parse_primary(max_prec)
-        return self._continue_expr(left, left_prec, max_prec)
-
-    def _continue_expr(self, left: Term, left_prec: int,
-                       max_prec: int) -> tuple[Term, int]:
+    Operator-precedence parsing as one loop over a stack of pending frames.
+    Each pass reads one primary term at priority ``max_prec``, then applies
+    the infix and postfix operators that follow while they fit under
+    ``limit``.  A primary that opens a bracket or a prefix operator, and an
+    infix operator awaiting its right operand, push a frame and read the
+    awaited term on the next pass; a finished term is handed to the frame on
+    top, which builds on it.  A right-associative operator collects its whole
+    same-priority chain in one frame, and the chain's last operand may still
+    take a non-right-associative operator of that priority.  A term reaching
+    the bottom of the stack is returned.
+    """
+    prefix_ops, infix_ops, postfix_ops = ops._prefix, ops._infix, ops._postfix
+    end = len(tokens)
+    stack: list[tuple] = []
+    push = stack.append
+    pop = stack.pop
+    depth = 0
+    max_prec = limit = 1200
+    argument = False
+    while True:
+        # -- one primary term ----------------------------------------------
+        if depth > MAX_TERM_DEPTH:
+            raise SyntaxProblem(
+                None, f"term nested deeper than {MAX_TERM_DEPTH} levels", pos)
+        finished = False
+        if argument:
+            # An argument or list element: at most 999, except that an
+            # operator atom of a higher priority stands alone before a
+            # closer.
+            argument = False
+            max_prec = limit = 999
+            tok = tokens[pos] if pos < end else None
+            if tok is not None and tok.kind is _ATOM and pos + 1 < end \
+                    and tokens[pos + 1].kind in _CLOSERS \
+                    and ops.max_priority(tok.text) > 999:
+                pos += 1
+                left = Atom(tok.text, tok.span, False, tok.text)
+                finished = True
+        if not finished:
+            if pos == end:
+                raise SyntaxProblem(None, "unexpected end of input", pos)
+            tok = tokens[pos]
+            kind = tok.kind
+            prec = 0
+            if kind is _ATOM or kind is _QUOTED_ATOM:
+                text = tok.text
+                pos += 1
+                nxt = tokens[pos] if pos < end else None
+                if nxt is not None and nxt.kind is _OPEN_PAREN \
+                        and nxt.span[4] == tok.span[5]:
+                    pos += 1
+                    depth += 1
+                    push((_ARGS, _unquote(text) if kind is _QUOTED_ATOM
+                          else text, tok, [], limit))
+                    argument = True
+                    continue
+                if kind is _QUOTED_ATOM:
+                    left = Atom(_unquote(text), tok.span, True, text)
+                elif text == "-" and nxt is not None \
+                        and (nxt.kind is _INTEGER or nxt.kind is _FLOAT) \
+                        and nxt.span[4] == tok.span[5]:
+                    pos += 1
+                    left = (Integer if nxt.kind is _INTEGER else Float)(
+                        -nxt.value, _merge(tok.span, nxt.span),
+                        "-" + nxt.text)
+                else:
+                    pre = prefix_ops.get(text)
+                    if pre is not None and nxt is not None \
+                            and nxt.kind in _OPERAND_KINDS \
+                            and not _atom_stands_alone(tokens, pos, ops):
+                        if pre.priority > max_prec:
+                            raise SyntaxProblem(
+                                tok, f"prefix operator {text!r} (priority "
+                                f"{pre.priority}) exceeds the allowed "
+                                f"priority {max_prec} here; add "
+                                "parentheses", pos)
+                        depth += 1
+                        push((_PREFIX, text, tok, pre.priority, limit))
+                        max_prec = limit = pre.priority \
+                            - (1 if pre.type == "fx" else 0)
+                        continue
+                    left = Atom(text, tok.span, False, text)
+            elif kind is _VARIABLE:
+                pos += 1
+                left = Variable(tok.text, tok.span)
+            elif kind is _INTEGER:
+                pos += 1
+                left = Integer(tok.value, tok.span, tok.text)
+            elif kind is _OPEN_PAREN or kind is _OPEN_BRACE:
+                pos += 1
+                nxt = tokens[pos] if pos < end else None
+                if kind is _OPEN_BRACE and nxt is not None \
+                        and nxt.kind is _CLOSE_BRACE:
+                    pos += 1
+                    left = Atom("{}", _merge(tok.span, nxt.span), False,
+                                "{}")
+                else:
+                    depth += 1
+                    push((_PAREN if kind is _OPEN_PAREN else _CURLY, tok,
+                          limit))
+                    max_prec = limit = 1200
+                    continue
+            elif kind is _OPEN_BRACKET:
+                pos += 1
+                nxt = tokens[pos] if pos < end else None
+                if nxt is not None and nxt.kind is _CLOSE_BRACKET:
+                    pos += 1
+                    left = Atom("[]", _merge(tok.span, nxt.span), False,
+                                "[]")
+                else:
+                    depth += 1
+                    push((_LIST, tok, [], limit))
+                    argument = True
+                    continue
+            elif kind is _FLOAT:
+                pos += 1
+                left = Float(tok.value, tok.span, tok.text)
+            elif kind is _STRING:
+                pos += 1
+                left = Str(tok.text[1:-1], tok.span, tok.text)
+            elif kind is _ERROR:
+                raise SyntaxProblem(tok, "cannot parse past lexical error",
+                                    pos)
+            else:
+                raise SyntaxProblem(tok, f"unexpected {tok.text!r}", pos)
+        # -- operators after the term, then the frames it completes --------
         while True:
-            name = self._infix_name()
-            if name is None:
-                break
-            applied = False
-            inf = self.ops.infix(name)
-            if inf is not None:
-                left_max = inf.priority if inf.type == "yfx" else inf.priority - 1
-                if inf.priority <= max_prec and left_prec <= left_max:
-                    if inf.type == "xfy":
-                        left = self._parse_xfy_chain(left, inf.priority)
+            if finished:
+                finished = False
+            else:
+                pushed = False
+                while pos < end:
+                    tok = tokens[pos]
+                    kind = tok.kind
+                    if kind is _ATOM:
+                        name = tok.text
+                    elif kind is _COMMA:
+                        name = ","
+                    elif kind is _BAR:
+                        name = "|"
                     else:
-                        op_tok = self.advance()
-                        right, _ = self.parse_term_prec(inf.priority - 1)
+                        break
+                    op = infix_ops.get(name)
+                    if op is not None and op.priority <= limit \
+                            and prec <= (op.priority if op.type == "yfx"
+                                         else op.priority - 1):
+                        pos += 1
                         functor = ";" if name == "|" else name
-                        left = Compound(functor, [left, right],
-                                        _merge(left.span, right.span),
-                                        functor_span=op_tok.span)
-                    left_prec = inf.priority
-                    applied = True
-            if not applied:
-                post = self.ops.postfix(name)
-                if post is not None:
-                    left_max = (post.priority if post.type == "yf"
-                                else post.priority - 1)
-                    if post.priority <= max_prec and left_prec <= left_max:
-                        op_tok = self.advance()
+                        if op.type == "xfy":
+                            if kind is _COMMA:
+                                comma_roles[tok.span[4]] = "and_then"
+                            push((_CHAIN, [left], [(functor, tok)],
+                                  op.priority, limit))
+                            max_prec = op.priority
+                        else:
+                            push((_INFIX, left, tok, functor, op.priority,
+                                  limit))
+                            max_prec = op.priority - 1
+                        limit = op.priority - 1
+                        pushed = True
+                        break
+                    op = postfix_ops.get(name)
+                    if op is not None and op.priority <= limit \
+                            and prec <= (op.priority if op.type == "yf"
+                                         else op.priority - 1):
+                        pos += 1
                         left = Compound(name, [left],
-                                        _merge(left.span, op_tok.span),
-                                        functor_span=op_tok.span)
-                        left_prec = post.priority
-                        applied = True
-            if not applied:
-                break
-        return left, left_prec
+                                        _merge(left.span, tok.span), False,
+                                        tok.span)
+                        prec = op.priority
+                        continue
+                    break
+                if pushed:
+                    break
+            # ``left`` is finished: hand it to the frame on top.
+            if not stack:
+                return left, pos
+            frame = pop()
+            waiting = frame[0]
+            if waiting == _INFIX:
+                _, first, tok, functor, prec, limit = frame
+                left = Compound(functor, [first, left],
+                                _merge(first.span, left.span), False,
+                                tok.span)
+            elif waiting == _ARGS:
+                args = frame[3]
+                args.append(left)
+                tok = tokens[pos] if pos < end else None
+                if tok is not None and tok.kind is _COMMA:
+                    pos += 1
+                    comma_roles[tok.span[4]] = "arg"
+                    push(frame)
+                    argument = True
+                    break
+                close = _expect(tokens, pos, _CLOSE_PAREN,
+                                "closing parenthesis")
+                pos += 1
+                depth -= 1
+                _, name, tok, _, limit = frame
+                left = Compound(name, args, _merge(tok.span, close.span),
+                                False, tok.span, tok.text)
+                prec = 0
+            elif waiting == _CHAIN or waiting == _CHAIN_LAST:
+                _, operands, functors, priority, outer = frame
+                if waiting == _CHAIN:
+                    operands.append(left)
+                    tok = tokens[pos] if pos < end else None
+                    kind = tok.kind if tok is not None else None
+                    name = tok.text if kind is _ATOM else "," \
+                        if kind is _COMMA else "|" if kind is _BAR else None
+                    op = infix_ops.get(name) if name is not None else None
+                    if op is not None and op.priority == priority:
+                        if op.type == "xfy":
+                            pos += 1
+                            if kind is _COMMA:
+                                comma_roles[tok.span[4]] = "and_then"
+                            functors.append((";" if name == "|" else name,
+                                             tok))
+                            push(frame)
+                            max_prec = priority
+                            limit = priority - 1
+                            break
+                        # The last operand's right slot allows the chain's
+                        # priority: it may take this operator.
+                        push((_CHAIN_LAST, operands, functors, priority,
+                              outer))
+                        prec = 0
+                        limit = priority
+                        continue
+                else:
+                    operands[-1] = left
+                left = operands[-1]
+                for index in range(len(operands) - 2, -1, -1):
+                    functor, tok = functors[index]
+                    first = operands[index]
+                    left = Compound(functor, [first, left],
+                                    _merge(first.span, left.span), False,
+                                    tok.span)
+                prec = priority
+                limit = outer
+            elif waiting == _PAREN:
+                close = _expect(tokens, pos, _CLOSE_PAREN,
+                                "closing parenthesis")
+                pos += 1
+                depth -= 1
+                left.span = _merge(frame[1].span, close.span)
+                if isinstance(left, (Atom, Compound)):
+                    left.parenthesized = True
+                prec = 0
+                limit = frame[2]
+            elif waiting == _PREFIX:
+                depth -= 1
+                _, name, tok, prec, limit = frame
+                left = Compound(name, [left], _merge(tok.span, left.span),
+                                False, tok.span)
+            elif waiting == _LIST:
+                elements = frame[2]
+                elements.append(left)
+                tok = tokens[pos] if pos < end else None
+                if tok is not None and tok.kind is _COMMA:
+                    pos += 1
+                    comma_roles[tok.span[4]] = "list"
+                    push(frame)
+                    argument = True
+                    break
+                if tok is not None and tok.kind is _BAR:
+                    pos += 1
+                    push((_TAIL, *frame[1:]))
+                    argument = True
+                    break
+                left = _close_list(tokens, pos, frame, None)
+                pos += 1
+                depth -= 1
+                prec = 0
+                limit = frame[3]
+            elif waiting == _TAIL:
+                left = _close_list(tokens, pos, frame, left)
+                pos += 1
+                depth -= 1
+                prec = 0
+                limit = frame[3]
+            else:  # _CURLY
+                close = _expect(tokens, pos, _CLOSE_BRACE, "closing brace")
+                pos += 1
+                depth -= 1
+                left = Compound("{}", [left], _merge(frame[1].span,
+                                                     close.span))
+                prec = 0
+                limit = frame[2]
 
-    def _parse_xfy_chain(self, first: Term, priority: int) -> Term:
-        """Collect ``a op b op c ...`` for right-associative operators
-        iteratively, so long conjunction chains cannot exhaust the stack."""
-        operands = [first]
-        functors: list[tuple[str, Token]] = []
-        while True:
-            op_name = self._infix_name()
-            inf = self.ops.infix(op_name) if op_name else None
-            if inf is None or inf.priority != priority or inf.type != "xfy":
-                break
-            op_tok = self.advance()
-            if op_tok.kind == TokenKind.COMMA:
-                self.comma_roles[op_tok.span.byte_start] = "and_then"
-            functors.append((";" if op_name == "|" else op_name, op_tok))
-            # The right slot allows the full chain priority (a prefix
-            # operator of equal priority may start the operand); anything
-            # the operand absorbs beyond the primary stays strictly tighter.
-            operand, operand_prec = self.parse_primary(priority)
-            operand, operand_prec = self._continue_expr(
-                operand, operand_prec, priority - 1)
-            operands.append(operand)
-        # The final operand may still absorb a non-xfy operator of the same
-        # priority (its right slot allows priority == p).
-        last, last_prec = operands[-1], 0
-        follow = self._infix_name()
-        follow_inf = self.ops.infix(follow) if follow else None
-        if follow_inf is not None and follow_inf.priority == priority \
-                and follow_inf.type != "xfy":
-            last, _ = self._continue_expr(last, last_prec, priority)
-            operands[-1] = last
-        result = operands[-1]
-        for index in range(len(operands) - 2, -1, -1):
-            name, op_tok = functors[index]
-            result = Compound(name, [operands[index], result],
-                              _merge(operands[index].span, result.span),
-                              functor_span=op_tok.span)
-        return result
 
-    def parse_primary(self, max_prec: int) -> tuple[Term, int]:
-        tok = self.peek()
-        if tok is None:
-            raise SyntaxProblem(None, "unexpected end of input")
-        kind = tok.kind
-        if kind == TokenKind.VARIABLE:
-            self.advance()
-            return Variable(tok.text, tok.span), 0
-        if kind == TokenKind.INTEGER:
-            self.advance()
-            return Integer(tok.value, tok.span, lexeme=tok.text), 0
-        if kind == TokenKind.FLOAT:
-            self.advance()
-            return Float(tok.value, tok.span, lexeme=tok.text), 0
-        if kind == TokenKind.STRING:
-            self.advance()
-            return Str(tok.text[1:-1], tok.span, lexeme=tok.text), 0
-        if kind == TokenKind.OPEN_PAREN:
-            open_tok = self.advance()
-            inner = self.parse_term(1200)
-            close_tok = self.expect(TokenKind.CLOSE_PAREN,
-                                    "closing parenthesis")
-            inner.span = _merge(open_tok.span, close_tok.span)
-            if isinstance(inner, (Atom, Compound)):
-                inner.parenthesized = True
-            return inner, 0
-        if kind == TokenKind.OPEN_BRACKET:
-            return self.parse_list(), 0
-        if kind == TokenKind.OPEN_BRACE:
-            return self.parse_curly(), 0
-        if kind in (TokenKind.ATOM, TokenKind.QUOTED_ATOM):
-            return self.parse_atom_primary(max_prec)
-        if kind == TokenKind.ERROR:
-            raise SyntaxProblem(tok, "cannot parse past lexical error")
-        raise SyntaxProblem(tok, f"unexpected {tok.text!r}")
+def _atom_stands_alone(tokens: list[Token], pos: int,
+                       ops: OperatorTable) -> bool:
+    """True when the token at ``pos`` is an infix- or postfix-only operator
+    atom with an operand after it, so the atom before it must be an
+    operand rather than a prefix operator."""
+    text = tokens[pos].text
+    return tokens[pos].kind is _ATOM and text not in ops._prefix \
+        and (text in ops._infix or text in ops._postfix) \
+        and pos + 1 < len(tokens) and tokens[pos + 1].kind in _OPERAND_KINDS
 
-    def parse_atom_primary(self, max_prec: int) -> tuple[Term, int]:
-        tok = self.advance()
-        quoted = tok.kind == TokenKind.QUOTED_ATOM
-        name = _unquote(tok.text) if quoted else tok.text
-        nxt = self.peek()
-        if (nxt is not None and nxt.kind == TokenKind.OPEN_PAREN
-                and nxt.span.byte_start == tok.span.byte_end):
-            self.advance()
-            args = [self.parse_arg()]
-            while self.peek() is not None \
-                    and self.peek().kind == TokenKind.COMMA:
-                comma = self.advance()
-                self.comma_roles[comma.span.byte_start] = "arg"
-                args.append(self.parse_arg())
-            close = self.expect(TokenKind.CLOSE_PAREN, "closing parenthesis")
-            return Compound(name, args, _merge(tok.span, close.span),
-                            functor_span=tok.span,
-                            functor_lexeme=tok.text), 0
-        if not quoted:
-            if (name == "-" and nxt is not None
-                    and nxt.kind in (TokenKind.INTEGER, TokenKind.FLOAT)
-                    and nxt.span.byte_start == tok.span.byte_end):
-                self.advance()
-                span = _merge(tok.span, nxt.span)
-                lexeme = "-" + nxt.text
-                if nxt.kind == TokenKind.INTEGER:
-                    return Integer(-nxt.value, span, lexeme=lexeme), 0
-                return Float(-nxt.value, span, lexeme=lexeme), 0
-            pre = self.ops.prefix(name)
-            if (pre is not None and nxt is not None
-                    and nxt.kind in _OPERAND_KINDS
-                    and not self._atom_stands_alone(nxt)):
-                if pre.priority > max_prec:
-                    raise SyntaxProblem(
-                        tok, f"prefix operator {name!r} (priority "
-                        f"{pre.priority}) exceeds the allowed priority "
-                        f"{max_prec} here; add parentheses")
-                arg_max = pre.priority - (1 if pre.type == "fx" else 0)
-                arg, _ = self.parse_term_prec(arg_max)
-                return Compound(name, [arg], _merge(tok.span, arg.span),
-                                functor_span=tok.span), pre.priority
-        return Atom(name, tok.span, quoted=quoted, lexeme=tok.text), 0
 
-    def _atom_stands_alone(self, nxt: Token) -> bool:
-        """True when ``nxt`` is an infix/postfix-only operator atom that
-        cannot begin a term, so the current atom must be an operand."""
-        if nxt.kind != TokenKind.ATOM:
-            return False
-        if self.ops.prefix(nxt.text) is not None:
-            return False
-        if self.ops.infix(nxt.text) is None \
-                and self.ops.postfix(nxt.text) is None:
-            return False
-        follower = self.peek(1)
-        return follower is not None and follower.kind in _OPERAND_KINDS
+def _expect(tokens: list[Token], pos: int, kind: TokenKind,
+            what: str) -> Token:
+    tok = tokens[pos] if pos < len(tokens) else None
+    if tok is None or tok.kind is not kind:
+        raise SyntaxProblem(tok, f"expected {what}", pos)
+    return tok
 
-    def parse_arg(self) -> Term:
-        tok = self.peek()
-        if (tok is not None and tok.kind == TokenKind.ATOM
-                and self.ops.max_priority(tok.text) > 999):
-            nxt = self.peek(1)
-            if nxt is not None and nxt.kind in _CLOSERS:
-                self.advance()
-                return Atom(tok.text, tok.span, lexeme=tok.text)
-        return self.parse_term(999)
 
-    def parse_list(self) -> Term:
-        open_tok = self.advance()
-        nxt = self.peek()
-        if nxt is not None and nxt.kind == TokenKind.CLOSE_BRACKET:
-            close = self.advance()
-            return Atom("[]", _merge(open_tok.span, close.span), lexeme="[]")
-        elements = [self.parse_arg()]
-        while self.peek() is not None \
-                and self.peek().kind == TokenKind.COMMA:
-            comma = self.advance()
-            self.comma_roles[comma.span.byte_start] = "list"
-            elements.append(self.parse_arg())
-        tail: Term | None = None
-        if self.peek() is not None and self.peek().kind == TokenKind.BAR:
-            self.advance()
-            tail = self.parse_arg()
-        close = self.expect(TokenKind.CLOSE_BRACKET, "closing bracket")
-        full_span = _merge(open_tok.span, close.span)
-        result: Term = tail if tail is not None else Atom(
-            "[]", Span(close.span.start_line, close.span.start_col,
-                       close.span.end_line, close.span.end_col,
-                       close.span.byte_start, close.span.byte_end),
-            lexeme="[]")
-        for element in reversed(elements):
-            result = Compound(".", [element, result],
-                              _merge(element.span, close.span))
-        result.span = full_span
-        return result
-
-    def parse_curly(self) -> Term:
-        open_tok = self.advance()
-        nxt = self.peek()
-        if nxt is not None and nxt.kind == TokenKind.CLOSE_BRACE:
-            close = self.advance()
-            return Atom("{}", _merge(open_tok.span, close.span), lexeme="{}")
-        inner = self.parse_term(1200)
-        close = self.expect(TokenKind.CLOSE_BRACE, "closing brace")
-        return Compound("{}", [inner], _merge(open_tok.span, close.span))
+def _close_list(tokens: list[Token], pos: int, frame: tuple,
+                tail: Term | None) -> Term:
+    """The list of ``frame``'s elements ending in ``tail`` (``[]`` when
+    None), closed by the bracket at ``pos``."""
+    close = _expect(tokens, pos, _CLOSE_BRACKET, "closing bracket")
+    result: Term = tail if tail is not None \
+        else Atom("[]", close.span, False, "[]")
+    for element in reversed(frame[2]):
+        result = Compound(".", [element, result],
+                          _merge(element.span, close.span))
+    result.span = _merge(frame[1].span, close.span)
+    return result
 
 
 def read_term(tokens: list[Token], ops: OperatorTable | None = None) -> Term:
     """Read one term from a token list (used directly in tests; read_program
     drives the same machinery clause by clause)."""
-    parser = _Parser(tokens, ops or OperatorTable.default())
-    term = parser.parse_term(1200)
+    code = [t for t in tokens if t.kind not in COMMENT_KINDS]
+    term, _ = _parse(code, 0, ops or OperatorTable.default(), {})
     return term
 
 
@@ -806,47 +921,38 @@ def read_program(tokens: list[Token]) -> tuple[Program, list[Diagnostic]]:
     to the next clause terminator."""
     program = Program(tokens=tokens)
     diagnostics: list[Diagnostic] = []
-    parser = _Parser(tokens, program.operator_table, program.comma_roles)
-    program.code_tokens = parser.tokens
-
-    while parser.peek() is not None:
-        tok = parser.peek()
-        if tok.kind == TokenKind.ERROR:
+    code = program.code_tokens = [t for t in tokens
+                                  if t.kind not in COMMENT_KINDS]
+    ops, comma_roles = program.operator_table, program.comma_roles
+    pos, end = 0, len(code)
+    while pos < end:
+        start_tok = code[pos]
+        if start_tok.kind is _ERROR:
             break
-        if tok.kind == TokenKind.END:
-            parser.advance()
+        if start_tok.kind is _END:
+            pos += 1
             diagnostics.append(Diagnostic(
-                rule_id="E02", severity=Severity.ERROR, span=tok.span,
+                rule_id="E02", severity=Severity.ERROR, span=start_tok.span,
                 message="clause terminator '.' with no clause before it"))
             continue
-        start_tok = tok
         try:
-            term = parser.parse_term(1200)
-            end_tok = parser.expect(TokenKind.END, "end of clause ('.')")
-        except (SyntaxProblem, RecursionError) as problem:
-            if isinstance(problem, RecursionError):
-                anchor = start_tok.span
-                message = "term is nested too deeply to read"
-            else:
-                anchor = problem.token.span if problem.token \
-                    else start_tok.span
-                message = problem.message
+            term, pos = _parse(code, pos, ops, comma_roles)
+            end_tok = _expect(code, pos, _END, "end of clause ('.')")
+        except SyntaxProblem as problem:
             diagnostics.append(Diagnostic(
-                rule_id="E02", severity=Severity.ERROR, span=anchor,
-                message=message))
-            before = parser.pos
-            while parser.peek() is not None \
-                    and parser.peek().kind not in (TokenKind.END,
-                                                   TokenKind.ERROR):
-                parser.advance()
-            if parser.peek() is not None \
-                    and parser.peek().kind == TokenKind.END:
-                parser.advance()
-            if parser.pos == before and parser.peek() is not None:
-                parser.advance()
+                rule_id="E02", severity=Severity.ERROR,
+                span=(problem.token or start_tok).span,
+                message=problem.message))
+            # Skip to just past the next clause end.  A lexical error token
+            # is the last token, so skipping past it ends the reading.
+            pos = problem.pos
+            while pos < end and code[pos].kind is not _END:
+                pos += 1
+            pos += 1
             continue
+        pos += 1
         clause = _classify(term, _merge(start_tok.span, end_tok.span))
-        if clause.kind == ClauseKind.DIRECTIVE:
+        if clause.kind is ClauseKind.DIRECTIVE:
             _apply_directive(clause.body, program)
         program.items.append(clause)
 

@@ -55,6 +55,10 @@ class TokenKind(enum.Enum):
     BLOCK_COMMENT = "block_comment"
     ERROR = "error"
 
+    # Members are singletons, so identity hashing agrees with equality and
+    # keeps set and dict lookups of kinds out of Python-level code.
+    __hash__ = object.__hash__
+
 
 #: Kinds whose text is data or prose rather than code layout.
 NON_CODE_KINDS = frozenset(

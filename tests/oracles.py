@@ -1,8 +1,12 @@
 """Independent oracles the test suite checks the implementation against.
 
-The shunting-yard expression parser here shares nothing with the reader's
-recursive operator-precedence algorithm: it works iteratively with explicit
-operand/operator stacks.  The singleton counter works straight off the token
+The shunting-yard expression parser here shares no code with the reader:
+it reduces an operand stack under an operator stack, where the reader runs
+one loop over a stack of pending frames (an operand awaited by an operator,
+an argument list, a list, a curly term, a parenthesized term).  The
+reference reader is the recursive-descent parser that the loop replaced,
+one Python call per grammar level, frozen here with its own operator table.
+The singleton counter works straight off the token
 stream rather than the parsed term tree.  The reference scanner walks the
 text one character at a time with its own line index, where the tokenizer
 matches one compiled pattern per token and counts lines as it goes.  The
@@ -27,7 +31,7 @@ from prolint.reader import (
     Term,
     Variable,
 )
-from prolint.source_model import Token, TokenKind
+from prolint.source_model import Span, Token, TokenKind
 
 
 def term_to_tuple(term: Term):
@@ -42,6 +46,21 @@ def term_to_tuple(term: Term):
     if isinstance(term, Str):
         return ("str", term.lexeme)
     return (term.name,) + tuple(term_to_tuple(a) for a in term.args)
+
+
+def canonical_text(term: Term) -> str:
+    """A term in canonical prefix notation, with no operators."""
+    if isinstance(term, Variable):
+        return term.name
+    if isinstance(term, Atom):
+        return term.text
+    if isinstance(term, (Integer, Float)):
+        return repr(term.value)
+    if isinstance(term, Str):
+        return term.lexeme
+    args = ", ".join(canonical_text(a) for a in term.args)
+    name = term.name if term.name.isidentifier() else f"'{term.name}'"
+    return f"{name}({args})"
 
 
 class OracleError(Exception):
@@ -418,3 +437,495 @@ def render_json_reference(diags: list[Diagnostic]) -> str:
         })
     document = {"diagnostics": entries, "summary": counts}
     return json.dumps(document, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Reference reader
+# ---------------------------------------------------------------------------
+
+#: The default operators, as (priority, type, names).
+_REFERENCE_OPERATORS = [
+    (1200, "xfx", (":-", "-->")),
+    (1200, "fx", (":-", "?-")),
+    (1150, "fx", ("dynamic", "discontiguous", "initialization",
+                  "meta_predicate", "module_transparent", "multifile",
+                  "public", "thread_local", "table")),
+    (1100, "xfy", (";", "|")),
+    (1050, "xfy", ("->", "*->")),
+    (1000, "xfy", (",",)),
+    (900, "fy", ("\\+",)),
+    (700, "xfx", ("=", "\\=", "==", "\\==", "@<", "@>", "@=<", "@>=",
+                  "=..", "is", "=:=", "=\\=", "<", ">", "=<", ">=")),
+    (500, "yfx", ("+", "-", "/\\", "\\/", "xor")),
+    (400, "yfx", ("*", "/", "//", "mod", "rem", "div", "<<", ">>")),
+    (200, "xfx", ("**",)),
+    (200, "xfy", ("^", ":")),
+    (200, "fy", ("-", "+", "\\")),
+]
+
+
+class _ReferenceOp:
+    def __init__(self, priority: int, type_: str) -> None:
+        self.priority = priority
+        self.type = type_
+
+
+class _ReferenceOps:
+    """At most one prefix and one infix-or-postfix definition per name."""
+
+    def __init__(self) -> None:
+        self.prefix: dict[str, _ReferenceOp] = {}
+        self.infix: dict[str, _ReferenceOp] = {}
+        self.postfix: dict[str, _ReferenceOp] = {}
+        for priority, type_, names in _REFERENCE_OPERATORS:
+            for name in names:
+                self.add(priority, type_, name)
+
+    def add(self, priority: int, type_: str, name: str) -> None:
+        if type_ not in ("xfx", "xfy", "yfx", "fy", "fx", "xf", "yf") \
+                or not 0 <= priority <= 1200:
+            return
+        definition = _ReferenceOp(priority, type_)
+        if type_ in ("fy", "fx"):
+            if priority == 0:
+                self.prefix.pop(name, None)
+            else:
+                self.prefix[name] = definition
+        elif type_ in ("xf", "yf"):
+            self.infix.pop(name, None)
+            if priority == 0:
+                self.postfix.pop(name, None)
+            else:
+                self.postfix[name] = definition
+        else:
+            self.postfix.pop(name, None)
+            if priority == 0:
+                self.infix.pop(name, None)
+            else:
+                self.infix[name] = definition
+
+    def max_priority(self, name: str) -> int:
+        return max((d.priority for d in (self.prefix.get(name),
+                                         self.infix.get(name),
+                                         self.postfix.get(name)) if d),
+                   default=0)
+
+
+class _ReferenceSyntaxError(Exception):
+    def __init__(self, token: Token | None, message: str) -> None:
+        super().__init__(message)
+        self.token = token
+        self.message = message
+
+
+_REFERENCE_OPERAND_KINDS = (
+    TokenKind.VARIABLE, TokenKind.INTEGER, TokenKind.FLOAT, TokenKind.STRING,
+    TokenKind.OPEN_PAREN, TokenKind.OPEN_BRACKET, TokenKind.OPEN_BRACE,
+    TokenKind.ATOM, TokenKind.QUOTED_ATOM)
+_REFERENCE_CLOSERS = (
+    TokenKind.CLOSE_PAREN, TokenKind.CLOSE_BRACKET, TokenKind.CLOSE_BRACE,
+    TokenKind.COMMA, TokenKind.BAR, TokenKind.END)
+
+
+def _reference_merge(a: Span, b: Span) -> Span:
+    return Span(a.start_line, a.start_col, b.end_line, b.end_col,
+                a.byte_start, b.byte_end)
+
+
+def _reference_unquote(text: str) -> str:
+    escapes = {"a": "\a", "b": "\b", "f": "\f", "n": "\n", "r": "\r",
+               "t": "\t", "v": "\v", "\\": "\\", "'": "'", '"': '"',
+               "`": "`", "0": "\0"}
+    quote = text[0]
+    body = text[1:-1]
+    out: list[str] = []
+    i = 0
+    while i < len(body):
+        ch = body[i]
+        if ch == quote and i + 1 < len(body) and body[i + 1] == quote:
+            out.append(quote)
+            i += 2
+        elif ch == "\\" and i + 1 < len(body):
+            esc = body[i + 1]
+            if esc == "\n":
+                i += 2
+            elif esc == "x" or esc.isdigit():
+                j = i + 2 if esc == "x" else i + 1
+                k = j
+                while k < len(body) and body[k] not in "\\":
+                    k += 1
+                digits = body[j:k]
+                try:
+                    out.append(chr(int(digits, 16 if esc == "x" else 8)))
+                except (ValueError, OverflowError):
+                    out.append(digits)
+                i = k + 1 if k < len(body) and body[k] == "\\" else k
+            else:
+                out.append(escapes.get(esc, esc))
+                i += 2
+        else:
+            out.append(ch)
+            i += 1
+    return "".join(out)
+
+
+class _ReferenceParser:
+    """Recursive-descent operator-precedence parsing, one Python call per
+    grammar level; deep enough input raises ``RecursionError``."""
+
+    def __init__(self, tokens: list[Token], ops: _ReferenceOps,
+                 comma_roles: dict[int, str]) -> None:
+        self.tokens = [t for t in tokens
+                       if t.kind not in (TokenKind.LINE_COMMENT,
+                                         TokenKind.BLOCK_COMMENT)]
+        self.pos = 0
+        self.ops = ops
+        self.comma_roles = comma_roles
+
+    def peek(self, ahead: int = 0) -> Token | None:
+        idx = self.pos + ahead
+        return self.tokens[idx] if idx < len(self.tokens) else None
+
+    def advance(self) -> Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: TokenKind, what: str) -> Token:
+        tok = self.peek()
+        if tok is None or tok.kind != kind:
+            raise _ReferenceSyntaxError(tok, f"expected {what}")
+        return self.advance()
+
+    def parse_term(self, max_prec: int) -> Term:
+        term, _ = self.parse_term_prec(max_prec)
+        return term
+
+    def _infix_name(self) -> str | None:
+        tok = self.peek()
+        if tok is None:
+            return None
+        if tok.kind == TokenKind.ATOM:
+            return tok.text
+        if tok.kind == TokenKind.COMMA:
+            return ","
+        if tok.kind == TokenKind.BAR:
+            return "|"
+        return None
+
+    def parse_term_prec(self, max_prec: int) -> tuple[Term, int]:
+        left, left_prec = self.parse_primary(max_prec)
+        return self._continue_expr(left, left_prec, max_prec)
+
+    def _continue_expr(self, left: Term, left_prec: int,
+                       max_prec: int) -> tuple[Term, int]:
+        while True:
+            name = self._infix_name()
+            if name is None:
+                break
+            applied = False
+            inf = self.ops.infix.get(name)
+            if inf is not None:
+                left_max = inf.priority if inf.type == "yfx" \
+                    else inf.priority - 1
+                if inf.priority <= max_prec and left_prec <= left_max:
+                    if inf.type == "xfy":
+                        left = self._parse_xfy_chain(left, inf.priority)
+                    else:
+                        op_tok = self.advance()
+                        right, _ = self.parse_term_prec(inf.priority - 1)
+                        functor = ";" if name == "|" else name
+                        left = Compound(functor, [left, right],
+                                        _reference_merge(left.span,
+                                                         right.span),
+                                        functor_span=op_tok.span)
+                    left_prec = inf.priority
+                    applied = True
+            if not applied:
+                post = self.ops.postfix.get(name)
+                if post is not None:
+                    left_max = (post.priority if post.type == "yf"
+                                else post.priority - 1)
+                    if post.priority <= max_prec and left_prec <= left_max:
+                        op_tok = self.advance()
+                        left = Compound(name, [left],
+                                        _reference_merge(left.span,
+                                                         op_tok.span),
+                                        functor_span=op_tok.span)
+                        left_prec = post.priority
+                        applied = True
+            if not applied:
+                break
+        return left, left_prec
+
+    def _parse_xfy_chain(self, first: Term, priority: int) -> Term:
+        operands = [first]
+        functors: list[tuple[str, Token]] = []
+        while True:
+            op_name = self._infix_name()
+            inf = self.ops.infix.get(op_name) if op_name else None
+            if inf is None or inf.priority != priority or inf.type != "xfy":
+                break
+            op_tok = self.advance()
+            if op_tok.kind == TokenKind.COMMA:
+                self.comma_roles[op_tok.span.byte_start] = "and_then"
+            functors.append((";" if op_name == "|" else op_name, op_tok))
+            operand, operand_prec = self.parse_primary(priority)
+            operand, operand_prec = self._continue_expr(
+                operand, operand_prec, priority - 1)
+            operands.append(operand)
+        last, last_prec = operands[-1], 0
+        follow = self._infix_name()
+        follow_inf = self.ops.infix.get(follow) if follow else None
+        if follow_inf is not None and follow_inf.priority == priority \
+                and follow_inf.type != "xfy":
+            last, _ = self._continue_expr(last, last_prec, priority)
+            operands[-1] = last
+        result = operands[-1]
+        for index in range(len(operands) - 2, -1, -1):
+            name, op_tok = functors[index]
+            result = Compound(name, [operands[index], result],
+                              _reference_merge(operands[index].span,
+                                               result.span),
+                              functor_span=op_tok.span)
+        return result
+
+    def parse_primary(self, max_prec: int) -> tuple[Term, int]:
+        tok = self.peek()
+        if tok is None:
+            raise _ReferenceSyntaxError(None, "unexpected end of input")
+        kind = tok.kind
+        if kind == TokenKind.VARIABLE:
+            self.advance()
+            return Variable(tok.text, tok.span), 0
+        if kind == TokenKind.INTEGER:
+            self.advance()
+            return Integer(tok.value, tok.span, lexeme=tok.text), 0
+        if kind == TokenKind.FLOAT:
+            self.advance()
+            return Float(tok.value, tok.span, lexeme=tok.text), 0
+        if kind == TokenKind.STRING:
+            self.advance()
+            return Str(tok.text[1:-1], tok.span, lexeme=tok.text), 0
+        if kind == TokenKind.OPEN_PAREN:
+            open_tok = self.advance()
+            inner = self.parse_term(1200)
+            close_tok = self.expect(TokenKind.CLOSE_PAREN,
+                                    "closing parenthesis")
+            inner.span = _reference_merge(open_tok.span, close_tok.span)
+            if isinstance(inner, (Atom, Compound)):
+                inner.parenthesized = True
+            return inner, 0
+        if kind == TokenKind.OPEN_BRACKET:
+            return self.parse_list(), 0
+        if kind == TokenKind.OPEN_BRACE:
+            return self.parse_curly(), 0
+        if kind in (TokenKind.ATOM, TokenKind.QUOTED_ATOM):
+            return self.parse_atom_primary(max_prec)
+        if kind == TokenKind.ERROR:
+            raise _ReferenceSyntaxError(tok, "cannot parse past lexical error")
+        raise _ReferenceSyntaxError(tok, f"unexpected {tok.text!r}")
+
+    def parse_atom_primary(self, max_prec: int) -> tuple[Term, int]:
+        tok = self.advance()
+        quoted = tok.kind == TokenKind.QUOTED_ATOM
+        name = _reference_unquote(tok.text) if quoted else tok.text
+        nxt = self.peek()
+        if (nxt is not None and nxt.kind == TokenKind.OPEN_PAREN
+                and nxt.span.byte_start == tok.span.byte_end):
+            self.advance()
+            args = [self.parse_arg()]
+            while self.peek() is not None \
+                    and self.peek().kind == TokenKind.COMMA:
+                comma = self.advance()
+                self.comma_roles[comma.span.byte_start] = "arg"
+                args.append(self.parse_arg())
+            close = self.expect(TokenKind.CLOSE_PAREN, "closing parenthesis")
+            return Compound(name, args, _reference_merge(tok.span, close.span),
+                            functor_span=tok.span,
+                            functor_lexeme=tok.text), 0
+        if not quoted:
+            if (name == "-" and nxt is not None
+                    and nxt.kind in (TokenKind.INTEGER, TokenKind.FLOAT)
+                    and nxt.span.byte_start == tok.span.byte_end):
+                self.advance()
+                span = _reference_merge(tok.span, nxt.span)
+                lexeme = "-" + nxt.text
+                if nxt.kind == TokenKind.INTEGER:
+                    return Integer(-nxt.value, span, lexeme=lexeme), 0
+                return Float(-nxt.value, span, lexeme=lexeme), 0
+            pre = self.ops.prefix.get(name)
+            if (pre is not None and nxt is not None
+                    and nxt.kind in _REFERENCE_OPERAND_KINDS
+                    and not self._atom_stands_alone(nxt)):
+                if pre.priority > max_prec:
+                    raise _ReferenceSyntaxError(
+                        tok, f"prefix operator {name!r} (priority "
+                        f"{pre.priority}) exceeds the allowed priority "
+                        f"{max_prec} here; add parentheses")
+                arg_max = pre.priority - (1 if pre.type == "fx" else 0)
+                arg, _ = self.parse_term_prec(arg_max)
+                return Compound(name, [arg],
+                                _reference_merge(tok.span, arg.span),
+                                functor_span=tok.span), pre.priority
+        return Atom(name, tok.span, quoted=quoted, lexeme=tok.text), 0
+
+    def _atom_stands_alone(self, nxt: Token) -> bool:
+        if nxt.kind != TokenKind.ATOM:
+            return False
+        if nxt.text in self.ops.prefix:
+            return False
+        if nxt.text not in self.ops.infix \
+                and nxt.text not in self.ops.postfix:
+            return False
+        follower = self.peek(1)
+        return follower is not None \
+            and follower.kind in _REFERENCE_OPERAND_KINDS
+
+    def parse_arg(self) -> Term:
+        tok = self.peek()
+        if (tok is not None and tok.kind == TokenKind.ATOM
+                and self.ops.max_priority(tok.text) > 999):
+            nxt = self.peek(1)
+            if nxt is not None and nxt.kind in _REFERENCE_CLOSERS:
+                self.advance()
+                return Atom(tok.text, tok.span, lexeme=tok.text)
+        return self.parse_term(999)
+
+    def parse_list(self) -> Term:
+        open_tok = self.advance()
+        nxt = self.peek()
+        if nxt is not None and nxt.kind == TokenKind.CLOSE_BRACKET:
+            close = self.advance()
+            return Atom("[]", _reference_merge(open_tok.span, close.span),
+                        lexeme="[]")
+        elements = [self.parse_arg()]
+        while self.peek() is not None \
+                and self.peek().kind == TokenKind.COMMA:
+            comma = self.advance()
+            self.comma_roles[comma.span.byte_start] = "list"
+            elements.append(self.parse_arg())
+        tail: Term | None = None
+        if self.peek() is not None and self.peek().kind == TokenKind.BAR:
+            self.advance()
+            tail = self.parse_arg()
+        close = self.expect(TokenKind.CLOSE_BRACKET, "closing bracket")
+        full_span = _reference_merge(open_tok.span, close.span)
+        result: Term = tail if tail is not None else Atom(
+            "[]", Span(*close.span), lexeme="[]")
+        for element in reversed(elements):
+            result = Compound(".", [element, result],
+                              _reference_merge(element.span, close.span))
+        result.span = full_span
+        return result
+
+    def parse_curly(self) -> Term:
+        open_tok = self.advance()
+        nxt = self.peek()
+        if nxt is not None and nxt.kind == TokenKind.CLOSE_BRACE:
+            close = self.advance()
+            return Atom("{}", _reference_merge(open_tok.span, close.span),
+                        lexeme="{}")
+        inner = self.parse_term(1200)
+        close = self.expect(TokenKind.CLOSE_BRACE, "closing brace")
+        return Compound("{}", [inner],
+                        _reference_merge(open_tok.span, close.span))
+
+
+def _reference_strip_module(goal: Term) -> Term:
+    while isinstance(goal, Compound) and goal.name == ":" \
+            and len(goal.args) == 2:
+        goal = goal.args[1]
+    return goal
+
+
+def _reference_list_items(node: Term) -> list[Term]:
+    items = []
+    while isinstance(node, Compound) and node.name == "." \
+            and len(node.args) == 2:
+        items.append(node.args[0])
+        node = node.args[1]
+    return items
+
+
+def read_program_reference(tokens: list[Token]) -> dict:
+    """The recursive-descent reader, frozen as the reference for
+    ``reader.read_program``.
+
+    Returns a dict: ``clauses`` as ``(kind, head, body, span, neck_span)``
+    with ``kind`` a ``ClauseKind`` value string, ``comma_roles``,
+    ``exports``, ``module_name`` and ``errors`` as ``(message, span)`` per
+    E02.  A term nested too deeply for the interpreter's stack raises
+    ``RecursionError``.
+    """
+    ops = _ReferenceOps()
+    result = {"clauses": [], "comma_roles": {}, "exports": None,
+              "module_name": None, "errors": []}
+    parser = _ReferenceParser(tokens, ops, result["comma_roles"])
+    while parser.peek() is not None:
+        tok = parser.peek()
+        if tok.kind == TokenKind.ERROR:
+            break
+        if tok.kind == TokenKind.END:
+            parser.advance()
+            result["errors"].append(
+                ("clause terminator '.' with no clause before it", tok.span))
+            continue
+        start_tok = tok
+        try:
+            term = parser.parse_term(1200)
+            end_tok = parser.expect(TokenKind.END, "end of clause ('.')")
+        except _ReferenceSyntaxError as problem:
+            anchor = problem.token.span if problem.token else start_tok.span
+            result["errors"].append((problem.message, anchor))
+            before = parser.pos
+            while parser.peek() is not None \
+                    and parser.peek().kind not in (TokenKind.END,
+                                                   TokenKind.ERROR):
+                parser.advance()
+            if parser.peek() is not None \
+                    and parser.peek().kind == TokenKind.END:
+                parser.advance()
+            if parser.pos == before and parser.peek() is not None:
+                parser.advance()
+            continue
+        span = _reference_merge(start_tok.span, end_tok.span)
+        neck = term.functor_span if isinstance(term, Compound) else None
+        if isinstance(term, Compound) and term.name == ":-" \
+                and len(term.args) == 2:
+            clause = ("rule", term.args[0], term.args[1], span, neck)
+        elif isinstance(term, Compound) and term.name == ":-" \
+                and len(term.args) == 1:
+            clause = ("directive", None, term.args[0], span, neck)
+        elif isinstance(term, Compound) and term.name == "-->" \
+                and len(term.args) == 2:
+            clause = ("grammar_rule", term.args[0], term.args[1], span, neck)
+        else:
+            clause = ("fact", term, None, span, None)
+        if clause[0] == "directive":
+            goal = _reference_strip_module(clause[2])
+            if isinstance(goal, Compound) and goal.name == "op" \
+                    and len(goal.args) == 3:
+                prio, type_, names = goal.args
+                if isinstance(prio, Integer) and isinstance(type_, Atom):
+                    if isinstance(names, Atom) and names.name != "[]":
+                        names = [names]
+                    else:
+                        names = _reference_list_items(names)
+                    for name in names:
+                        if isinstance(name, Atom):
+                            ops.add(prio.value, type_.name, name.name)
+            if isinstance(goal, Compound) and goal.name == "module" \
+                    and len(goal.args) == 2:
+                mod, exports = goal.args
+                if isinstance(mod, Atom):
+                    result["module_name"] = mod.name
+                result["exports"] = [
+                    (entry.args[0].name, entry.args[1].value)
+                    for entry in _reference_list_items(exports)
+                    if isinstance(entry, Compound) and entry.name == "/"
+                    and len(entry.args) == 2
+                    and isinstance(entry.args[0], Atom)
+                    and isinstance(entry.args[1], Integer)]
+        result["clauses"].append(clause)
+    return result

@@ -9,6 +9,8 @@ The full smoke test of every workload lives next to the benchmark
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -29,3 +31,16 @@ def test_benchmark_smoke_run_is_correct(workload):
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_traced_layer_functions_exist():
+    # The tracer skips a layer function it does not find, and that layer's
+    # metrics then read 0; a renamed function must fail here instead.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", RUN_PY.parent / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module_name, function, _ in spans.LAYER_FUNCTIONS:
+        module = importlib.import_module(f"prolint.{module_name}")
+        assert callable(getattr(module, function, None)), \
+            f"prolint.{module_name}.{function}"

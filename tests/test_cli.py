@@ -264,17 +264,23 @@ def test_huge_integer_flag_exits_two(tmp_path, capsys, flag):
         in captured.err
 
 
-@pytest.mark.parametrize("source", ["config", "flag"])
+@pytest.mark.parametrize("source", ["config", "flag", "allowlist"])
 def test_integer_setting_bound_ignores_python_limit(tmp_path, source):
     # A 700-digit value is over PYTHONINTMAXSTRDIGITS=640 but under the
     # interpreter's default limit; either way it is the same C01.
     huge = "7" * 700
     path = write(tmp_path, "clean.pl", CLEAN)
-    if source == "config":
-        config = write(tmp_path, "lint.cfg", f"indent_size = {huge}\n")
-        args, where, key = ["--config", config], config, "indent_size"
+    key, problem = {
+        "config": ("indent_size", "expected at most 10000 in magnitude"),
+        "flag": ("--indent", "expected at most 10000 in magnitude"),
+        "allowlist": ("magic_number_allowlist",
+                      "integer has more than 640 digits"),
+    }[source]
+    if source == "flag":
+        args, where = [key, huge], "<command line>"
     else:
-        args, where, key = ["--indent", huge], "<command line>", "--indent"
+        config = write(tmp_path, "lint.cfg", f"{key} = {huge}\n")
+        args, where = ["--config", config], config
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(prolint.__file__)))
     env.pop("PYTHONINTMAXSTRDIGITS", None)
@@ -289,7 +295,7 @@ def test_integer_setting_bound_ignores_python_limit(tmp_path, source):
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr == f"{where}:1:1: error [C01] bad value for " \
-            f"{key}: expected at most 10000 in magnitude\n"
+            f"{key}: {problem}\n"
 
 
 def test_chain_too_long_to_format_reported_with_the_others(tmp_path,

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import random
 
+from prolint import Config, run
 from prolint.reader import (
+    MAX_TERM_DEPTH,
     Atom,
     ClauseKind,
     Compound,
@@ -16,13 +18,12 @@ from prolint.reader import (
     program_from_source,
     read_program,
     read_term,
-    render_canonical,
     structurally_equal,
 )
 from prolint.source_model import scan, source_from_text
 
 from gen import expression_table, gen_expression
-from oracles import shunting_yard, term_to_tuple
+from oracles import canonical_text, shunting_yard, term_to_tuple
 
 
 def parse_body(text: str):
@@ -250,7 +251,7 @@ def test_canonical_round_trip():
         clause = program.items[0]
         original = clause.head if clause.body is None else Compound(
             ":-", [clause.head, clause.body], clause.span)
-        canonical = render_canonical(original) + " ."
+        canonical = canonical_text(original) + " ."
         reread = parse_term_text(canonical)
         assert structurally_equal(original, reread), canonical
 
@@ -295,3 +296,56 @@ def test_default_table_matches_iso_core():
     assert table.prefix("-").type == "fy"
     assert table.prefix("-").priority == 200
     assert table.prefix("\\+").priority == 900
+
+
+def _at_stack_depth(frames: int, function):
+    """``function()`` called with ``frames`` more frames on the stack."""
+    if frames == 0:
+        return function()
+    return _at_stack_depth(frames - 1, function)
+
+
+def _check(text: str) -> list:
+    src = source_from_text(text, "deep.pl")
+    return run(src, program_from_source(src), Config())
+
+
+def _nested_fact(levels: int) -> str:
+    """A fact whose head holds ``levels`` argument lists, one inside the
+    other."""
+    return "p(" + "f(" * (levels - 1) + "a" + ")" * levels + ".\n"
+
+
+def _nested_conjunction(levels: int) -> str:
+    """A rule body of ``repeat`` and ``levels`` parenthesized conjunctions,
+    one inside the other, ending in the cut that I02 looks for."""
+    return "p :- repeat, " + "(a, " * levels + "!" + ")" * levels + ".\n"
+
+
+def test_term_at_the_depth_limit_reads_at_any_stack_depth():
+    for text in (_nested_fact(MAX_TERM_DEPTH),
+                 _nested_conjunction(MAX_TERM_DEPTH)):
+        shallow = _check(text)
+        assert shallow == _at_stack_depth(500, lambda: _check(text))
+        assert not [d for d in shallow if d.rule_id in ("E02", "E99")]
+
+
+def test_term_past_the_depth_limit_is_one_error_at_the_clause_start():
+    for text in (_nested_fact(MAX_TERM_DEPTH + 1),
+                 _nested_conjunction(MAX_TERM_DEPTH + 1)):
+        program = program_from_source(source_from_text("q.\n" + text
+                                                       + "r.\n"))
+        assert [(d.rule_id, d.message, d.span.start_line, d.span.start_col)
+                for d in program.syntax_diagnostics] == [
+            ("E02", f"term nested deeper than {MAX_TERM_DEPTH} levels", 2, 1)]
+        assert [c.indicator for c in program.items] == [("q", 0), ("r", 0)]
+
+
+def test_long_operator_chain_reads():
+    text = "p(X) :- X = " + " + ".join(["a"] * 100_000) + ".\n"
+    program = program_from_source(source_from_text(text))
+    assert not program.syntax_diagnostics
+    chain = program.items[0].body.args[1]
+    assert term_to_tuple(chain.args[1]) == "a"
+    assert structurally_equal(chain, chain)
+    assert not structurally_equal(chain, chain.args[0])

@@ -270,7 +270,6 @@ def _collect_blocks(program: Program) -> list[_DocBlock]:
 
     blocks = []
     for clause_index, tokens in sorted(by_clause.items()):
-        tokens.sort(key=lambda t: t.span.byte_start)
         block = _DocBlock(clause_index=clause_index, tokens=tokens)
         for position, token in enumerate(tokens):
             stripped = _strip_marker(token.text)

@@ -282,7 +282,7 @@ class _ClauseFormatter:
         self.r = renderer
         self.unit = cfg.indent_size
         self.width = cfg.max_line_length
-        self.interior = sorted(interior, key=lambda t: t.span.byte_start)
+        self.interior = interior
         self.next_comment = 0
         self.out = _Out()
         self._unit_counter = 0
@@ -299,12 +299,6 @@ class _ClauseFormatter:
             self.out.add(" " * indent + token.text.rstrip(), None)
             self.next_comment += 1
 
-    def flush_remaining(self, indent: int) -> None:
-        while self.next_comment < len(self.interior):
-            token = self.interior[self.next_comment]
-            self.out.add(" " * indent + token.text.rstrip(), None)
-            self.next_comment += 1
-
     # -- entry points -------------------------------------------------------
 
     def format_clause(self, clause: Clause) -> _Out:
@@ -316,7 +310,7 @@ class _ClauseFormatter:
             neck = ":-" if clause.kind == ClauseKind.RULE else "-->"
             self.emit_head(clause.head, clause, neck=neck, terminal=None)
             self.emit_sequence(clause.body, self.unit, final_suffix=".")
-            self.flush_remaining(self.unit)
+            self.flush_comments(clause.span.byte_end, self.unit)
         return self.out
 
     def emit_directive(self, clause: Clause) -> None:
@@ -499,12 +493,10 @@ def _branches(root: Compound) -> list[Term]:
 
 @dataclass
 class _Unit:
-    kind: str  # "clause" or "comment"
     start_line: int
     end_line: int
-    clause: Clause | None = None
-    indicator: tuple[str, int] | None = None
-    is_directive: bool = False
+    #: The clause's index in ``program.items``; None for a free comment.
+    index: int | None = None
     preceding: list[Token] = field(default_factory=list)
     comment: Token | None = None
 
@@ -537,34 +529,27 @@ def _collect_units(program: Program) -> tuple[list[_Unit], dict[int, list[Token]
 
     units: list[_Unit] = []
     for idx, clause in enumerate(program.items):
-        ahead = sorted(preceding.get(idx, []),
-                       key=lambda t: t.span.byte_start)
+        ahead = preceding.get(idx, [])
         start = ahead[0].span.start_line if ahead else clause.span.start_line
-        units.append(_Unit(
-            kind="clause", start_line=start, end_line=clause.span.end_line,
-            clause=clause, indicator=clause.indicator,
-            is_directive=clause.kind == ClauseKind.DIRECTIVE,
-            preceding=ahead))
+        units.append(_Unit(start_line=start, end_line=clause.span.end_line,
+                           index=idx, preceding=ahead))
     for token in free_comments:
-        units.append(_Unit(kind="comment",
-                           start_line=token.span.start_line,
+        units.append(_Unit(start_line=token.span.start_line,
                            end_line=token.span.end_line, comment=token))
     units.sort(key=lambda u: u.start_line)
     return units, trailing, interior
 
 
-def _gap(previous: _Unit | None, unit: _Unit) -> int:
+def _gap(items: list[Clause], previous: _Unit | None, unit: _Unit) -> int:
     if previous is None:
         return 0
-    if previous.kind == "clause" and unit.kind == "clause" \
-            and not previous.is_directive and not unit.is_directive:
-        return 0 if previous.indicator == unit.indicator else 1
+    if previous.index is not None and unit.index is not None:
+        before, clause = items[previous.index], items[unit.index]
+        if before.kind != ClauseKind.DIRECTIVE \
+                and clause.kind != ClauseKind.DIRECTIVE:
+            return 0 if before.indicator == clause.indicator else 1
     raw = unit.start_line - previous.end_line - 1
     return max(0, min(raw, 2))
-
-
-def _clause_index_map(program: Program) -> dict[int, int]:
-    return {id(clause): idx for idx, clause in enumerate(program.items)}
 
 
 def format_program(program: Program, cfg: Config | None = None) -> str:
@@ -579,21 +564,20 @@ def format_program(program: Program, cfg: Config | None = None) -> str:
         raise FormatError(program.syntax_diagnostics[0])
 
     units, trailing, interior = _collect_units(program)
-    index_of = _clause_index_map(program)
     table = OperatorTable.default()
     output: list[str] = []
     previous: _Unit | None = None
 
     for unit in units:
-        output.extend([""] * _gap(previous, unit))
-        if unit.kind == "comment":
+        output.extend([""] * _gap(program.items, previous, unit))
+        idx = unit.index
+        if idx is None:
             output.append(unit.comment.text.rstrip())
             previous = unit
             continue
-        clause = unit.clause
+        clause = program.items[idx]
         for token in unit.preceding:
             output.append(token.text.rstrip())
-        idx = index_of[id(clause)]
         renderer = _Renderer(table)
         formatter = _ClauseFormatter(renderer, cfg, interior.get(idx, []))
         out = formatter.format_clause(clause)
@@ -611,7 +595,7 @@ def format_program(program: Program, cfg: Config | None = None) -> str:
 def _attach_trailing(out: _Out, comments: list[Token], cfg: Config) -> None:
     from .diagnostics import SUPPRESSION_COMMENT
 
-    for token in sorted(comments, key=lambda t: t.span.byte_start):
+    for token in comments:
         line_no = token.span.start_line
         text = token.text.rstrip()
         target = None

@@ -35,6 +35,7 @@ _OPENERS = {TokenKind.OPEN_PAREN, TokenKind.OPEN_BRACKET,
             TokenKind.OPEN_BRACE}
 _CLOSERS = {TokenKind.CLOSE_PAREN, TokenKind.CLOSE_BRACKET,
             TokenKind.CLOSE_BRACE}
+_COMMA = TokenKind.COMMA
 
 
 class _Lines:
@@ -81,11 +82,6 @@ class _Lines:
     def span_at(self, line: int, col: int, width: int = 1) -> Span:
         byte = self.offsets[line - 1] + col - 1
         return Span(line, col, line, col + width, byte, byte + width)
-
-    def rest_of_line(self, byte: int) -> str:
-        end = self.src.content.find("\n", byte)
-        end = len(self.src.content) if end < 0 else end
-        return self.src.content[byte:end]
 
 
 def _indent_width(text: str) -> int:
@@ -211,8 +207,8 @@ def _l06_clause_start(facts: Facts) -> Iterator[Diagnostic]:
 # -- L07 --------------------------------------------------------------------
 
 def _comma_is_at_eol(ctx: _Lines, comma: Token) -> bool:
-    rest = ctx.rest_of_line(comma.span.byte_end)
-    stripped = rest.strip()
+    span = comma.span
+    stripped = ctx.texts[span.end_line - 1][span.end_col - 1:].strip()
     return stripped == "" or stripped.startswith("%")
 
 
@@ -257,7 +253,7 @@ def _is_goal_level(units: list[Compound], starts: list[int],
 @rule("L07")
 def _l07_commas(facts: Facts) -> Iterator[Diagnostic]:
     ctx = facts.context(_Lines)
-    commas = [t for t in ctx.code_tokens if t.kind == TokenKind.COMMA]
+    commas = [t for t in ctx.code_tokens if t.kind is _COMMA]
     if facts.cfg.comma_style == "simple":
         for comma in commas:
             if _comma_is_at_eol(ctx, comma) \

@@ -72,6 +72,7 @@ _ALNUM_ATOM = re.compile(r"[a-z][A-Za-z0-9_]*$")
 _LEET = re.compile(r"[A-Za-z][0-9]+[A-Za-z]")
 _STATE_SUFFIX = re.compile(r"^(.*[^\d])(\d+)$")
 _IN_OUT = re.compile(r"^(.+)_(in|out)$")
+_ATOM, _VARIABLE = TokenKind.ATOM, TokenKind.VARIABLE
 
 
 def _snake_suggestion(words: IdentifierWords) -> str:
@@ -98,10 +99,10 @@ class _Names:
         tokens = facts.program.tokens
         self.atoms = _first_occurrences(
             t for t in tokens
-            if t.kind == TokenKind.ATOM and _ALNUM_ATOM.match(t.text))
+            if t.kind is _ATOM and _ALNUM_ATOM.match(t.text))
         self.variables = _first_occurrences(
             t for t in tokens
-            if t.kind == TokenKind.VARIABLE and not t.text.startswith("_"))
+            if t.kind is _VARIABLE and not t.text.startswith("_"))
         self.words: dict[str, IdentifierWords] = {
             tok.text: split_identifier(tok.text)
             for tok in self.atoms + self.variables}
@@ -119,7 +120,7 @@ def _first_occurrences(tokens) -> list[Token]:
     for tok in tokens:
         if tok.text not in seen:
             seen[tok.text] = tok
-    return sorted(seen.values(), key=lambda t: t.span.byte_start)
+    return list(seen.values())
 
 
 # -- N01 --------------------------------------------------------------------

@@ -414,9 +414,9 @@ class Program:
 #: The most brackets (parentheses, argument lists, lists, curly terms) and
 #: prefix operators a term may hold open at once.  Deeper terms are one E02
 #: at the start of their clause.  Infix operators awaiting their right
-#: operand are not counted: between two counted levels each one waits at a
-#: lower priority than the one below it (or, once, at the same), so their
-#: number per level is bounded by the number of operator priorities.
+#: operand are not counted: a right-associative chain of n operands holds
+#: n - 1 of them, but they hold no bracket, so the stack stays linear in the
+#: clause's tokens.
 MAX_TERM_DEPTH = 5000
 
 
@@ -505,15 +505,13 @@ def _unquote(text: str) -> str:
 
 # What each pending frame of ``_parse`` waits for.  Every frame ends with the
 # priority that the expression holding the awaited term continues at.
-_INFIX = 0       # (kind, left, operator token, functor, priority, limit)
-_PREFIX = 1      # (kind, name, operator token, priority, limit)
-_CHAIN = 2       # (kind, operands, [(functor, token)], priority, limit)
-_CHAIN_LAST = 3  # as _CHAIN, for the last operand's same-priority operator
-_PAREN = 4       # (kind, open token, limit)
-_CURLY = 5       # (kind, open token, limit)
-_ARGS = 6        # (kind, name, name token, args, limit)
-_LIST = 7        # (kind, open token, elements, limit)
-_TAIL = 8        # as _LIST, after the bar
+_INFIX = 0   # (kind, left, operator token, functor, priority, limit)
+_PREFIX = 1  # (kind, name, operator token, priority, limit)
+_PAREN = 2   # (kind, open token, limit)
+_CURLY = 3   # (kind, open token, limit)
+_ARGS = 4    # (kind, name, name token, args, limit)
+_LIST = 5    # (kind, open token, elements, limit)
+_TAIL = 6    # as _LIST, after the bar
 
 
 def _parse(tokens: list[Token], pos: int, ops: OperatorTable,
@@ -522,15 +520,13 @@ def _parse(tokens: list[Token], pos: int, ops: OperatorTable,
     ``tokens`` at ``pos``; return it with the position after it.
 
     Operator-precedence parsing as one loop over a stack of pending frames.
-    Each pass reads one primary term at priority ``max_prec``, then applies
+    Each pass reads one primary term at priority ``limit``, then applies
     the infix and postfix operators that follow while they fit under
     ``limit``.  A primary that opens a bracket or a prefix operator, and an
     infix operator awaiting its right operand, push a frame and read the
     awaited term on the next pass; a finished term is handed to the frame on
-    top, which builds on it.  A right-associative operator collects its whole
-    same-priority chain in one frame, and the chain's last operand may still
-    take a non-right-associative operator of that priority.  A term reaching
-    the bottom of the stack is returned.
+    top, which builds on it.  A term reaching the bottom of the stack is
+    returned.
     """
     prefix_ops, infix_ops, postfix_ops = ops._prefix, ops._infix, ops._postfix
     end = len(tokens)
@@ -538,7 +534,7 @@ def _parse(tokens: list[Token], pos: int, ops: OperatorTable,
     push = stack.append
     pop = stack.pop
     depth = 0
-    max_prec = limit = 1200
+    limit = 1200
     argument = False
     while True:
         # -- one primary term ----------------------------------------------
@@ -551,7 +547,7 @@ def _parse(tokens: list[Token], pos: int, ops: OperatorTable,
             # operator atom of a higher priority stands alone before a
             # closer.
             argument = False
-            max_prec = limit = 999
+            limit = 999
             tok = tokens[pos] if pos < end else None
             if tok is not None and tok.kind is _ATOM and pos + 1 < end \
                     and tokens[pos + 1].kind in _CLOSERS \
@@ -591,15 +587,15 @@ def _parse(tokens: list[Token], pos: int, ops: OperatorTable,
                     if pre is not None and nxt is not None \
                             and nxt.kind in _OPERAND_KINDS \
                             and not _atom_stands_alone(tokens, pos, ops):
-                        if pre.priority > max_prec:
+                        if pre.priority > limit:
                             raise SyntaxProblem(
                                 tok, f"prefix operator {text!r} (priority "
                                 f"{pre.priority}) exceeds the allowed "
-                                f"priority {max_prec} here; add "
+                                f"priority {limit} here; add "
                                 "parentheses", pos)
                         depth += 1
                         push((_PREFIX, text, tok, pre.priority, limit))
-                        max_prec = limit = pre.priority \
+                        limit = pre.priority \
                             - (1 if pre.type == "fx" else 0)
                         continue
                     left = Atom(text, tok.span, False, text)
@@ -621,7 +617,7 @@ def _parse(tokens: list[Token], pos: int, ops: OperatorTable,
                     depth += 1
                     push((_PAREN if kind is _OPEN_PAREN else _CURLY, tok,
                           limit))
-                    max_prec = limit = 1200
+                    limit = 1200
                     continue
             elif kind is _OPEN_BRACKET:
                 pos += 1
@@ -668,18 +664,13 @@ def _parse(tokens: list[Token], pos: int, ops: OperatorTable,
                             and prec <= (op.priority if op.type == "yfx"
                                          else op.priority - 1):
                         pos += 1
-                        functor = ";" if name == "|" else name
-                        if op.type == "xfy":
-                            if kind is _COMMA:
-                                comma_roles[tok.span[4]] = "and_then"
-                            push((_CHAIN, [left], [(functor, tok)],
-                                  op.priority, limit))
-                            max_prec = op.priority
-                        else:
-                            push((_INFIX, left, tok, functor, op.priority,
-                                  limit))
-                            max_prec = op.priority - 1
-                        limit = op.priority - 1
+                        if kind is _COMMA and op.type == "xfy":
+                            comma_roles[tok.span[4]] = "and_then"
+                        push((_INFIX, left, tok,
+                              ";" if name == "|" else name, op.priority,
+                              limit))
+                        limit = op.priority if op.type == "xfy" \
+                            else op.priority - 1
                         pushed = True
                         break
                     op = postfix_ops.get(name)
@@ -723,44 +714,6 @@ def _parse(tokens: list[Token], pos: int, ops: OperatorTable,
                 left = Compound(name, args, _merge(tok.span, close.span),
                                 False, tok.span, tok.text)
                 prec = 0
-            elif waiting == _CHAIN or waiting == _CHAIN_LAST:
-                _, operands, functors, priority, outer = frame
-                if waiting == _CHAIN:
-                    operands.append(left)
-                    tok = tokens[pos] if pos < end else None
-                    kind = tok.kind if tok is not None else None
-                    name = tok.text if kind is _ATOM else "," \
-                        if kind is _COMMA else "|" if kind is _BAR else None
-                    op = infix_ops.get(name) if name is not None else None
-                    if op is not None and op.priority == priority:
-                        if op.type == "xfy":
-                            pos += 1
-                            if kind is _COMMA:
-                                comma_roles[tok.span[4]] = "and_then"
-                            functors.append((";" if name == "|" else name,
-                                             tok))
-                            push(frame)
-                            max_prec = priority
-                            limit = priority - 1
-                            break
-                        # The last operand's right slot allows the chain's
-                        # priority: it may take this operator.
-                        push((_CHAIN_LAST, operands, functors, priority,
-                              outer))
-                        prec = 0
-                        limit = priority
-                        continue
-                else:
-                    operands[-1] = left
-                left = operands[-1]
-                for index in range(len(operands) - 2, -1, -1):
-                    functor, tok = functors[index]
-                    first = operands[index]
-                    left = Compound(functor, [first, left],
-                                    _merge(first.span, left.span), False,
-                                    tok.span)
-                prec = priority
-                limit = outer
             elif waiting == _PAREN:
                 close = _expect(tokens, pos, _CLOSE_PAREN,
                                 "closing parenthesis")
@@ -1036,7 +989,6 @@ def _attach_comments(tokens: list[Token],
 
 def group_predicates(program: Program) -> list[PredicateDef]:
     """Group clauses by predicate indicator in first-appearance order."""
-    order: list[tuple[str, int]] = []
     # Each indicator's clauses with their positions among the clauses that
     # have an indicator (directives excluded).
     grouped: dict[tuple[str, int], list[tuple[int, Clause]]] = {}
@@ -1047,15 +999,11 @@ def group_predicates(program: Program) -> list[PredicateDef]:
         ind = clause.indicator
         if ind is None:
             continue
-        if ind not in grouped:
-            grouped[ind] = []
-            order.append(ind)
-        grouped[ind].append((position, clause))
+        grouped.setdefault(ind, []).append((position, clause))
         position += 1
 
     defs: list[PredicateDef] = []
-    for ind in order:
-        entries = grouped[ind]
+    for ind, entries in grouped.items():
         first, last = entries[0][0], entries[-1][0]
         contiguous = last - first + 1 == len(entries)
         exported = True

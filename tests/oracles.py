@@ -674,6 +674,11 @@ class _ReferenceParser:
             operand, operand_prec = self._continue_expr(
                 operand, operand_prec, priority - 1)
             operands.append(operand)
+        # Resetting the last operand's priority to 0 lets an fx prefix term
+        # of the chain's priority take a same-priority xfx operator here,
+        # which ``reader._parse`` refuses, as both readers do outside a
+        # chain.  No corpus, generated file or token soup defines such a
+        # prefix operator.
         last, last_prec = operands[-1], 0
         follow = self._infix_name()
         follow_inf = self.ops.infix.get(follow) if follow else None

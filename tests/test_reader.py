@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from prolint import Config, run
 from prolint.reader import (
     MAX_TERM_DEPTH,
@@ -15,6 +17,8 @@ from prolint.reader import (
     conjunction_goals,
     final_goal,
     group_predicates,
+    is_atom,
+    is_compound,
     program_from_source,
     read_program,
     read_term,
@@ -235,6 +239,18 @@ def test_xfx_chain_rejected():
     assert program.syntax_diagnostics
 
 
+def test_xfy_operand_reads_same_priority_operators_as_a_whole_term():
+    # ``foo b`` has priority 1000, too high for the left of ``bar`` (xfx
+    # 1000), whether or not it follows a ``,``; a yfx ``baz`` takes it.
+    ops = ":- op(1000, fx, foo).\n:- op(1000, xfx, bar).\n" \
+        ":- op(1000, yfx, baz).\n"
+    for body, reads in (("foo b bar c", False), ("a, foo b bar c", False),
+                        ("foo b baz c", True), ("a, foo b baz c", True)):
+        program = program_from_source(source_from_text(
+            f"{ops}t :- {body}.\n"))
+        assert (not program.syntax_diagnostics) is reads, body
+
+
 def test_final_goal_descends_control_tail():
     body = parse_body("t :- a, (b -> c ; d).\n")
     assert term_to_tuple(final_goal(body)) == "d"
@@ -341,11 +357,37 @@ def test_term_past_the_depth_limit_is_one_error_at_the_clause_start():
         assert [c.indicator for c in program.items] == [("q", 0), ("r", 0)]
 
 
-def test_long_operator_chain_reads():
-    text = "p(X) :- X = " + " + ".join(["a"] * 100_000) + ".\n"
-    program = program_from_source(source_from_text(text))
+_CHAIN_OPERANDS = 100_000
+
+
+@pytest.mark.parametrize("operator, frames", [
+    pytest.param("+", 0, id="yfx_plus"),
+    pytest.param(",", 0, id="xfy_comma"),
+    pytest.param(",", 500, id="xfy_comma_at_stack_depth_500"),
+    pytest.param(";", 0, id="xfy_semicolon"),
+    pytest.param("->", 0, id="xfy_arrow")])
+def test_long_operator_chain_reads(operator, frames):
+    chain_text = f" {operator} ".join(["a"] * _CHAIN_OPERANDS)
+    if operator == "+":
+        text = f"p(X) :- X = {chain_text}.\n"
+    else:
+        text = f"p :- {chain_text}.\n"
+    src = source_from_text(text)
+    program = _at_stack_depth(frames, lambda: program_from_source(src))
     assert not program.syntax_diagnostics
-    chain = program.items[0].body.args[1]
-    assert term_to_tuple(chain.args[1]) == "a"
+    body = program.items[0].body
+    chain = body.args[1] if operator == "+" else body
+    # ``+`` (yfx) nests to the left; ``,``, ``;`` and ``->`` (xfy) to the
+    # right.
+    nested, operand = (0, 1) if operator == "+" else (1, 0)
+    node, links = chain, 0
+    while is_compound(node, operator, 2):
+        assert is_atom(node.args[operand], "a")
+        node = node.args[nested]
+        links += 1
+    assert is_atom(node, "a") and links == _CHAIN_OPERANDS - 1
     assert structurally_equal(chain, chain)
-    assert not structurally_equal(chain, chain.args[0])
+    assert not structurally_equal(chain, chain.args[nested])
+    if operator == ",":
+        assert list(program.comma_roles.values()) \
+            == ["and_then"] * (_CHAIN_OPERANDS - 1)

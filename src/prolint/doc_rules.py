@@ -32,7 +32,7 @@ from .reader import (
     leaf_goals,
     strip_module_qualifier,
 )
-from .source_model import Span, Token, TokenKind
+from .source_model import Token, TokenKind
 
 MODE_SYSTEMS: dict[str, frozenset[str]] = {
     "recommended": frozenset("*+=-/>?"),
@@ -59,7 +59,6 @@ class DocHead:
     predicate_name: str
     args: list[ArgDoc] = field(default_factory=list)
     determinism: str | None = None
-    comment_span: Span | None = None
     marker: str = "double"
 
     @property
@@ -264,8 +263,6 @@ def _collect_blocks(program: Program) -> list[_DocBlock]:
             continue
         if attached.token.kind != TokenKind.LINE_COMMENT:
             continue
-        if attached.clause_index is None:
-            continue
         by_clause.setdefault(attached.clause_index, []).append(attached.token)
 
     blocks = []
@@ -285,7 +282,6 @@ def _collect_blocks(program: Program) -> list[_DocBlock]:
                 if is_first:
                     block.failure = (exc, token)
                 break
-            head.comment_span = token.span
             block.heads.append((head, token))
         blocks.append(block)
     return blocks

@@ -13,11 +13,10 @@ verbatim.
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .diagnostics import Config, Diagnostic
+from .diagnostics import SUPPRESSION_COMMENT, Config, Diagnostic
 from .reader import (
     Atom,
     Clause,
@@ -52,53 +51,21 @@ class FormatError(Exception):
 # Inline term rendering (minimal parentheses under an operator table)
 # ---------------------------------------------------------------------------
 
-_PLAIN_ATOM = re.compile(r"[a-z][a-zA-Z0-9_]*$")
-_SYMBOLIC_ATOM = re.compile(rf"[{re.escape(SYMBOL_CHARS)}]+$")
-_SOLO_ATOMS = frozenset({"[]", "{}", "!", ";", ",", "|"})
-
-
-def _atom_text(name: str, lexeme: str | None) -> str:
-    if lexeme is not None:
-        return lexeme
-    if _PLAIN_ATOM.match(name) or _SYMBOLIC_ATOM.match(name) \
-            or name in _SOLO_ATOMS:
-        return name
-    escaped = name.replace("\\", "\\\\").replace("'", "\\'") \
-        .replace("\n", "\\n").replace("\t", "\\t")
-    return f"'{escaped}'"
-
-
 class _Renderer:
     def __init__(self, ops: OperatorTable) -> None:
         self.ops = ops
         # id(term) -> (term, text, priority).  Holding the term keeps its id
         # from being reused while the cache lives; the cache must not
         # outlive ``ops``, since an op/3 directive changes every rendering.
-        self._rendered: dict[int, tuple[Term, str, int]] = {}
-
-    def priority(self, term: Term) -> int:
-        if isinstance(term, Atom) and not term.quoted \
-                and not term.parenthesized:
-            return self.ops.max_priority(term.name)
-        if isinstance(term, Compound):
-            if len(term.args) == 2:
-                definition = self.ops.infix(term.name)
-                if definition:
-                    return definition.priority
-            elif len(term.args) == 1:
-                definition = self.ops.prefix(term.name) \
-                    or self.ops.postfix(term.name)
-                if definition:
-                    return definition.priority
-        return 0
+        self.rendered: dict[int, tuple[Term, str, int]] = {}
 
     def render(self, term: Term, max_prec: int,
                force_parens: bool = False) -> str:
         # The lookup stays inline: a helper would add a frame per nesting
         # level and lower the depth that renders without RecursionError.
-        entry = self._rendered.get(id(term))
+        entry = self.rendered.get(id(term))
         if entry is None:
-            entry = self._rendered[id(term)] = (term, *self._render(term))
+            entry = self.rendered[id(term)] = (term, *self._render(term))
         _, text, priority = entry
         if force_parens or priority > max_prec:
             return f"({text})"
@@ -112,7 +79,10 @@ class _Renderer:
         if isinstance(term, Str):
             return (term.lexeme or f'"{term.text}"'), 0
         if isinstance(term, Atom):
-            return _atom_text(term.name, term.lexeme), self.priority(term)
+            # An operator atom's own parentheses are not printed, so it has
+            # its operator priority even where the source parenthesized it.
+            return term.text, 0 if term.quoted \
+                else self.ops.max_priority(term.name)
         return self._render_compound(term)
 
     def _render_compound(self, term: Compound) -> tuple[str, int]:
@@ -150,7 +120,7 @@ class _Renderer:
             definition = self.ops.postfix(name)
             if definition:
                 arg_max = definition.priority \
-                    - (1 if definition.type == "yf" else 0)
+                    - (1 if definition.type == "xf" else 0)
                 return (f"{self.render(args[0], arg_max)} {name}",
                         definition.priority)
         # A loop, not a generator expression, which would add a frame per
@@ -159,8 +129,7 @@ class _Renderer:
         for arg in args:
             texts.append(self.render(arg, 999))
         rendered = ", ".join(texts)
-        functor = _atom_text(name, term.functor_lexeme)
-        return f"{functor}({rendered})", 0
+        return f"{term.functor_lexeme or name}({rendered})", 0
 
     def _renders_tight(self, name: str, args: list, left: str,
                        right: str) -> bool:
@@ -209,9 +178,9 @@ class _Renderer:
                 elements[-1] = (last_term, "|" + self.render(node, 999))
             parts, opener, closer = elements, "[", "]"
         elif isinstance(term, Compound) and term.args \
-                and self.priority(term) == 0 and term.name != "{}":
+                and self.rendered[id(term)][2] == 0 and term.name != "{}":
             parts = [(a, "") for a in term.args]
-            opener = _atom_text(term.name, term.functor_lexeme) + "("
+            opener = (term.functor_lexeme or term.name) + "("
             closer = ")"
         if parts is None:
             return [inline]
@@ -305,12 +274,17 @@ class _ClauseFormatter:
         if clause.kind == ClauseKind.DIRECTIVE:
             self.emit_directive(clause)
         elif clause.kind == ClauseKind.FACT:
-            self.emit_head(clause.head, clause, neck=None, terminal=".")
+            self.emit_head(clause.head, clause, neck=None)
         else:
             neck = ":-" if clause.kind == ClauseKind.RULE else "-->"
-            self.emit_head(clause.head, clause, neck=neck, terminal=None)
-            self.emit_sequence(clause.body, self.unit, final_suffix=".")
-            self.flush_comments(clause.span.byte_end, self.unit)
+            self.emit_head(clause.head, clause, neck=neck)
+            self.emit_sequence(clause.body, self.unit)
+        # A symbol character before the end would fuse with it into one atom.
+        last = self.out.lines[-1]
+        self.out.lines[-1] = last + (" ." if last[-1] in SYMBOL_CHARS else ".")
+        # Comments left after the last goal go where a re-read puts them: at
+        # column 1, as free comments after the clause.
+        self.flush_comments(clause.span.byte_end, 0)
         return self.out
 
     def emit_directive(self, clause: Clause) -> None:
@@ -319,35 +293,33 @@ class _ClauseFormatter:
         if len(goals) == 1:
             uid = self._new_unit()
             pieces = self.r.wrap(clause.body, 1199, 4, self.width, self.unit)
-            self.out.add(":- " + pieces[0] + ("." if len(pieces) == 1 else ""),
-                         src, uid)
+            self.out.add(":- " + pieces[0], src, uid)
             for piece in pieces[1:]:
                 self.out.add(piece, src, uid)
-            if len(pieces) > 1:
-                self.out.lines[-1] += "."
             return
         for index, goal in enumerate(goals):
             prefix = ":- " if index == 0 else " " * self.unit
-            suffix = "," if index < len(goals) - 1 else "."
+            suffix = "," if index < len(goals) - 1 else ""
             text = self.r.render(goal, 999)
             self.out.add(prefix + text + suffix,
                          (goal.span.start_line, goal.span.end_line),
                          self._new_unit())
 
-    def emit_head(self, head: Term, clause: Clause, neck: str | None,
-                  terminal: str | None) -> None:
+    def emit_head(self, head: Term, clause: Clause,
+                  neck: str | None) -> None:
         src = (head.span.start_line, clause.neck_span.end_line
                if clause.neck_span else head.span.end_line)
         uid = self._new_unit()
         inline = self.r.render(head, 1199)
-        tail = ("." if terminal else f" {neck}")
-        if len(inline) + len(tail) <= self.width:
+        tail = f" {neck}" if neck else ""
+        # A fact's end follows its head on the same line.
+        if len(inline) + len(tail or ".") <= self.width:
             self.out.add(inline + tail, src, uid)
             return
         # Break after the head's opening parenthesis; the argument block is
         # indented one unit and the closer returns to column 1.
-        if isinstance(head, Compound) and self.r.priority(head) == 0:
-            opener = _atom_text(head.name, head.functor_lexeme) + "("
+        if isinstance(head, Compound) and self.r.rendered[id(head)][2] == 0:
+            opener = (head.functor_lexeme or head.name) + "("
             self.out.add(opener, src, uid)
             current = " " * self.unit
             for index, arg in enumerate(head.args):
@@ -378,13 +350,11 @@ class _ClauseFormatter:
     # -- bodies --------------------------------------------------------------
 
     def emit_sequence(self, body: Term, indent: int,
-                      final_suffix: str = "",
                       lead: str | None = None) -> None:
         goals = conjunction_goals(body)
         cut_pending = 0
         for index, goal in enumerate(goals):
-            last = index == len(goals) - 1
-            suffix = final_suffix if last else ","
+            suffix = "" if index == len(goals) - 1 else ","
             if is_atom(goal, "!") and cut_pending:
                 cut_pending -= 1
             extra = cut_pending * self.unit
@@ -420,7 +390,7 @@ class _ClauseFormatter:
         opener = pad + "(" + " " * (self.unit - 1)
         content = indent + self.unit
         inner = Compound(group.name, group.args, group.span)
-        self.emit_sequence(inner, content, final_suffix="",
+        self.emit_sequence(inner, content,
                            lead=opener if lead is None else
                            lead + "(" + " " * (self.unit - 1))
         self.out.add(pad + ")" + suffix,
@@ -452,9 +422,7 @@ class _ClauseFormatter:
 
     def emit_branch(self, branch: Term, indent: int, prefix: str,
                     as_ite: bool) -> None:
-        if as_ite and isinstance(branch, Compound) \
-                and len(branch.args) == 2 \
-                and branch.name in ("->", "*->"):
+        if as_ite:
             condition, then_part = branch.args
             arrow = branch.name
             cond_goals = conjunction_goals(condition)
@@ -464,9 +432,9 @@ class _ClauseFormatter:
                 self.flush_comments(goal.span.byte_start, indent)
                 self.emit_goal(goal, indent, suffix,
                                prefix if index == 0 else None)
-            self.emit_sequence(then_part, indent, final_suffix="")
+            self.emit_sequence(then_part, indent)
         else:
-            self.emit_sequence(branch, indent, final_suffix="", lead=prefix)
+            self.emit_sequence(branch, indent, lead=prefix)
 
 
 def _branches(root: Compound) -> list[Term]:
@@ -511,8 +479,7 @@ def _collect_units(program: Program) -> tuple[list[_Unit], dict[int, list[Token]
     starts = [clause.span.byte_start for clause in program.items]
     for attached in program.comments:
         token = attached.token
-        if attached.kind == CommentAttachment.PRECEDING \
-                and attached.clause_index is not None:
+        if attached.kind == CommentAttachment.PRECEDING:
             preceding.setdefault(attached.clause_index, []).append(token)
         elif attached.kind == CommentAttachment.TRAILING \
                 and attached.clause_index is not None:
@@ -593,8 +560,6 @@ def format_program(program: Program, cfg: Config | None = None) -> str:
 
 
 def _attach_trailing(out: _Out, comments: list[Token], cfg: Config) -> None:
-    from .diagnostics import SUPPRESSION_COMMENT
-
     for token in comments:
         line_no = token.span.start_line
         text = token.text.rstrip()

@@ -445,8 +445,7 @@ def _l12_vertical_space(facts: Facts) -> Iterator[Diagnostic]:
     texts = facts.src.line_texts
     preceding_start: dict[int, int] = {}
     for attached in program.comments:
-        if attached.kind == CommentAttachment.PRECEDING \
-                and attached.clause_index is not None:
+        if attached.kind == CommentAttachment.PRECEDING:
             line = attached.token.span.start_line
             idx = attached.clause_index
             preceding_start[idx] = min(preceding_start.get(idx, line), line)

@@ -935,55 +935,39 @@ def _attach_comments(tokens: list[Token],
             return idx
         return None
 
-    def clause_starting_after(comment: Token) -> int | None:
-        # Start lines never decrease, so only the first candidate can match.
-        idx = bisect_left(starts, comment.span.byte_end)
+    def resolve(block: list[AttachedComment]) -> None:
+        # Start lines never decrease, so only the first clause starting
+        # after the block can be on the line the block ends on or the next.
+        end = block[-1].token.span
+        idx = bisect_left(starts, end.byte_end)
         if idx < len(items) and items[idx].span.start_line in (
-                comment.span.end_line, comment.span.end_line + 1):
-            return idx
-        return None
+                end.end_line, end.end_line + 1):
+            for attached in block:
+                attached.kind = CommentAttachment.PRECEDING
+                attached.clause_index = idx
 
-    # Each comment with the code token it trails, if any.
-    comments: list[tuple[Token, Token | None]] = []
+    result: list[AttachedComment] = []
+    # The line-initial comments on adjacent lines read so far, as FREE until
+    # the block ends and is resolved.
+    block: list[AttachedComment] = []
     last_code: Token | None = None
     for tok in tokens:
         if tok.kind not in COMMENT_KINDS:
             last_code = tok
         elif last_code is not None \
                 and last_code.span.end_line == tok.span.start_line:
-            comments.append((tok, last_code))
-        else:
-            comments.append((tok, None))
-
-    # Group line-initial comments into blocks of adjacent lines.
-    blocks: list[list[Token]] = []
-    for comment, trailed in comments:
-        if trailed is not None:
-            continue
-        if blocks and blocks[-1][-1].span.end_line + 1 \
-                >= comment.span.start_line:
-            blocks[-1].append(comment)
-        else:
-            blocks.append([comment])
-    preceding: dict[int, int] = {}
-    for block in blocks:
-        idx = clause_starting_after(block[-1])
-        if idx is not None:
-            for comment in block:
-                preceding[comment.span.byte_start] = idx
-
-    result: list[AttachedComment] = []
-    for comment, trailed in comments:
-        if trailed is not None:
             result.append(AttachedComment(
-                comment, CommentAttachment.TRAILING,
-                clause_at(trailed.span.byte_start)))
-        elif comment.span.byte_start in preceding:
-            result.append(AttachedComment(
-                comment, CommentAttachment.PRECEDING,
-                preceding[comment.span.byte_start]))
+                tok, CommentAttachment.TRAILING,
+                clause_at(last_code.span.byte_start)))
         else:
-            result.append(AttachedComment(comment, CommentAttachment.FREE))
+            if block and block[-1].token.span.end_line + 1 \
+                    < tok.span.start_line:
+                resolve(block)
+                block = []
+            block.append(AttachedComment(tok, CommentAttachment.FREE))
+            result.append(block[-1])
+    if block:
+        resolve(block)
     return result
 
 

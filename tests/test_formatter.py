@@ -283,6 +283,51 @@ def test_formatting_contract_over_corpus():
         _assert_formatting_contract(name, text)
 
 
+#: Operator atoms as operands, symbol characters before a clause's end,
+#: comments before it and postfix operators, each with the output it must
+#: get: output that reads back to the same clauses and formats to itself.
+ROUND_TRIP_CASES = {
+    "operator_atom_argument": (
+        "p(X) :- X = f(dynamic).\n",
+        "p(X) :-\n    X = f((dynamic)).\n"),
+    "parenthesized_operator_atom_argument": (
+        "p(X) :- X = f((dynamic)).\n",
+        "p(X) :-\n    X = f((dynamic)).\n"),
+    "solo_operator_atom_argument": ("x(;).\n", "x((;)).\n"),
+    "operator_atom_before_end": (
+        "p :- X = \\+ .\n", "p :-\n    X = (\\+).\n"),
+    "symbol_char_before_end_of_rule": (
+        "p(X) :- X == - .\n", "p(X) :-\n    X == - .\n"),
+    "symbol_char_before_end_of_fact": ("- .\n", "- .\n"),
+    "line_comment_before_end": (
+        "p :-\n    a,\n    b\n    % done\n    .\n",
+        "p :-\n    a,\n    b.\n% done\n"),
+    "block_comment_before_end": (
+        "p :-\n    a\n    /* x */ .\n", "p :-\n    a.\n/* x */\n"),
+    "comment_before_block_close": (
+        "p :-\n    (   a\n    ;   b\n        % c\n    ).\n",
+        "p :-\n    (   a\n    ;   b\n    ).\n% c\n"),
+    "comment_inside_fact": ("foo(\n% c\na).\n", "foo(a).\n% c\n"),
+    "xf_operand_of_xf": (
+        ":- op(100, xf, ++).\nq((X ++) ++).\n",
+        ":- op(100, xf, ++).\nq((X ++) ++).\n"),
+    "yf_operand_of_yf": (
+        ":- op(100, yf, ++).\nq((X ++) ++).\n",
+        ":- op(100, yf, ++).\nq(X ++ ++).\n"),
+    "xf_under_prefix": (
+        ":- op(100, xf, ++).\nq(- X ++).\n",
+        ":- op(100, xf, ++).\nq(- X ++).\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_CASES))
+def test_output_reads_back_and_formats_to_itself(name):
+    text, want = ROUND_TRIP_CASES[name]
+    assert fmt(text) == want
+    # The header keeps L11 quiet, as in ``formatter_corpus``.
+    _assert_formatting_contract(name, f"/* case: {name} */\n\n{text}")
+
+
 def test_suppression_comment_reattaches_to_head_line():
     out = fmt("p :- q, !.  % prolint: allow I01\n")
     assert out.splitlines()[0] == "p :- % prolint: allow I01"

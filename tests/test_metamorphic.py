@@ -1,9 +1,11 @@
 """Metamorphic checks: how the diagnostics must change when the input or the
-configuration changes in a known way, over seeded programs.
+configuration changes in a known way, over seeded programs, and what
+formatting must keep.
 
 The programs are the benchmark's library modules at seed 1 and 100
 ``gen_file`` outputs.  Each is read once; ``run`` then lints the same
-``Program`` under each configuration, as the properties need.
+``Program`` under each configuration, as the properties need.  The round
+trip through ``fmt`` runs over seeded token soup.
 """
 
 from __future__ import annotations
@@ -19,14 +21,17 @@ import pytest
 from prolint import (
     REGISTRY,
     Severity,
+    format_program,
     program_from_source,
     run,
     source_from_text,
+    structurally_equal,
 )
 from prolint.cli import _configure, build_parser
 from prolint.diagnostics import NON_SUPPRESSIBLE
 
 from gen import gen_file
+from test_read_reference import SOUP
 
 _WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" \
     / "workloads.py"
@@ -95,3 +100,33 @@ def test_config_algebra(programs, monkeypatch, tmp_path):
         assert lowered == [replace(d, severity=Severity.INFO)
                            if d.rule_id == rule_id else d
                            for d in base], (src.path, rule_id)
+
+
+#: ISO allows ``|`` as an operator only infix at priority 1001 or more.  The
+#: reader accepts a lower priority, and the list bar that ``fmt`` prints then
+#: reads as that operator, so this piece is left out of the round trip.
+_LOW_BAR = ":- op(500, xfx, '|'). "
+
+
+def test_fmt_round_trip_on_token_soup():
+    rng = random.Random(1)
+    pieces = [piece for piece in SOUP if piece != _LOW_BAR]
+    checked = 0
+    for _ in range(3_000):
+        text = " ".join(rng.choices(pieces, k=rng.randrange(1, 14))) + " .\n"
+        program = program_from_source(source_from_text(text))
+        if program.syntax_diagnostics:
+            continue
+        checked += 1
+        once = format_program(program)
+        again = program_from_source(source_from_text(once))
+        assert not again.syntax_diagnostics, (text, once)
+        assert [c.kind for c in again.items] \
+            == [c.kind for c in program.items], (text, once)
+        for before, after in zip(program.items, again.items):
+            for part in ("head", "body"):
+                a, b = getattr(before, part), getattr(after, part)
+                assert (a is None) == (b is None), (text, once)
+                assert a is None or structurally_equal(a, b), (text, once)
+        assert format_program(again) == once, (text, once)
+    assert checked >= 200

@@ -224,6 +224,27 @@ def test_operator_atom_as_argument():
     assert term_to_tuple(term) == ("f", "=", 2)
 
 
+@pytest.mark.parametrize("type_", ["xf", "yf"])
+def test_postfix_operators(type_):
+    def read(body):
+        return program_from_source(source_from_text(
+            f":- op(100, {type_}, ++).\nt :- {body} .\n"))
+
+    for body, reads in (("X ++", ("++", ("var", "X"))),
+                        ("- X ++", ("-", ("++", ("var", "X")))),
+                        ("(X ++) ++", ("++", ("++", ("var", "X"))))):
+        program = read(body)
+        assert not program.syntax_diagnostics, body
+        assert term_to_tuple(program.items[1].body) == reads, body
+    # An xf operand must be of lower priority than the operator.
+    program = read("X ++ ++")
+    if type_ == "yf":
+        assert term_to_tuple(program.items[1].body) \
+            == ("++", ("++", ("var", "X")))
+    else:
+        assert [d.rule_id for d in program.syntax_diagnostics] == ["E02"]
+
+
 def test_priority_clash_is_syntax_error():
     program = program_from_source(source_from_text("t :- f(a :- b).\n"))
     assert len(program.syntax_diagnostics) == 1

@@ -14,6 +14,7 @@ verbatim.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .diagnostics import SUPPRESSION_COMMENT, Config, Diagnostic
@@ -97,9 +98,14 @@ class _Renderer:
                 p = definition.priority
                 left_max = p if definition.type == "yfx" else p - 1
                 right_max = p if definition.type == "xfy" else p - 1
+                # A bare infix or postfix operator atom before an infix
+                # operator would read as that operator.
                 force_left = (is_compound(args[0], ",", 2)
                               and args[0].parenthesized
-                              and name in (";", "->", "*->"))
+                              and name in (";", "->", "*->")) or (
+                    isinstance(args[0], Atom) and not args[0].quoted
+                    and (self.ops.infix(args[0].name) is not None
+                         or self.ops.postfix(args[0].name) is not None))
                 force_right = (is_compound(args[1], ",", 2)
                                and args[1].parenthesized
                                and name in (";", "->", "*->"))
@@ -519,6 +525,35 @@ def _gap(items: list[Clause], previous: _Unit | None, unit: _Unit) -> int:
     return max(0, min(raw, 2))
 
 
+def _formatted_units(program: Program, cfg: Config) -> Iterator[list[str]]:
+    """Yield the output lines of each unit in order: the blank lines of its
+    gap, then its own lines.  A unit is a clause with its comments, or a
+    free comment; nothing after a unit is rendered until it is asked for."""
+    if program.syntax_diagnostics:
+        raise FormatError(program.syntax_diagnostics[0])
+    units, trailing, interior = _collect_units(program)
+    table = OperatorTable.default()
+    previous: _Unit | None = None
+    for unit in units:
+        lines = [""] * _gap(program.items, previous, unit)
+        previous = unit
+        idx = unit.index
+        if idx is None:
+            lines.append(unit.comment.text.rstrip())
+            yield lines
+            continue
+        clause = program.items[idx]
+        lines += [token.text.rstrip() for token in unit.preceding]
+        formatter = _ClauseFormatter(_Renderer(table), cfg,
+                                     interior.get(idx, []))
+        out = formatter.format_clause(clause)
+        _attach_trailing(out, trailing.get(idx, []), cfg)
+        lines += out.lines
+        if clause.kind == ClauseKind.DIRECTIVE:
+            apply_directive_to_table(clause.body, table)
+        yield lines
+
+
 def format_program(program: Program, cfg: Config | None = None) -> str:
     """Rewrite a parsed program in the canonical style, with the indent
     unit, line width and end-of-line comment limit of ``cfg``.
@@ -526,37 +561,10 @@ def format_program(program: Program, cfg: Config | None = None) -> str:
     Raises FormatError when the program carries any syntax diagnostic; a
     broken parse cannot be reprinted faithfully.
     """
-    cfg = cfg or Config()
-    if program.syntax_diagnostics:
-        raise FormatError(program.syntax_diagnostics[0])
-
-    units, trailing, interior = _collect_units(program)
-    table = OperatorTable.default()
     output: list[str] = []
-    previous: _Unit | None = None
-
-    for unit in units:
-        output.extend([""] * _gap(program.items, previous, unit))
-        idx = unit.index
-        if idx is None:
-            output.append(unit.comment.text.rstrip())
-            previous = unit
-            continue
-        clause = program.items[idx]
-        for token in unit.preceding:
-            output.append(token.text.rstrip())
-        renderer = _Renderer(table)
-        formatter = _ClauseFormatter(renderer, cfg, interior.get(idx, []))
-        out = formatter.format_clause(clause)
-        _attach_trailing(out, trailing.get(idx, []), cfg)
-        output.extend(out.lines)
-        if clause.kind == ClauseKind.DIRECTIVE:
-            apply_directive_to_table(clause.body, table)
-        previous = unit
-
-    if not output:
-        return ""
-    return "\n".join(output) + "\n"
+    for lines in _formatted_units(program, cfg or Config()):
+        output += lines
+    return "\n".join(output) + "\n" if output else ""
 
 
 def _attach_trailing(out: _Out, comments: list[Token], cfg: Config) -> None:
@@ -594,14 +602,21 @@ def _attach_trailing(out: _Out, comments: list[Token], cfg: Config) -> None:
 def check_format(src: SourceFile, program: Program,
                  cfg: Config | None = None) -> tuple[bool, Span | None]:
     """True when the source text is already canonical under ``cfg``;
-    otherwise the span of the first divergence."""
-    formatted = format_program(program, cfg)
+    otherwise the span of the first divergence.  Units are rendered only up
+    to the first one that differs from the source."""
     original = src.content
-    if formatted == original:
-        return True, None
-    limit = min(len(formatted), len(original))
-    offset = next((i for i in range(limit)
-                   if formatted[i] != original[i]), limit)
+    offset = 0
+    for lines in _formatted_units(program, cfg or Config()):
+        chunk = "\n".join(lines) + "\n"
+        if not original.startswith(chunk, offset):
+            ahead = original[offset:offset + len(chunk)]
+            offset += next((i for i, char in enumerate(ahead)
+                            if char != chunk[i]), len(ahead))
+            break
+        offset += len(chunk)
+    else:
+        if offset == len(original):
+            return True, None
     line = original.count("\n", 0, offset) + 1
     col = offset - (original.rfind("\n", 0, offset) + 1) + 1
     return False, Span(line, col, line, col + 1, offset, offset + 1)

@@ -295,6 +295,9 @@ class OperatorTable:
             raise ValueError(f"bad operator type {type_!r}")
         if not 0 <= priority <= 1200:
             raise ValueError(f"operator priority {priority} out of range")
+        if name == "|" and priority and (type_ not in ("xfx", "xfy", "yfx")
+                                         or priority < 1001):
+            raise ValueError("'|' is an operator only infix from 1001 up")
         definition = OperatorDef(name, priority, type_)
         if type_ in ("fy", "fx"):
             if priority == 0:

@@ -11,7 +11,10 @@ stream rather than the parsed term tree.  The reference scanner walks the
 text one character at a time with its own line index, where the tokenizer
 matches one compiled pattern per token and counts lines as it goes.  The
 reference JSON renderer builds the document as dicts and lists and hands it
-to ``json.dumps``, where ``render_json`` writes the text itself.
+to ``json.dumps``, where ``render_json`` writes the text itself.  The
+reference format check formats the whole program and compares the text
+character by character, where ``check_format`` renders one unit at a time
+and stops at the first unit that differs from the source.
 """
 
 from __future__ import annotations
@@ -20,18 +23,20 @@ import json
 import re
 from bisect import bisect_right
 
-from prolint.diagnostics import Diagnostic
+from prolint.diagnostics import Config, Diagnostic
+from prolint.formatter import format_program
 from prolint.reader import (
     Atom,
     Compound,
     Float,
     Integer,
     OperatorTable,
+    Program,
     Str,
     Term,
     Variable,
 )
-from prolint.source_model import Span, Token, TokenKind
+from prolint.source_model import SourceFile, Span, Token, TokenKind
 
 
 def term_to_tuple(term: Term):
@@ -439,6 +444,22 @@ def render_json_reference(diags: list[Diagnostic]) -> str:
     return json.dumps(document, indent=2) + "\n"
 
 
+def check_format_reference(src: SourceFile, program: Program,
+                           cfg: Config | None = None
+                           ) -> tuple[bool, Span | None]:
+    """``check_format`` as a compare of the whole formatted text."""
+    formatted = format_program(program, cfg)
+    original = src.content
+    if formatted == original:
+        return True, None
+    limit = min(len(formatted), len(original))
+    offset = next((i for i in range(limit)
+                   if formatted[i] != original[i]), limit)
+    line = original.count("\n", 0, offset) + 1
+    col = offset - (original.rfind("\n", 0, offset) + 1) + 1
+    return False, Span(line, col, line, col + 1, offset, offset + 1)
+
+
 # ---------------------------------------------------------------------------
 # Reference reader
 # ---------------------------------------------------------------------------
@@ -484,6 +505,10 @@ class _ReferenceOps:
     def add(self, priority: int, type_: str, name: str) -> None:
         if type_ not in ("xfx", "xfy", "yfx", "fy", "fx", "xf", "yf") \
                 or not 0 <= priority <= 1200:
+            return
+        # ISO: ``|`` is an operator only infix at priority 1001 or more.
+        if name == "|" and priority and (type_ not in ("xfx", "xfy", "yfx")
+                                         or priority < 1001):
             return
         definition = _ReferenceOp(priority, type_)
         if type_ in ("fy", "fx"):

@@ -310,6 +310,23 @@ def test_chain_too_long_to_format_reported_with_the_others(tmp_path,
     assert "b_tabbed.pl: needs formatting" in captured.out
 
 
+def test_difference_before_chain_too_long_to_format_reported(tmp_path,
+                                                             capsys):
+    # ``fmt --check`` renders only up to the first difference, so the chain
+    # after it is never reached.
+    chain = " + ".join(["a"] * 1000)
+    path = write(tmp_path, "late_chain.pl",
+                 f"p:-a.\n\nq(X) :-\n    X = {chain}.\n")
+    assert main(["fmt", "--check", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == \
+        f"{path}: needs formatting (first difference at 1:2)\n"
+    assert captured.err == ""
+    assert main(["fmt", path]) == 1
+    assert "late_chain.pl: not formatted (term nested too deeply to " \
+        "format)" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_two(capsys):
     assert main(["check", "--frobnicate", "x.pl"]) == 2
 

@@ -284,8 +284,9 @@ def test_formatting_contract_over_corpus():
 
 
 #: Operator atoms as operands, symbol characters before a clause's end,
-#: comments before it and postfix operators, each with the output it must
-#: get: output that reads back to the same clauses and formats to itself.
+#: comments before it, postfix operators and the list bar, each with the
+#: output it must get: output that reads back to the same clauses and
+#: formats to itself.
 ROUND_TRIP_CASES = {
     "operator_atom_argument": (
         "p(X) :- X = f(dynamic).\n",
@@ -317,6 +318,13 @@ ROUND_TRIP_CASES = {
     "xf_under_prefix": (
         ":- op(100, xf, ++).\nq(- X ++).\n",
         ":- op(100, xf, ++).\nq(- X ++).\n"),
+    "infix_operator_atom_left_of_infix": (
+        "p :- (-) - a.\n", "p :-\n    (-) - a.\n"),
+    "infix_operator_atom_under_prefix": (
+        "dynamic : | is .\n", "dynamic (:) ; is.\n"),
+    "list_bar_after_low_bar_op": (
+        ":- op(500, xfx, '|').\np([a|b]).\n",
+        ":- op(500, xfx, '|').\np([a|b]).\n"),
 }
 
 
@@ -326,6 +334,19 @@ def test_output_reads_back_and_formats_to_itself(name):
     assert fmt(text) == want
     # The header keeps L11 quiet, as in ``formatter_corpus``.
     _assert_formatting_contract(name, f"/* case: {name} */\n\n{text}")
+
+
+def test_operator_atom_left_of_bar_in_directive_reads_back():
+    # Outside ``ROUND_TRIP_CASES``: a directive's disjunction stays on one
+    # line, which L05 flags, so the layout witness does not hold here.
+    text = ":- is | a.\n"
+    out = fmt(text)
+    assert out == ":- (is) ; a.\n"
+    again = program_from_source(source_from_text(out))
+    assert not again.syntax_diagnostics
+    before = program_from_source(source_from_text(text)).items[0].body
+    assert structurally_equal(before, again.items[0].body)
+    assert format_program(again) == out
 
 
 def test_suppression_comment_reattaches_to_head_line():

@@ -262,14 +262,19 @@ def test_xfx_chain_rejected():
 
 def test_xfy_operand_reads_same_priority_operators_as_a_whole_term():
     # ``foo b`` has priority 1000, too high for the left of ``bar`` (xfx
-    # 1000), whether or not it follows a ``,``; a yfx ``baz`` takes it.
+    # 1000), whether or not it follows a ``,``; a yfx ``baz`` takes it.  The
+    # frozen reference reader takes ``a, foo b bar c`` as
+    # ``a, bar(foo(b), c)``, so the differential test cannot pin the E02.
     ops = ":- op(1000, fx, foo).\n:- op(1000, xfx, bar).\n" \
         ":- op(1000, yfx, baz).\n"
     for body, reads in (("foo b bar c", False), ("a, foo b bar c", False),
                         ("foo b baz c", True), ("a, foo b baz c", True)):
         program = program_from_source(source_from_text(
             f"{ops}t :- {body}.\n"))
-        assert (not program.syntax_diagnostics) is reads, body
+        want = [] if reads else [("E02", 4, 6 + body.index("bar"),
+                                  "expected end of clause ('.')")]
+        assert [(d.rule_id, d.span.start_line, d.span.start_col, d.message)
+                for d in program.syntax_diagnostics] == want, body
 
 
 def test_final_goal_descends_control_tail():

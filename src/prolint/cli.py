@@ -232,25 +232,14 @@ def _cmd_fmt(args: argparse.Namespace, cfg: Config) -> int:
                   file=sys.stderr)
             failed = True
             continue
-        try:
-            if args.check_only:
-                canonical, divergence = check_format(src, program, cfg)
-            else:
-                text = format_program(program, cfg)
-        except RecursionError:
-            # The reader takes terms nested up to its depth limit, and
-            # operator chains of any length, without recursion; the
-            # renderer recurses once per nesting level or operand.
-            print(f"prolint: {path}: not formatted (term nested too deeply "
-                  "to format)", file=sys.stderr)
-            failed = True
-            continue
         if args.check_only:
+            canonical, divergence = check_format(src, program, cfg)
             if not canonical:
                 print(f"{path}: needs formatting (first difference at "
                       f"{divergence.start_line}:{divergence.start_col})")
                 failed = True
         elif args.write:
+            text = format_program(program, cfg)
             if text != src.content:
                 try:
                     _write_in_place(path, text)
@@ -258,7 +247,7 @@ def _cmd_fmt(args: argparse.Namespace, cfg: Config) -> int:
                     print(f"prolint: {path}: {exc}", file=sys.stderr)
                     io_error = True
         else:
-            sys.stdout.write(text)
+            sys.stdout.write(format_program(program, cfg))
     if io_error:
         return 2
     return 1 if failed else 0

@@ -55,22 +55,50 @@ class FormatError(Exception):
 class _Renderer:
     def __init__(self, ops: OperatorTable) -> None:
         self.ops = ops
-        # id(term) -> (term, text, priority).  Holding the term keeps its id
-        # from being reused while the cache lives; the cache must not
-        # outlive ``ops``, since an op/3 directive changes every rendering.
-        self.rendered: dict[int, tuple[Term, str, int]] = {}
+        # id(term) -> (text, priority).  Every rendered term is a subterm of
+        # one clause and outlives the cache; the cache must not outlive
+        # ``ops``, since an op/3 directive changes every rendering.
+        self.rendered: dict[int, tuple[str, int]] = {}
 
     def render(self, term: Term, max_prec: int,
                force_parens: bool = False) -> str:
-        # The lookup stays inline: a helper would add a frame per nesting
-        # level and lower the depth that renders without RecursionError.
         entry = self.rendered.get(id(term))
         if entry is None:
-            entry = self.rendered[id(term)] = (term, *self._render(term))
-        _, text, priority = entry
+            self._fill(term)
+            entry = self.rendered[id(term)]
+        text, priority = entry
         if force_parens or priority > max_prec:
             return f"({text})"
         return text
+
+    def _fill(self, term: Term) -> None:
+        """Cache ``term`` and its uncached subterms children-first, so that
+        ``_render`` finds every child it asks for rendered: leaves as the
+        walk meets them, compounds in reverse pre-order, where each comes
+        after its subterms."""
+        rendered = self.rendered
+        order: list[Compound] = []
+        stack = [term]
+        while stack:
+            node = stack.pop()
+            key = id(node)
+            if key in rendered:
+                continue
+            if not isinstance(node, Compound):
+                rendered[key] = self._render(node)
+                continue
+            order.append(node)
+            # A list's children are its elements and its tail, not its cons
+            # cells, which would each render the rest of the list.
+            if node.name == "." and len(node.args) == 2:
+                while is_compound(node, ".", 2):
+                    stack.append(node.args[0])
+                    node = node.args[1]
+                stack.append(node)
+            else:
+                stack += node.args
+        for node in reversed(order):
+            rendered[id(node)] = self._render(node)
 
     def _render(self, term: Term) -> tuple[str, int]:
         if isinstance(term, Variable):
@@ -111,6 +139,12 @@ class _Renderer:
                                and name in (";", "->", "*->"))
                 left = self.render(args[0], left_max, force_left)
                 right = self.render(args[1], right_max, force_right)
+                # Nothing asks for an operand again (the emitters split
+                # control constructs unrendered, and ``wrap`` breaks only
+                # lists and canonical compounds); kept, a chain's entries
+                # would hold every prefix of its text.
+                self.rendered.pop(id(args[0]), None)
+                self.rendered.pop(id(args[1]), None)
                 if name == ",":
                     return f"{left}, {right}", p
                 if self._renders_tight(name, args, left, right):
@@ -129,12 +163,7 @@ class _Renderer:
                     - (1 if definition.type == "xf" else 0)
                 return (f"{self.render(args[0], arg_max)} {name}",
                         definition.priority)
-        # A loop, not a generator expression, which would add a frame per
-        # nesting level.
-        texts = []
-        for arg in args:
-            texts.append(self.render(arg, 999))
-        rendered = ", ".join(texts)
+        rendered = ", ".join([self.render(arg, 999) for arg in args])
         return f"{term.functor_lexeme or name}({rendered})", 0
 
     def _renders_tight(self, name: str, args: list, left: str,
@@ -166,67 +195,70 @@ class _Renderer:
              unit: int) -> list[str]:
         """Render ``term`` starting at 1-based column ``col``; continuation
         lines (elements past the first) carry their own leading spaces,
-        indented one unit past the start column.  Oversized arguments break
-        recursively."""
+        indented one unit past the start column.  Oversized lists and
+        canonical compounds break after their commas, and their oversized
+        elements break in turn."""
         inline = self.render(term, max_prec)
         if col - 1 + len(inline) <= width:
             return [inline]
-        parts: list[tuple[Term, str]] | None = None
-        opener = closer = ""
-        if is_compound(term, ".", 2):
-            elements: list[tuple[Term, str]] = []
-            node: Term = term
-            while is_compound(node, ".", 2):
-                elements.append((node.args[0], ""))
-                node = node.args[1]
-            if not is_atom(node, "[]"):
-                last_term, _ = elements[-1]
-                elements[-1] = (last_term, "|" + self.render(node, 999))
-            parts, opener, closer = elements, "[", "]"
-        elif isinstance(term, Compound) and term.args \
-                and self.rendered[id(term)][2] == 0 and term.name != "{}":
-            parts = [(a, "") for a in term.args]
-            opener = (term.functor_lexeme or term.name) + "("
-            closer = ")"
-        if parts is None:
-            return [inline]
-
-        cont_indent = col - 1 + unit
         lines: list[str] = []
-        current = opener
-        line_start = col - 1  # absolute offset where `current` begins
-
-        def flush() -> None:
-            nonlocal current, line_start
-            lines.append(current)
-            current = " " * cont_indent
-            line_start = 0
-
-        for index, (part_term, glued) in enumerate(parts):
-            suffix = ("," if index < len(parts) - 1 else closer)
-            tail = glued + suffix
-            text = self.render(part_term, 999)
+        line, base = "", col - 1  # the open line and the column it starts at
+        # Each frame is a term being broken: [parts, next index, opener,
+        # closer (with a partial list's tail), continuation indent, text
+        # after it, offset in ``line`` where it starts].
+        stack: list[list] = []
+        pending = (term, inline, "")
+        while pending or stack:
+            if pending:
+                part, text, after = pending
+                pending = None
+                parts = None
+                if base + len(line) + len(text) > width:
+                    if is_compound(part, ".", 2):
+                        parts, opener, closer = [], "[", "]"
+                        while is_compound(part, ".", 2):
+                            parts.append(part.args[0])
+                            part = part.args[1]
+                        if not is_atom(part, "[]"):
+                            closer = "|" + self.render(part, 999) + "]"
+                    elif isinstance(part, Compound) and part.args \
+                            and self.rendered[id(part)][1] == 0 \
+                            and part.name != "{}":
+                        parts, closer = part.args, ")"
+                        opener = (part.functor_lexeme or part.name) + "("
+                if parts is None:
+                    line += text + after
+                    continue
+                stack.append([parts, 0, opener, closer,
+                              base + len(line) + unit, after, len(line)])
+                line += opener
+                continue
+            frame = stack[-1]
+            parts, index, opener, closer, indent, after, at = frame
+            if index == len(parts):
+                line += after
+                stack.pop()
+                continue
+            frame[1] += 1
+            part = parts[index]
+            tail = "," if index < len(parts) - 1 else closer
+            text = self.render(part, 999)
+            # On a later line the indent runs past ``at``, so the slice strips
+            # to the same text as the whole line and ends as it does.
+            current = line[at:]
             sep = " " if current.strip() and not current.endswith(opener) \
                 else ""
-            room = width - line_start - len(current) - len(sep)
-            if len(text) + len(tail) <= room:
-                current += sep + text + tail
+            if base + len(line) + len(sep) + len(text) + len(tail) <= width:
+                line += sep + text + tail
                 continue
             if current.strip() not in ("", opener.strip()):
-                flush()
-            fresh_room = width - line_start - len(current)
-            if len(text) + len(tail) <= fresh_room:
-                current += text + tail
-                continue
-            sub = self.wrap(part_term, 999,
-                            line_start + len(current) + 1, width, unit)
-            current += sub[0]
-            for piece in sub[1:]:
-                flush()
-                current = piece
-                line_start = 0
-            current += tail
-        lines.append(current)
+                lines.append(line)
+                line, base = " " * indent, 0
+            if base + len(line) + len(text) + len(tail) <= width:
+                line += text + tail
+            else:
+                pending = (part, text, tail)
+        lines.append(line)
         return lines
 
 
@@ -237,18 +269,22 @@ class _Renderer:
 
 @dataclass
 class _Out:
-    """Emitted lines tagged with their source-line range and a per-goal
-    unit id (continuation lines of one goal share the id)."""
+    """Emitted lines with their source-line ranges: one goal's lines share
+    one range tuple, which ``is`` tells apart; comment lines have None."""
 
     lines: list[str] = field(default_factory=list)
     spans: list[tuple[int, int] | None] = field(default_factory=list)
-    units: list[int | None] = field(default_factory=list)
 
-    def add(self, text: str, src: tuple[int, int] | None,
-            unit: int | None = None) -> None:
-        self.lines.append(text)
-        self.spans.append(src)
-        self.units.append(unit)
+    def add(self, lines: list[str], src: tuple[int, int] | None) -> None:
+        self.lines += lines
+        self.spans += [src] * len(lines)
+
+
+def _is_block(goal: Term) -> bool:
+    """A disjunction, an if-then-else, or a conjunction that is one goal
+    because it is parenthesized: laid out as a parenthesized block."""
+    return isinstance(goal, Compound) and len(goal.args) == 2 \
+        and goal.name in (",", ";", "->", "*->")
 
 
 class _ClauseFormatter:
@@ -260,18 +296,14 @@ class _ClauseFormatter:
         self.interior = interior
         self.next_comment = 0
         self.out = _Out()
-        self._unit_counter = 0
-
-    def _new_unit(self) -> int:
-        self._unit_counter += 1
-        return self._unit_counter
+        self.work: list[tuple] = []
 
     def flush_comments(self, before_byte: int, indent: int) -> None:
         while self.next_comment < len(self.interior):
             token = self.interior[self.next_comment]
             if token.span.byte_start >= before_byte:
                 break
-            self.out.add(" " * indent + token.text.rstrip(), None)
+            self.out.add([" " * indent + token.text.rstrip()], None)
             self.next_comment += 1
 
     # -- entry points -------------------------------------------------------
@@ -284,7 +316,7 @@ class _ClauseFormatter:
         else:
             neck = ":-" if clause.kind == ClauseKind.RULE else "-->"
             self.emit_head(clause.head, clause, neck=neck)
-            self.emit_sequence(clause.body, self.unit)
+            self.emit_body(clause.body, self.unit)
         # A symbol character before the end would fuse with it into one atom.
         last = self.out.lines[-1]
         self.out.lines[-1] = last + (" ." if last[-1] in SYMBOL_CHARS else ".")
@@ -296,44 +328,42 @@ class _ClauseFormatter:
     def emit_directive(self, clause: Clause) -> None:
         goals = conjunction_goals(clause.body)
         src = (clause.span.start_line, clause.span.end_line)
-        if len(goals) == 1:
-            uid = self._new_unit()
+        if len(goals) == 1 and _is_block(clause.body):
+            # The block form, as in a rule body, keeps one goal per line.
+            self.out.add([":-"], src)
+            self.emit_body(clause.body, self.unit)
+        elif len(goals) == 1:
             pieces = self.r.wrap(clause.body, 1199, 4, self.width, self.unit)
-            self.out.add(":- " + pieces[0], src, uid)
-            for piece in pieces[1:]:
-                self.out.add(piece, src, uid)
-            return
-        for index, goal in enumerate(goals):
-            prefix = ":- " if index == 0 else " " * self.unit
-            suffix = "," if index < len(goals) - 1 else ""
-            text = self.r.render(goal, 999)
-            self.out.add(prefix + text + suffix,
-                         (goal.span.start_line, goal.span.end_line),
-                         self._new_unit())
+            self.out.add([":- " + pieces[0], *pieces[1:]], src)
+        else:
+            for index, goal in enumerate(goals):
+                prefix = ":- " if index == 0 else " " * self.unit
+                suffix = "," if index < len(goals) - 1 else ""
+                self.out.add([prefix + self.r.render(goal, 999) + suffix],
+                             (goal.span.start_line, goal.span.end_line))
 
     def emit_head(self, head: Term, clause: Clause,
                   neck: str | None) -> None:
         src = (head.span.start_line, clause.neck_span.end_line
                if clause.neck_span else head.span.end_line)
-        uid = self._new_unit()
         inline = self.r.render(head, 1199)
         tail = f" {neck}" if neck else ""
         # A fact's end follows its head on the same line.
         if len(inline) + len(tail or ".") <= self.width:
-            self.out.add(inline + tail, src, uid)
+            self.out.add([inline + tail], src)
             return
         # Break after the head's opening parenthesis; the argument block is
         # indented one unit and the closer returns to column 1.
-        if isinstance(head, Compound) and self.r.rendered[id(head)][2] == 0:
+        if isinstance(head, Compound) and self.r.rendered[id(head)][1] == 0:
             opener = (head.functor_lexeme or head.name) + "("
-            self.out.add(opener, src, uid)
+            self.out.add([opener], src)
             current = " " * self.unit
             for index, arg in enumerate(head.args):
                 suffix = "," if index < len(head.args) - 1 else ""
                 rendered = self.r.render(arg, 999)
                 if current.strip() and \
                         len(current) + 1 + len(rendered + suffix) > self.width:
-                    self.out.add(current, src, uid)
+                    self.out.add([current], src)
                     current = " " * self.unit
                 if len(current) + len(rendered + suffix) > self.width \
                         and not current.strip():
@@ -341,106 +371,87 @@ class _ClauseFormatter:
                                          self.width, self.unit)
                     current += pieces[0]
                     for piece in pieces[1:]:
-                        self.out.add(current, src, uid)
+                        self.out.add([current], src)
                         current = piece
                     current += suffix
                     continue
                 if current.strip():
                     current += " "
                 current += rendered + suffix
-            self.out.add(current, src, uid)
-            self.out.add(")" + tail, src, uid)
+            self.out.add([current], src)
+            self.out.add([")" + tail], src)
         else:
-            self.out.add(inline + tail, src, uid)
+            self.out.add([inline + tail], src)
 
     # -- bodies --------------------------------------------------------------
 
-    def emit_sequence(self, body: Term, indent: int,
-                      lead: str | None = None) -> None:
-        goals = conjunction_goals(body)
+    def emit_body(self, body: Term, indent: int) -> None:
+        """Lay out a body one goal per line.  ``work`` holds the calls still
+        to make, run last-first: expanding a goal sequence or a goal (with
+        the comments before it), adding a block's closing line."""
+        self.work = [(self.expand_sequence, conjunction_goals(body), indent,
+                      None, "")]
+        while self.work:
+            call, *args = self.work.pop()
+            call(*args)
+
+    def expand_sequence(self, goals: list[Term], indent: int,
+                        lead: str | None, end: str) -> None:
+        """Queue a sequence's goals, the first after ``lead`` and the last
+        followed by ``end``.  A sequence that ends a body (``end`` empty,
+        unlike a condition) indents its goals between ``repeat`` and the
+        cut one extra unit."""
+        items: list[tuple] = []
         cut_pending = 0
         for index, goal in enumerate(goals):
-            suffix = "" if index == len(goals) - 1 else ","
             if is_atom(goal, "!") and cut_pending:
                 cut_pending -= 1
-            extra = cut_pending * self.unit
-            self.flush_comments(goal.span.byte_start, indent + extra)
-            self.emit_goal(goal, indent + extra, suffix,
-                           lead if index == 0 else None)
-            if is_atom(goal, "repeat") and any(
+            items.append((self.expand_goal, goal,
+                          indent + cut_pending * self.unit,
+                          end if index == len(goals) - 1 else ",",
+                          lead if index == 0 else None))
+            if not end and is_atom(goal, "repeat") and any(
                     contains_cut(later) for later in goals[index + 1:]):
                 cut_pending += 1
+        self.work += reversed(items)
 
-    def emit_goal(self, goal: Term, indent: int, suffix: str,
-                  lead: str | None = None) -> None:
-        if isinstance(goal, Compound) and len(goal.args) == 2 \
-                and goal.name in (";", "->", "*->"):
-            self.emit_block(goal, indent, suffix, lead)
-            return
-        if is_compound(goal, ",", 2):
-            self.emit_group(goal, indent, suffix, lead)
-            return
-        src = (goal.span.start_line, goal.span.end_line)
-        uid = self._new_unit()
-        pieces = self.r.wrap(goal, 999, indent + 1, self.width, self.unit)
-        first = " " * indent + pieces[0] if lead is None else lead + pieces[0]
-        self.out.add(first, src, uid)
-        for piece in pieces[1:]:
-            self.out.add(piece, src, uid)
-        self.out.lines[-1] += suffix
-
-    def emit_group(self, group: Compound, indent: int, suffix: str,
-                   lead: str | None = None) -> None:
-        """A parenthesized conjunction used as a single goal."""
+    def expand_goal(self, goal: Term, indent: int, suffix: str,
+                    lead: str | None) -> None:
+        """Emit a goal after the comments before it, or queue a block."""
+        self.flush_comments(goal.span.byte_start, indent)
         pad = " " * indent
-        opener = pad + "(" + " " * (self.unit - 1)
-        content = indent + self.unit
-        inner = Compound(group.name, group.args, group.span)
-        self.emit_sequence(inner, content,
-                           lead=opener if lead is None else
-                           lead + "(" + " " * (self.unit - 1))
-        self.out.add(pad + ")" + suffix,
-                     (group.span.end_line, group.span.end_line),
-                     self._new_unit())
-
-    def emit_block(self, root: Compound, indent: int, suffix: str,
-                   lead: str | None = None) -> None:
-        pad = " " * indent
-        content = indent + self.unit
+        if not _is_block(goal):
+            pieces = self.r.wrap(goal, 999, indent + 1, self.width,
+                                 self.unit)
+            pieces[0] = (pad if lead is None else lead) + pieces[0]
+            pieces[-1] += suffix
+            self.out.add(pieces, (goal.span.start_line, goal.span.end_line))
+            return
+        # A block or a parenthesized conjunction used as one goal: each
+        # branch opens with ``(`` or ``;``, and ``)`` closes it below.
+        self.work.append((self.out.add, [pad + ")" + suffix],
+                          (goal.span.end_line, goal.span.end_line)))
+        sequences: list[tuple[list[Term], str | None, str]] = []
         # The block's own parentheses consume the root's parenthesization;
         # only parentheses on nested subterms are the author's.
-        branches = _branches(root)
-        for index, branch in enumerate(branches):
-            if lead is not None and index == 0:
-                prefix = lead + "(" + " " * (self.unit - 1)
-            elif index == 0:
-                prefix = pad + "(" + " " * (self.unit - 1)
+        for index, branch in enumerate(_branches(goal)):
+            prefix = (pad if index or lead is None else lead) \
+                + (";" if index else "(") + " " * (self.unit - 1)
+            if goal.name == ",":
+                sequences.append((conjunction_goals(goal.args[0])
+                                  + conjunction_goals(goal.args[1]),
+                                  prefix, ""))
+            elif branch is goal or (
+                    is_compound(branch, None, 2) and not branch.parenthesized
+                    and branch.name in ("->", "*->")):
+                condition, then_part = branch.args
+                sequences.append((conjunction_goals(condition), prefix,
+                                  f" {branch.name}"))
+                sequences.append((conjunction_goals(then_part), None, ""))
             else:
-                prefix = pad + ";" + " " * (self.unit - 1)
-            as_ite = branch is root or (
-                isinstance(branch, Compound) and len(branch.args) == 2
-                and branch.name in ("->", "*->")
-                and not branch.parenthesized)
-            self.emit_branch(branch, content, prefix, as_ite)
-        self.out.add(pad + ")" + suffix,
-                     (root.span.end_line, root.span.end_line),
-                     self._new_unit())
-
-    def emit_branch(self, branch: Term, indent: int, prefix: str,
-                    as_ite: bool) -> None:
-        if as_ite:
-            condition, then_part = branch.args
-            arrow = branch.name
-            cond_goals = conjunction_goals(condition)
-            for index, goal in enumerate(cond_goals):
-                last = index == len(cond_goals) - 1
-                suffix = f" {arrow}" if last else ","
-                self.flush_comments(goal.span.byte_start, indent)
-                self.emit_goal(goal, indent, suffix,
-                               prefix if index == 0 else None)
-            self.emit_sequence(then_part, indent)
-        else:
-            self.emit_sequence(branch, indent, lead=prefix)
+                sequences.append((conjunction_goals(branch), prefix, ""))
+        self.work += [(self.expand_sequence, goals, indent + self.unit, first,
+                       end) for goals, first, end in reversed(sequences)]
 
 
 def _branches(root: Compound) -> list[Term]:
@@ -589,14 +600,13 @@ def _attach_trailing(out: _Out, comments: list[Token], cfg: Config) -> None:
             out.lines[target] = candidate
         else:
             first = target
-            uid = out.units[target]
-            while first > 0 and uid is not None \
-                    and out.units[first - 1] == uid:
+            span = out.spans[target]
+            while first > 0 and span is not None \
+                    and out.spans[first - 1] is span:
                 first -= 1
             indent = len(out.lines[first]) - len(out.lines[first].lstrip())
             out.lines.insert(first, " " * indent + text)
             out.spans.insert(first, None)
-            out.units.insert(first, None)
 
 
 def check_format(src: SourceFile, program: Program,

@@ -15,7 +15,7 @@ from prolint import (
     structurally_equal,
 )
 from prolint.formatter import _Renderer
-from prolint.reader import subterms
+from prolint.reader import MAX_TERM_DEPTH, subterms
 from prolint.source_model import TokenKind, scan
 
 from gen import gen_file
@@ -322,6 +322,8 @@ ROUND_TRIP_CASES = {
         "p :- (-) - a.\n", "p :-\n    (-) - a.\n"),
     "infix_operator_atom_under_prefix": (
         "dynamic : | is .\n", "dynamic (:) ; is.\n"),
+    "operator_atom_left_of_bar_in_directive": (
+        ":- is | a.\n", ":-\n    (   is\n    ;   a\n    ).\n"),
     "list_bar_after_low_bar_op": (
         ":- op(500, xfx, '|').\np([a|b]).\n",
         ":- op(500, xfx, '|').\np([a|b]).\n"),
@@ -334,19 +336,6 @@ def test_output_reads_back_and_formats_to_itself(name):
     assert fmt(text) == want
     # The header keeps L11 quiet, as in ``formatter_corpus``.
     _assert_formatting_contract(name, f"/* case: {name} */\n\n{text}")
-
-
-def test_operator_atom_left_of_bar_in_directive_reads_back():
-    # Outside ``ROUND_TRIP_CASES``: a directive's disjunction stays on one
-    # line, which L05 flags, so the layout witness does not hold here.
-    text = ":- is | a.\n"
-    out = fmt(text)
-    assert out == ":- (is) ; a.\n"
-    again = program_from_source(source_from_text(out))
-    assert not again.syntax_diagnostics
-    before = program_from_source(source_from_text(text)).items[0].body
-    assert structurally_equal(before, again.items[0].body)
-    assert format_program(again) == out
 
 
 def test_suppression_comment_reattaches_to_head_line():
@@ -384,15 +373,17 @@ def test_wrapping_renders_each_subterm_once(depth, monkeypatch):
 
 
 def test_deepest_readable_term_formats_and_reads_back():
-    # The reader's nesting limit depends on the stack depth it is called
-    # at, so find it from here rather than hard-coding it.
-    def read(text):
+    # A narrow nest: ``_nested_fact`` this deep wraps to 50 MB of output.
+    def read(depth):
+        text = "p(" + "f(" * depth + "x" + ")" * depth + ").\n"
         return program_from_source(source_from_text(text))
 
-    depth = next(d for d in range(200, 0, -1)
-                 if not read(_nested_fact(d)).syntax_diagnostics)
-    program = read(_nested_fact(depth))
+    depth = MAX_TERM_DEPTH - 1
+    assert read(depth + 1).syntax_diagnostics
+    program = read(depth)
+    assert not program.syntax_diagnostics
     out = format_program(program)
-    reread = read(out)
+    reread = program_from_source(source_from_text(out))
     assert not reread.syntax_diagnostics
     assert structurally_equal(program.items[0].head, reread.items[0].head)
+    assert format_program(reread) == out

@@ -5,7 +5,8 @@ formatting must keep.
 The programs are the benchmark's library modules at seed 1 and 100
 ``gen_file`` outputs.  Each is read once; ``run`` then lints the same
 ``Program`` under each configuration, as the properties need.  The round
-trip through ``fmt`` runs over seeded token soup.
+trip through ``fmt`` runs over seeded token soup and over seeded bodies that
+nest control constructs and data up to 64 levels deep.
 """
 
 from __future__ import annotations
@@ -102,6 +103,22 @@ def test_config_algebra(programs, monkeypatch, tmp_path):
                            for d in base], (src.path, rule_id)
 
 
+def _assert_fmt_round_trip(text: str, program) -> None:
+    """``fmt``'s output reads back without syntax errors to the same
+    clauses and formats to itself."""
+    once = format_program(program)
+    again = program_from_source(source_from_text(once))
+    assert not again.syntax_diagnostics, (text, once)
+    assert [c.kind for c in again.items] \
+        == [c.kind for c in program.items], (text, once)
+    for before, after in zip(program.items, again.items):
+        for part in ("head", "body"):
+            a, b = getattr(before, part), getattr(after, part)
+            assert (a is None) == (b is None), (text, once)
+            assert a is None or structurally_equal(a, b), (text, once)
+    assert format_program(again) == once, (text, once)
+
+
 def test_fmt_round_trip_on_token_soup():
     rng = random.Random(1)
     checked = 0
@@ -111,15 +128,38 @@ def test_fmt_round_trip_on_token_soup():
         if program.syntax_diagnostics:
             continue
         checked += 1
-        once = format_program(program)
-        again = program_from_source(source_from_text(once))
-        assert not again.syntax_diagnostics, (text, once)
-        assert [c.kind for c in again.items] \
-            == [c.kind for c in program.items], (text, once)
-        for before, after in zip(program.items, again.items):
-            for part in ("head", "body"):
-                a, b = getattr(before, part), getattr(after, part)
-                assert (a is None) == (b is None), (text, once)
-                assert a is None or structurally_equal(a, b), (text, once)
-        assert format_program(again) == once, (text, once)
+        _assert_fmt_round_trip(text, program)
     assert checked >= 200
+
+
+#: One nesting level each: ``{g}`` is the goal nested so far, ``{o}`` a
+#: shallow sibling goal.
+_LEVELS = [
+    "( {g} ; {o} )", "( {o} ; {g} )", "( {g} -> {o} ; {o} )",
+    "( {o} -> {g} ; {o} )", "( {o} -> {g} )", "( {o} *-> {g} ; {o} )",
+    "( {g} *-> {o} )", "( {o}, {g} )", "( {g}, {o} )",
+    "\\+ ( {g} )", "( repeat, {o}, {g}, ! )", "findall(X, ( {g} ), L)",
+    "forall(member(X, [{o}, ( {g} )|T]), {o})", "f(g(X), [( {g} )])",
+]
+_LEAVES = ["a", "b(X)", "!", "true", "X = [Y|Z]", "c(X, \"s\")", "d(1.5)",
+           "X == - Y", "write(X)", "nl"]
+
+
+def _deep_program(rng: random.Random, depth: int) -> str:
+    """A directive or a rule whose goal nests ``depth`` levels deep."""
+    goal = rng.choice(_LEAVES)
+    for template in rng.choices(_LEVELS, k=depth):
+        goal = template.replace("{g}", goal) \
+            .replace("{o}", rng.choice(_LEAVES))
+    if depth % 2:
+        return f":- {goal}.\n"
+    return f"p(X, L) :- {rng.choice(_LEAVES)}, {goal}.\n"
+
+
+def test_fmt_round_trip_at_growing_depth():
+    rng = random.Random(64)
+    for index in range(300):
+        text = _deep_program(rng, 1 + index % 64)
+        program = program_from_source(source_from_text(text))
+        assert not program.syntax_diagnostics, text
+        _assert_fmt_round_trip(text, program)

@@ -201,13 +201,16 @@ class _Renderer:
         inline = self.render(term, max_prec)
         if col - 1 + len(inline) <= width:
             return [inline]
+        return self.pack([], (term, inline, ""), "", col - 1, width, unit)
+
+    def pack(self, stack: list[list], pending: tuple | None, line: str,
+             base: int, width: int, unit: int) -> list[str]:
+        """Place ``pending`` (term, text, text after it), then the rest of
+        each frame on ``stack``, on ``line`` (open at 0-based column
+        ``base``) and the lines after it.  A frame is a term being broken:
+        [parts, next index, opener, closer (with a partial list's tail),
+        continuation indent, text after it, offset in ``line`` of it]."""
         lines: list[str] = []
-        line, base = "", col - 1  # the open line and the column it starts at
-        # Each frame is a term being broken: [parts, next index, opener,
-        # closer (with a partial list's tail), continuation indent, text
-        # after it, offset in ``line`` where it starts].
-        stack: list[list] = []
-        pending = (term, inline, "")
         while pending or stack:
             if pending:
                 part, text, after = pending
@@ -296,7 +299,6 @@ class _ClauseFormatter:
         self.interior = interior
         self.next_comment = 0
         self.out = _Out()
-        self.work: list[tuple] = []
 
     def flush_comments(self, before_byte: int, indent: int) -> None:
         while self.next_comment < len(self.interior):
@@ -311,12 +313,10 @@ class _ClauseFormatter:
     def format_clause(self, clause: Clause) -> _Out:
         if clause.kind == ClauseKind.DIRECTIVE:
             self.emit_directive(clause)
-        elif clause.kind == ClauseKind.FACT:
-            self.emit_head(clause.head, clause, neck=None)
         else:
-            neck = ":-" if clause.kind == ClauseKind.RULE else "-->"
-            self.emit_head(clause.head, clause, neck=neck)
-            self.emit_body(clause.body, self.unit)
+            self.emit_head(clause)
+        if clause.kind in (ClauseKind.RULE, ClauseKind.GRAMMAR_RULE):
+            self.emit_body(clause.body, " " * self.unit)
         # A symbol character before the end would fuse with it into one atom.
         last = self.out.lines[-1]
         self.out.lines[-1] = last + (" ." if last[-1] in SYMBOL_CHARS else ".")
@@ -328,130 +328,115 @@ class _ClauseFormatter:
     def emit_directive(self, clause: Clause) -> None:
         goals = conjunction_goals(clause.body)
         src = (clause.span.start_line, clause.span.end_line)
-        if len(goals) == 1 and _is_block(clause.body):
-            # The block form, as in a rule body, keeps one goal per line.
-            self.out.add([":-"], src)
-            self.emit_body(clause.body, self.unit)
-        elif len(goals) == 1:
+        if len(goals) == 1 and not _is_block(clause.body):
             pieces = self.r.wrap(clause.body, 1199, 4, self.width, self.unit)
             self.out.add([":- " + pieces[0], *pieces[1:]], src)
+        elif any(_is_block(goal) for goal in goals):
+            # The block form, as in a rule body, keeps one goal per line.
+            self.out.add([":-"], src)
+            self.emit_body(clause.body, " " * self.unit)
         else:
-            for index, goal in enumerate(goals):
-                prefix = ":- " if index == 0 else " " * self.unit
-                suffix = "," if index < len(goals) - 1 else ""
-                self.out.add([prefix + self.r.render(goal, 999) + suffix],
-                             (goal.span.start_line, goal.span.end_line))
+            self.emit_body(clause.body, ":- ")
 
-    def emit_head(self, head: Term, clause: Clause,
-                  neck: str | None) -> None:
+    def emit_head(self, clause: Clause) -> None:
+        head = clause.head
         src = (head.span.start_line, clause.neck_span.end_line
                if clause.neck_span else head.span.end_line)
         inline = self.r.render(head, 1199)
-        tail = f" {neck}" if neck else ""
+        tail = {ClauseKind.RULE: " :-",
+                ClauseKind.GRAMMAR_RULE: " -->"}.get(clause.kind, "")
         # A fact's end follows its head on the same line.
-        if len(inline) + len(tail or ".") <= self.width:
+        if len(inline) + len(tail or ".") <= self.width \
+                or not isinstance(head, Compound) \
+                or self.r.rendered[id(head)][1] != 0:
             self.out.add([inline + tail], src)
             return
         # Break after the head's opening parenthesis; the argument block is
         # indented one unit and the closer returns to column 1.
-        if isinstance(head, Compound) and self.r.rendered[id(head)][1] == 0:
-            opener = (head.functor_lexeme or head.name) + "("
-            self.out.add([opener], src)
-            current = " " * self.unit
-            for index, arg in enumerate(head.args):
-                suffix = "," if index < len(head.args) - 1 else ""
-                rendered = self.r.render(arg, 999)
-                if current.strip() and \
-                        len(current) + 1 + len(rendered + suffix) > self.width:
-                    self.out.add([current], src)
-                    current = " " * self.unit
-                if len(current) + len(rendered + suffix) > self.width \
-                        and not current.strip():
-                    pieces = self.r.wrap(arg, 999, len(current) + 1,
-                                         self.width, self.unit)
-                    current += pieces[0]
-                    for piece in pieces[1:]:
-                        self.out.add([current], src)
-                        current = piece
-                    current += suffix
-                    continue
-                if current.strip():
-                    current += " "
-                current += rendered + suffix
-            self.out.add([current], src)
-            self.out.add([")" + tail], src)
-        else:
-            self.out.add([inline + tail], src)
+        pad = " " * self.unit
+        args = self.r.pack([[head.args, 0, pad, "", self.unit, "", 0]], None,
+                           pad, 0, self.width, self.unit)
+        self.out.add([(head.functor_lexeme or head.name) + "(", *args,
+                      ")" + tail], src)
 
     # -- bodies --------------------------------------------------------------
 
-    def emit_body(self, body: Term, indent: int) -> None:
-        """Lay out a body one goal per line.  ``work`` holds the calls still
-        to make, run last-first: expanding a goal sequence or a goal (with
-        the comments before it), adding a block's closing line."""
-        self.work = [(self.expand_sequence, conjunction_goals(body), indent,
-                      None, "")]
-        while self.work:
-            call, *args = self.work.pop()
-            call(*args)
+    def emit_body(self, body: Term, lead: str) -> None:
+        """Lay out a body one goal per line, the first after ``lead``.  The
+        work list, run last-first, holds goals as (goal, indent, suffix,
+        lead) and a block's closing line as (lines, source range)."""
+        work = _sequence(conjunction_goals(body), self.unit, lead, "",
+                         self.unit)
+        while work:
+            item = work.pop()
+            if len(item) == 2:
+                self.out.add(*item)
+                continue
+            goal, indent, suffix, lead = item
+            self.flush_comments(goal.span.byte_start, _comment_column(lead))
+            if not _is_block(goal):
+                pieces = self.r.wrap(goal, 999, indent + 1, self.width,
+                                     self.unit)
+                pieces[0] = lead + pieces[0]
+                pieces[-1] += suffix
+                self.out.add(pieces,
+                             (goal.span.start_line, goal.span.end_line))
+                continue
+            # A block or a parenthesized conjunction used as one goal: each
+            # branch opens with ``(`` or ``;``, and ``)`` closes it below.
+            pad, inner = " " * indent, indent + self.unit
+            work.append(([pad + ")" + suffix],
+                         (goal.span.end_line, goal.span.end_line)))
+            sequences: list[tuple[list[Term], str, str]] = []
+            # The block's parentheses are the root's own; only parentheses
+            # on nested subterms are the author's.
+            for index, branch in enumerate(_branches(goal)):
+                prefix = (pad + ";" if index else lead + "(") \
+                    + " " * (self.unit - 1)
+                if goal.name == ",":
+                    sequences.append((conjunction_goals(goal.args[0])
+                                      + conjunction_goals(goal.args[1]),
+                                      prefix, ""))
+                elif branch is goal or (
+                        is_compound(branch, None, 2)
+                        and not branch.parenthesized
+                        and branch.name in ("->", "*->")):
+                    condition, then_part = branch.args
+                    sequences += [(conjunction_goals(condition), prefix,
+                                   f" {branch.name}"),
+                                  (conjunction_goals(then_part), " " * inner,
+                                   "")]
+                else:
+                    sequences.append((conjunction_goals(branch), prefix, ""))
+            for goals, first, end in reversed(sequences):
+                work += _sequence(goals, inner, first, end, self.unit)
 
-    def expand_sequence(self, goals: list[Term], indent: int,
-                        lead: str | None, end: str) -> None:
-        """Queue a sequence's goals, the first after ``lead`` and the last
-        followed by ``end``.  A sequence that ends a body (``end`` empty,
-        unlike a condition) indents its goals between ``repeat`` and the
-        cut one extra unit."""
-        items: list[tuple] = []
-        cut_pending = 0
-        for index, goal in enumerate(goals):
-            if is_atom(goal, "!") and cut_pending:
-                cut_pending -= 1
-            items.append((self.expand_goal, goal,
-                          indent + cut_pending * self.unit,
-                          end if index == len(goals) - 1 else ",",
-                          lead if index == 0 else None))
-            if not end and is_atom(goal, "repeat") and any(
-                    contains_cut(later) for later in goals[index + 1:]):
-                cut_pending += 1
-        self.work += reversed(items)
 
-    def expand_goal(self, goal: Term, indent: int, suffix: str,
-                    lead: str | None) -> None:
-        """Emit a goal after the comments before it, or queue a block."""
-        self.flush_comments(goal.span.byte_start, indent)
-        pad = " " * indent
-        if not _is_block(goal):
-            pieces = self.r.wrap(goal, 999, indent + 1, self.width,
-                                 self.unit)
-            pieces[0] = (pad if lead is None else lead) + pieces[0]
-            pieces[-1] += suffix
-            self.out.add(pieces, (goal.span.start_line, goal.span.end_line))
-            return
-        # A block or a parenthesized conjunction used as one goal: each
-        # branch opens with ``(`` or ``;``, and ``)`` closes it below.
-        self.work.append((self.out.add, [pad + ")" + suffix],
-                          (goal.span.end_line, goal.span.end_line)))
-        sequences: list[tuple[list[Term], str | None, str]] = []
-        # The block's own parentheses consume the root's parenthesization;
-        # only parentheses on nested subterms are the author's.
-        for index, branch in enumerate(_branches(goal)):
-            prefix = (pad if index or lead is None else lead) \
-                + (";" if index else "(") + " " * (self.unit - 1)
-            if goal.name == ",":
-                sequences.append((conjunction_goals(goal.args[0])
-                                  + conjunction_goals(goal.args[1]),
-                                  prefix, ""))
-            elif branch is goal or (
-                    is_compound(branch, None, 2) and not branch.parenthesized
-                    and branch.name in ("->", "*->")):
-                condition, then_part = branch.args
-                sequences.append((conjunction_goals(condition), prefix,
-                                  f" {branch.name}"))
-                sequences.append((conjunction_goals(then_part), None, ""))
-            else:
-                sequences.append((conjunction_goals(branch), prefix, ""))
-        self.work += [(self.expand_sequence, goals, indent + self.unit, first,
-                       end) for goals, first, end in reversed(sequences)]
+def _comment_column(line: str) -> int:
+    """The column at which a re-read puts a comment placed on its own line
+    above ``line``: that of the goal after a leading ``;``, else the
+    line's indent."""
+    return len(line) - len(line.lstrip(" ;"))
+
+
+def _sequence(goals: list[Term], indent: int, lead: str, end: str,
+              unit: int) -> list[tuple]:
+    """A sequence's goals as work items, last first: the first goal after
+    ``lead``, the others after their indent, the last followed by ``end``.
+    A sequence that ends a body (``end`` empty, unlike a condition) indents
+    its goals between ``repeat`` and the cut one extra unit."""
+    items: list[tuple] = []
+    cut_pending = 0
+    for index, goal in enumerate(goals):
+        if is_atom(goal, "!") and cut_pending:
+            cut_pending -= 1
+        at = indent + cut_pending * unit
+        items.append((goal, at, end if index == len(goals) - 1 else ",",
+                      " " * at if index else lead))
+        if not end and is_atom(goal, "repeat") and any(
+                contains_cut(later) for later in goals[index + 1:]):
+            cut_pending += 1
+    return items[::-1]
 
 
 def _branches(root: Compound) -> list[Term]:

@@ -284,9 +284,9 @@ def test_formatting_contract_over_corpus():
 
 
 #: Operator atoms as operands, symbol characters before a clause's end,
-#: comments before it, postfix operators and the list bar, each with the
-#: output it must get: output that reads back to the same clauses and
-#: formats to itself.
+#: comments before it or before a block, postfix operators, the list bar and
+#: multi-goal directives, each with the output it must get: output that
+#: reads back to the same clauses and formats to itself.
 ROUND_TRIP_CASES = {
     "operator_atom_argument": (
         "p(X) :- X = f(dynamic).\n",
@@ -327,6 +327,18 @@ ROUND_TRIP_CASES = {
     "list_bar_after_low_bar_op": (
         ":- op(500, xfx, '|').\np([a|b]).\n",
         ":- op(500, xfx, '|').\np([a|b]).\n"),
+    "directive_conjunction_block_first": (
+        ":- (a, b), c.\n", ":-\n    (   a,\n        b\n    ),\n    c.\n"),
+    "directive_disjunction_last": (
+        ":- a, (b ; c).\n", ":-\n    a,\n    (   b\n    ;   c\n    ).\n"),
+    "directive_disjunction_first": (
+        ":- (b ; c), a.\n", ":-\n    (   b\n    ;   c\n    ),\n    a.\n"),
+    "directive_plain_goals": (":- a, b.\n", ":- a,\n    b.\n"),
+    "comment_before_first_directive_goal": (
+        ":-\n% c\na, b.\n", "% c\n:- a,\n    b.\n"),
+    "comment_after_block_open": (
+        "p :- (\n% c\na ; b).\n",
+        "p :-\n    % c\n    (   a\n    ;   b\n    ).\n"),
 }
 
 

@@ -564,6 +564,9 @@ def format_program(program: Program, cfg: Config | None = None) -> str:
 
 
 def _attach_trailing(out: _Out, comments: list[Token], cfg: Config) -> None:
+    # Whether each line can take a comment: one after a ``%`` comment would
+    # become part of it.
+    open_lines = [True] * len(out.lines)
     for token in comments:
         line_no = token.span.start_line
         text = token.text.rstrip()
@@ -580,18 +583,20 @@ def _attach_trailing(out: _Out, comments: list[Token], cfg: Config) -> None:
         if target is None:
             target = len(out.lines) - 1
         candidate = out.lines[target] + " " + text
-        if len(candidate) <= cfg.max_line_length \
+        if open_lines[target] and len(candidate) <= cfg.max_line_length \
                 and len(text) <= cfg.eol_comment_max:
             out.lines[target] = candidate
+            open_lines[target] = not text.startswith("%")
         else:
             first = target
             span = out.spans[target]
             while first > 0 and span is not None \
                     and out.spans[first - 1] is span:
                 first -= 1
-            indent = len(out.lines[first]) - len(out.lines[first].lstrip())
-            out.lines.insert(first, " " * indent + text)
+            column = _comment_column(out.lines[first])
+            out.lines.insert(first, " " * column + text)
             out.spans.insert(first, None)
+            open_lines.insert(first, False)
 
 
 def check_format(src: SourceFile, program: Program,

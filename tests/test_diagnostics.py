@@ -72,6 +72,20 @@ def test_config_dotted_naming_keys():
     assert cfg.leet_enabled is True
 
 
+def test_config_list_parsers():
+    cfg = load_config("magic_number_allowlist = 7, -3, 2.5, 1_000\n"
+                      "inline_goal_allowlist = write/1, nl / 0,\n"
+                      "extensions = pl, .pro\n")
+    assert cfg.problems == []
+    assert cfg.magic_number_allowlist == frozenset({7, -3, 2.5, 1000})
+    assert cfg.inline_goal_allowlist == frozenset({("write", 1), ("nl", 0)})
+    assert cfg.extensions == (".pl", ".pro")
+    bad = load_config("inline_goal_allowlist = write/x\n")
+    assert [(p.rule_id, p.severity) for p in bad.problems] \
+        == [("C01", Severity.ERROR)]
+    assert bad.inline_goal_allowlist == load_config("").inline_goal_allowlist
+
+
 def test_config_unknown_key_reported_as_warning():
     cfg = load_config("no_such_option = 3\n")
     assert len(cfg.problems) == 1

@@ -284,9 +284,10 @@ def test_formatting_contract_over_corpus():
 
 
 #: Operator atoms as operands, symbol characters before a clause's end,
-#: comments before it or before a block, postfix operators, the list bar and
-#: multi-goal directives, each with the output it must get: output that
-#: reads back to the same clauses and formats to itself.
+#: comments before it or before a block, moved trailing comments, postfix
+#: operators, the list bar, multi-goal directives and curly terms, each with
+#: the output it must get: output that reads back to the same clauses and
+#: formats to itself.
 ROUND_TRIP_CASES = {
     "operator_atom_argument": (
         "p(X) :- X = f(dynamic).\n",
@@ -327,6 +328,15 @@ ROUND_TRIP_CASES = {
     "list_bar_after_low_bar_op": (
         ":- op(500, xfx, '|').\np([a|b]).\n",
         ":- op(500, xfx, '|').\np([a|b]).\n"),
+    "long_comment_after_branch_goal": (
+        "p :- ( true ; findall(X, (a, % a trailing comment that is long"
+        " enough to move\n b), L) -> c ; d ).\n",
+        "p :-\n    (   true\n"
+        "        % a trailing comment that is long enough to move\n"
+        "    ;   findall(X, (a, b), L) ->\n        c\n    ;   d\n    ).\n"),
+    "second_trailing_comment_after_line_comment": (
+        "p :- f(a, % c1\n    b, % c2\n    c).\n",
+        "p :-\n    % c2\n    f(a, b, c). % c1\n"),
     "directive_conjunction_block_first": (
         ":- (a, b), c.\n", ":-\n    (   a,\n        b\n    ),\n    c.\n"),
     "directive_disjunction_last": (
@@ -339,6 +349,11 @@ ROUND_TRIP_CASES = {
     "comment_after_block_open": (
         "p :- (\n% c\na ; b).\n",
         "p :-\n    % c\n    (   a\n    ;   b\n    ).\n"),
+    "curly_term_argument": ("p({a, b}).\n", "p({a, b}).\n"),
+    "curly_goal_in_grammar_rule": (
+        "a --> {b}, c.\n", "a -->\n    {b},\n    c.\n"),
+    "curly_goal_holding_disjunction": (
+        "p :- {a ; b}.\n", "p :-\n    {a ; b}.\n"),
 }
 
 

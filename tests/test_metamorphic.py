@@ -6,13 +6,15 @@ The programs are the benchmark's library modules at seed 1 and 100
 ``gen_file`` outputs.  Each is read once; ``run`` then lints the same
 ``Program`` under each configuration, as the properties need.  The round
 trip through ``fmt`` runs over seeded token soup and over seeded bodies that
-nest control constructs and data up to 64 levels deep.
+nest control constructs and data up to 64 levels deep; the same bodies with
+comments planted between their goals keep their structure and comments.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import random
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -32,6 +34,7 @@ from prolint.cli import _configure, build_parser
 from prolint.diagnostics import NON_SUPPRESSIBLE
 
 from gen import gen_file
+from test_formatter import comment_texts
 from test_read_reference import SOUP
 
 _WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" \
@@ -107,6 +110,13 @@ def _assert_fmt_round_trip(text: str, program) -> None:
     """``fmt``'s output reads back without syntax errors to the same
     clauses and formats to itself."""
     once = format_program(program)
+    again = _reread_same_clauses(text, program, once)
+    assert format_program(again) == once, (text, once)
+
+
+def _reread_same_clauses(text: str, program, once: str):
+    """The program ``fmt``'s output ``once`` reads back to, without syntax
+    errors and with the clauses of ``program``."""
     again = program_from_source(source_from_text(once))
     assert not again.syntax_diagnostics, (text, once)
     assert [c.kind for c in again.items] \
@@ -116,7 +126,7 @@ def _assert_fmt_round_trip(text: str, program) -> None:
             a, b = getattr(before, part), getattr(after, part)
             assert (a is None) == (b is None), (text, once)
             assert a is None or structurally_equal(a, b), (text, once)
-    assert format_program(again) == once, (text, once)
+    return again
 
 
 def test_fmt_round_trip_on_token_soup():
@@ -163,3 +173,33 @@ def test_fmt_round_trip_at_growing_depth():
         program = program_from_source(source_from_text(text))
         assert not program.syntax_diagnostics, text
         _assert_fmt_round_trip(text, program)
+
+
+#: A short line comment, a block comment, and a line comment too long to
+#: stay at the end of a line (80 characters).
+_PLANTS = ["% step\n", "/* alt */ ", "%" + " long comment" * 6 + ".\n"]
+
+
+def _planted(rng: random.Random, text: str) -> str:
+    """``text`` with comments planted after some commas and before some
+    `` ; ``."""
+    pieces = re.split(r"(, | ; )", text)
+    for index, piece in enumerate(pieces):
+        if piece in (", ", " ; ") and rng.random() < 0.3:
+            plant = rng.choice(_PLANTS)
+            pieces[index] = ", " + plant if piece == ", " \
+                else " " + plant + "; "
+    return "".join(pieces)
+
+
+def test_fmt_keeps_comments_planted_at_growing_depth():
+    # Idempotence is not asserted: a long comment moved above a block's
+    # ``)`` line reads back below it.
+    rng, plants = random.Random(64), random.Random(8)
+    for index in range(300):
+        text = _planted(plants, _deep_program(rng, 1 + index % 64))
+        program = program_from_source(source_from_text(text))
+        assert not program.syntax_diagnostics, text
+        once = format_program(program)
+        _reread_same_clauses(text, program, once)
+        assert comment_texts(once) == comment_texts(text), (text, once)

@@ -9,7 +9,9 @@ errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
+import stat
 import sys
 import tempfile
 from pathlib import Path
@@ -196,10 +198,12 @@ def _cmd_check(args: argparse.Namespace, cfg: Config) -> int:
 
 def _write_in_place(path: str, text: str) -> None:
     """Write through a temp file and rename so an interrupted run never
-    truncates the original."""
+    truncates the original; the file keeps its permission bits."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, temp_path = tempfile.mkstemp(dir=directory, prefix=".prolint-")
     try:
+        # mkstemp creates the file 0600, and the rename keeps that mode.
+        os.fchmod(fd, stat.S_IMODE(os.stat(path).st_mode))
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(temp_path, path)
@@ -290,11 +294,20 @@ def main(argv: list[str] | None = None) -> int:
     cfg, code = _configure(args)
     if code:
         return code
-    if args.command == "check":
-        return _cmd_check(args, cfg)
-    if args.command == "fmt":
-        return _cmd_fmt(args, cfg)
-    return _cmd_rules(cfg)
+    # Nothing a command builds (tokens, terms, diagnostics, output) holds a
+    # reference cycle, so the cyclic collector would only walk the live
+    # graph again and again; reference counting frees all of it.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        if args.command == "check":
+            return _cmd_check(args, cfg)
+        if args.command == "fmt":
+            return _cmd_fmt(args, cfg)
+        return _cmd_rules(cfg)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def entry_point() -> None:

@@ -452,8 +452,11 @@ def _l12_vertical_space(facts: Facts) -> Iterator[Diagnostic]:
 
     for idx in range(len(program.items) - 1):
         first, second = program.items[idx], program.items[idx + 1]
+        # A head that is not callable (a number, a string, a variable)
+        # names no predicate to space.
         if first.kind == ClauseKind.DIRECTIVE \
-                or second.kind == ClauseKind.DIRECTIVE:
+                or second.kind == ClauseKind.DIRECTIVE \
+                or second.indicator is None:
             continue
         effective_start = preceding_start.get(idx + 1,
                                               second.span.start_line)

@@ -73,7 +73,7 @@ NON_CODE_KINDS = frozenset(
 COMMENT_KINDS = frozenset({TokenKind.LINE_COMMENT, TokenKind.BLOCK_COMMENT})
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     """One lexical unit.
 
@@ -145,15 +145,25 @@ ESCAPES = {"a": "\a", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t",
 MAX_INTEGER_DIGITS = 640
 
 #: One token after its whitespace gap; the group that matched says what
-#: starts there.  ``\w`` is exactly ``str.isalnum()`` or ``_``, so group 4
-#: is an identifier's full extent.  The catch-all excludes whitespace, so
-#: the gap at the end of the file matches nothing.
+#: starts there.  An identifier that starts with an ASCII letter or ``_``
+#: has a group of its own (atom or variable); ``\w+`` takes the rest, a
+#: numeral or a word that starts with another letter.  ``\w`` is exactly
+#: ``str.isalnum()`` or ``_``, so each of these groups is an identifier's
+#: full extent.  ``/*`` comes before the symbolic atoms.  The catch-all
+#: excludes whitespace, so the gap at the end of the file matches nothing.
 _TOKEN = re.compile(
-    r"[ \t\r\n]*(?:(%[^\n]*)|(/\*)|(['\"`])|(\w+)"
+    r"[ \t\r\n]*(?:(%[^\n]*)|(/\*)|(['\"`])|([a-z]\w*)|([A-Z_]\w*)|(\w+)"
     rf"|([{re.escape(SYMBOL_CHARS)}]+)"
     r"|([()\[\]{},|])|([!;])|([^ \t\r\n]))")
-_LINE_COMMENT, _BLOCK_COMMENT, _QUOTE, _WORD, _SYMBOLIC, _SINGLE, _SOLO = \
-    range(1, 8)
+(_LINE_COMMENT, _BLOCK_COMMENT, _QUOTE, _NAME, _VARIABLE_NAME, _WORD,
+ _SYMBOLIC, _SINGLE, _SOLO, _OTHER) = range(1, 11)
+#: The kind of each group's token where the group alone decides it; None
+#: where the text does.
+_GROUP_KINDS = [None] * (_OTHER + 1)
+_GROUP_KINDS[_LINE_COMMENT] = TokenKind.LINE_COMMENT
+_GROUP_KINDS[_NAME] = TokenKind.ATOM
+_GROUP_KINDS[_VARIABLE_NAME] = TokenKind.VARIABLE
+_GROUP_KINDS[_SOLO] = TokenKind.ATOM
 _SINGLE_KINDS = {
     "(": TokenKind.OPEN_PAREN,
     ")": TokenKind.CLOSE_PAREN,
@@ -226,19 +236,38 @@ def scan(src: SourceFile) -> tuple[list[Token], list[Diagnostic]]:
     tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []
     match = _TOKEN.match
+    group_kinds = _GROUP_KINDS
+    new_tuple = tuple.__new__
     # The cursor's line and the offset where that line starts, moved on by
     # the newlines of each gap and by the tokens that can span lines.
     pos = line_start = 0
     line = 1
     while (m := match(text, pos)) is not None:
         group = m.lastindex
-        start = m.start(group)
-        end = m.end()
+        start, end = m.span(group)
         if start != pos:
             last_newline = text.rfind("\n", pos, start)
             if last_newline >= 0:
                 line += text.count("\n", pos, last_newline + 1)
                 line_start = last_newline + 1
+        kind = group_kinds[group]
+        if kind is None:
+            if group == _SINGLE:
+                kind = _SINGLE_KINDS[text[start]]
+            elif group == _SYMBOLIC:
+                if end - start == 1 and text[start] == "." \
+                        and (end == n or text[end] in " \t\r\n%"):
+                    kind = TokenKind.END
+                else:
+                    kind = TokenKind.ATOM
+        if kind is not None:
+            # One line, no value, no problem: tuple.__new__ skips the
+            # named tuple's Python-level __new__.
+            tokens.append(Token(kind, text[start:end], new_tuple(Span, (
+                line, start - line_start + 1, line, end - line_start + 1,
+                start, end))))
+            pos = end
+            continue
         value = None
         problem = None
         multi_line = False
@@ -266,26 +295,12 @@ def scan(src: SourceFile) -> tuple[list[Token], list[Diagnostic]]:
                         kind, value = TokenKind.INTEGER, int(number.group())
                 else:
                     kind, value = TokenKind.FLOAT, float(number.group())
-            elif ch == "_":
-                kind = TokenKind.VARIABLE
             elif ch.isalpha():
                 kind = TokenKind.VARIABLE if ch.isupper() or ch.istitle() \
                     else TokenKind.ATOM
             else:
                 kind, end = TokenKind.PUNCTUATION, start + 1
                 problem = f"unexpected character {ch!r}"
-        elif group == _SYMBOLIC:
-            if end - start == 1 and text[start] == "." \
-                    and (end == n or text[end] in " \t\r\n%"):
-                kind = TokenKind.END
-            else:
-                kind = TokenKind.ATOM
-        elif group == _SINGLE:
-            kind = _SINGLE_KINDS[text[start]]
-        elif group == _SOLO:
-            kind = TokenKind.ATOM
-        elif group == _LINE_COMMENT:
-            kind = TokenKind.LINE_COMMENT
         elif group == _QUOTE:
             quote = text[start]
             pattern, kind, what = _QUOTED[quote]
@@ -309,8 +324,8 @@ def scan(src: SourceFile) -> tuple[list[Token], list[Diagnostic]]:
         if multi_line:
             line = bisect_right(line_starts, end)
             line_start = line_starts[line - 1]
-        span = Span(start_line, start_col, line, end - line_start + 1,
-                    start, end)
+        span = new_tuple(Span, (start_line, start_col, line,
+                                end - line_start + 1, start, end))
         tokens.append(Token(kind, text[start:end], span, value))
         if problem is not None:
             diagnostics.append(Diagnostic(

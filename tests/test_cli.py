@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 import prolint
+from prolint import cli
 from prolint.cli import main
 
 from snippets import SAME_LENGTH
@@ -397,6 +399,48 @@ def test_fmt_write_is_idempotent_at_cli_level(tmp_path):
     assert main(["fmt", "--write", path]) == 0
     assert (tmp_path / "file.pl").read_text(encoding="utf-8") == first
     assert main(["fmt", "--check", path]) == 0
+
+
+def test_fmt_write_keeps_the_file_mode(tmp_path):
+    messy = "q :- r,s.\n"
+    paths = {mode: tmp_path / f"file_{mode:o}.pl" for mode in (0o644, 0o755)}
+    for mode, path in paths.items():
+        path.write_text(messy, encoding="utf-8")
+        path.chmod(mode)
+    assert main(["fmt", "--write", *map(str, paths.values())]) == 0
+    for mode, path in paths.items():
+        assert path.read_text(encoding="utf-8") != messy
+        assert path.stat().st_mode & 0o7777 == mode
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["rules"], 0),
+    (["check", "-"], 1),
+    (["check", "--no-such-flag", "-"], 2),
+])
+def test_main_leaves_the_collector_on(monkeypatch, capsys, argv, code):
+    monkeypatch.setattr("sys.stdin", io.StringIO("p :-\n\tq.\n"))
+    assert gc.isenabled()
+    assert main(argv) == code
+    assert gc.isenabled()
+
+
+def test_main_leaves_the_collector_off(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("p :-\n\tq.\n"))
+    gc.disable()
+    try:
+        assert main(["check", "-"]) == 1
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_main_runs_the_command_with_the_collector_paused(monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_rules",
+                        lambda cfg: seen.append(gc.isenabled()) or 0)
+    assert main(["rules"]) == 0
+    assert seen == [False] and gc.isenabled()
 
 def test_max_line_length_flag(tmp_path, capsys):
     long_line = "/* header */\n\np :-\n    " + "q" * 80 + ".\n"

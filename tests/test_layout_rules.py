@@ -341,6 +341,14 @@ def test_l12_directives_not_paired():
     assert only(lint_text(text), "L12") == []
 
 
+def test_l12_skips_a_head_that_is_not_callable():
+    for text in ('p.\n"s".\n', '"s".\n\n"t".\n', "X.\n1.\n"):
+        diags = lint_text(text)
+        assert only(diags, "L12") == [] and only(diags, "E99") == [], text
+    diags = only(lint_text('"s".\nq.\n'), "L12")
+    assert len(diags) == 1 and "q/0" in diags[0].message
+
+
 # -- invariants ----------------------------------------------------------------
 
 def test_l05_l09_independent_of_comment_wording():

@@ -18,12 +18,14 @@ from test_formatter import formatter_corpus
 
 #: Pieces that reach every branch of the tokenizer: quotes and escapes,
 #: comments, based and character-code numerals, floats with exponents, the
-#: end token, variables, non-ASCII letters and digits, non-decimal digits,
-#: solo and punctuation characters, and every kind of whitespace.
+#: end token, variables, non-ASCII letters and digits (lower, upper and
+#: titlecase, so both ASCII name groups and the ``\w+`` fallback are
+#: reached), non-decimal digits, solo and punctuation characters, and every
+#: kind of whitespace.
 ALPHABET = ["'", '"', "`", "\\", "%", "/*", "*/", "0'", "0x", "0o", "0b",
-            ".", "e", "E", "+", "-", "_", "é", "²", "①", "٣", "!", ";",
-            ",", "|", "(", ")", "[", "]", "{", "}", "\t", "\r", "\n",
-            "\x0b", " ", " ", "a", "X", "x", "1", "8"]
+            ".", "e", "E", "+", "-", "_", "é", "É", "ǅ", "²", "①", "٣", "!",
+            ";", ",", "|", "(", ")", "[", "]", "{", "}", "\t", "\r", "\n",
+            "\x0b", " ", " ", "a", "a1", "X", "x", "1", "8"]
 
 
 def _span(span) -> tuple:

@@ -9,6 +9,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import os
 import stat
@@ -54,6 +55,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="minimum severity causing a nonzero exit")
 
 
+# One parser per process: argparse objects hold reference cycles, which
+# ``main`` pauses the collector for.  Parsing leaves the parser unchanged.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prolint",

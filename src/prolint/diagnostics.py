@@ -492,23 +492,18 @@ def run_family(family: str, facts: "Facts") -> list[Diagnostic]:
 def run(src: "SourceFile", program: "Program", cfg: Config) -> list[Diagnostic]:
     """Run every enabled rule plus the collected syntax diagnostics.
 
-    A rule family that raises internally becomes one E99 diagnostic; the run
-    itself never crashes.  Output is sorted by (line, column, rule id).
+    A rule that raises becomes an E99 naming it (``run_family``), so the
+    run never crashes.  Output is sorted by (line, column, rule id).
     """
     # Imported here: the rule modules import this module for Diagnostic.
     from . import doc_rules, idiom_rules, layout_rules, naming_rules
     from .reader import Facts
-    from .source_model import Span
 
     facts = Facts(src, program, cfg)
     diags: list[Diagnostic] = []
     for check in (layout_rules.check_layout, naming_rules.check_naming,
                   doc_rules.check_docs, idiom_rules.check_idioms):
-        try:
-            diags.extend(check(facts))
-        except Exception as exc:  # internal failure must not kill the run
-            diags.append(diag("E99", Span(1, 1, 1, 1, 0, 0),
-                              f"internal rule failure: {exc}"))
+        diags += check(facts)
 
     allowed = _suppressed_lines(program)
     # The program keeps its syntax diagnostics for later runs and ``fmt``,

@@ -270,19 +270,6 @@ class _Renderer:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Out:
-    """Emitted lines with their source-line ranges: one goal's lines share
-    one range tuple, which ``is`` tells apart; comment lines have None."""
-
-    lines: list[str] = field(default_factory=list)
-    spans: list[tuple[int, int] | None] = field(default_factory=list)
-
-    def add(self, lines: list[str], src: tuple[int, int] | None) -> None:
-        self.lines += lines
-        self.spans += [src] * len(lines)
-
-
 def _is_block(goal: Term) -> bool:
     """A disjunction, an if-then-else, or a conjunction that is one goal
     because it is parenthesized: laid out as a parenthesized block."""
@@ -291,26 +278,22 @@ def _is_block(goal: Term) -> bool:
 
 
 class _ClauseFormatter:
-    def __init__(self, renderer: _Renderer, cfg: Config,
-                 interior: list[Token]) -> None:
+    """Lays out one clause as groups of lines with the source lines they
+    came from, (lines, first source line, last source line, start offset of
+    a goal or None, column of a comment above them): one for its head or
+    directive line, one for each goal and one for each block's closing
+    line.  ``_place_comments`` then places the clause's comments among
+    them."""
+
+    def __init__(self, renderer: _Renderer, cfg: Config) -> None:
         self.r = renderer
         self.unit = cfg.indent_size
         self.width = cfg.max_line_length
-        self.interior = interior
-        self.next_comment = 0
-        self.out = _Out()
-
-    def flush_comments(self, before_byte: int, indent: int) -> None:
-        while self.next_comment < len(self.interior):
-            token = self.interior[self.next_comment]
-            if token.span.byte_start >= before_byte:
-                break
-            self.out.add([" " * indent + token.text.rstrip()], None)
-            self.next_comment += 1
+        self.groups: list[tuple] = []
 
     # -- entry points -------------------------------------------------------
 
-    def format_clause(self, clause: Clause) -> _Out:
+    def format_clause(self, clause: Clause) -> list[tuple]:
         if clause.kind == ClauseKind.DIRECTIVE:
             self.emit_directive(clause)
         else:
@@ -318,30 +301,28 @@ class _ClauseFormatter:
         if clause.kind in (ClauseKind.RULE, ClauseKind.GRAMMAR_RULE):
             self.emit_body(clause.body, " " * self.unit)
         # A symbol character before the end would fuse with it into one atom.
-        last = self.out.lines[-1]
-        self.out.lines[-1] = last + (" ." if last[-1] in SYMBOL_CHARS else ".")
-        # Comments left after the last goal go where a re-read puts them: at
-        # column 1, as free comments after the clause.
-        self.flush_comments(clause.span.byte_end, 0)
-        return self.out
+        lines = self.groups[-1][0]
+        lines[-1] += " ." if lines[-1][-1] in SYMBOL_CHARS else "."
+        return self.groups
 
     def emit_directive(self, clause: Clause) -> None:
         goals = conjunction_goals(clause.body)
-        src = (clause.span.start_line, clause.span.end_line)
+        first, last = clause.span.start_line, clause.span.end_line
         if len(goals) == 1 and not _is_block(clause.body):
             pieces = self.r.wrap(clause.body, 1199, 4, self.width, self.unit)
-            self.out.add([":- " + pieces[0], *pieces[1:]], src)
+            pieces[0] = ":- " + pieces[0]
+            self.groups.append((pieces, first, last, None, 0))
         elif any(_is_block(goal) for goal in goals):
             # The block form, as in a rule body, keeps one goal per line.
-            self.out.add([":-"], src)
+            self.groups.append(([":-"], first, last, None, 0))
             self.emit_body(clause.body, " " * self.unit)
         else:
             self.emit_body(clause.body, ":- ")
 
     def emit_head(self, clause: Clause) -> None:
         head = clause.head
-        src = (head.span.start_line, clause.neck_span.end_line
-               if clause.neck_span else head.span.end_line)
+        first = head.span.start_line
+        last = (clause.neck_span or head.span).end_line
         inline = self.r.render(head, 1199)
         tail = {ClauseKind.RULE: " :-",
                 ClauseKind.GRAMMAR_RULE: " -->"}.get(clause.kind, "")
@@ -349,44 +330,44 @@ class _ClauseFormatter:
         if len(inline) + len(tail or ".") <= self.width \
                 or not isinstance(head, Compound) \
                 or self.r.rendered[id(head)][1] != 0:
-            self.out.add([inline + tail], src)
+            self.groups.append(([inline + tail], first, last, None, 0))
             return
         # Break after the head's opening parenthesis; the argument block is
         # indented one unit and the closer returns to column 1.
         pad = " " * self.unit
         args = self.r.pack([[head.args, 0, pad, "", self.unit, "", 0]], None,
                            pad, 0, self.width, self.unit)
-        self.out.add([(head.functor_lexeme or head.name) + "(", *args,
-                      ")" + tail], src)
+        self.groups.append(([(head.functor_lexeme or head.name) + "(", *args,
+                             ")" + tail], first, last, None, 0))
 
     # -- bodies --------------------------------------------------------------
 
     def emit_body(self, body: Term, lead: str) -> None:
         """Lay out a body one goal per line, the first after ``lead``.  The
         work list, run last-first, holds goals as (goal, indent, suffix,
-        lead) and a block's closing line as (lines, source range)."""
+        lead) and a block's closing line as its group."""
         work = _sequence(conjunction_goals(body), self.unit, lead, "",
                          self.unit)
         while work:
             item = work.pop()
-            if len(item) == 2:
-                self.out.add(*item)
+            if isinstance(item[0], list):
+                self.groups.append(item)
                 continue
             goal, indent, suffix, lead = item
-            self.flush_comments(goal.span.byte_start, _comment_column(lead))
             if not _is_block(goal):
                 pieces = self.r.wrap(goal, 999, indent + 1, self.width,
                                      self.unit)
                 pieces[0] = lead + pieces[0]
                 pieces[-1] += suffix
-                self.out.add(pieces,
-                             (goal.span.start_line, goal.span.end_line))
+                span = goal.span
+                self.groups.append((pieces, span.start_line, span.end_line,
+                                    span.byte_start, _comment_column(lead)))
                 continue
             # A block or a parenthesized conjunction used as one goal: each
             # branch opens with ``(`` or ``;``, and ``)`` closes it below.
             pad, inner = " " * indent, indent + self.unit
-            work.append(([pad + ")" + suffix],
-                         (goal.span.end_line, goal.span.end_line)))
+            work.append(([pad + ")" + suffix], goal.span.end_line,
+                         goal.span.end_line, None, indent))
             sequences: list[tuple[list[Term], str, str]] = []
             # The block's parentheses are the root's own; only parentheses
             # on nested subterms are the author's.
@@ -412,11 +393,11 @@ class _ClauseFormatter:
                 work += _sequence(goals, inner, first, end, self.unit)
 
 
-def _comment_column(line: str) -> int:
+def _comment_column(lead: str) -> int:
     """The column at which a re-read puts a comment placed on its own line
-    above ``line``: that of the goal after a leading ``;``, else the
-    line's indent."""
-    return len(line) - len(line.lstrip(" ;"))
+    above a goal after ``lead``: that of the goal after a ``;`` that opens
+    a branch, else the lead's indent."""
+    return len(lead) - len(lead.lstrip(" ;"))
 
 
 def _sequence(goals: list[Term], indent: int, lead: str, end: str,
@@ -509,6 +490,57 @@ def _collect_units(program: Program) -> tuple[list[_Unit], dict[int, list[Token]
     return units, trailing, interior
 
 
+def _place_comments(groups: list[tuple], own_line: list[Token],
+                    trailing: list[Token], cfg: Config) -> list[str]:
+    """A clause's lines: its groups with its comments placed where a re-read
+    puts them back, in one pass over each comment list.
+
+    An own-line comment goes above the first goal that starts after it, at
+    its group's comment column, or after the clause at column 1 when no goal
+    does.  A trailing comment goes at the end of the last line of the last
+    group whose source lines hold its line (of the last group when none
+    does); a suppression comment acts only on the clause's first line, so it
+    goes there.  A comment that does not fit, or whose line already ends in
+    a ``%`` comment that would swallow it, goes above that group instead.
+    """
+    above: list[list[str]] = [[] for _ in groups]
+    pending = 0
+    for (_, _, _, start, column), comments in zip(groups, above):
+        while start is not None and pending < len(own_line) \
+                and own_line[pending].span.byte_start < start:
+            comments.append(" " * column + own_line[pending].text.rstrip())
+            pending += 1
+    if trailing:
+        # Later groups overwrite earlier ones: the last group holding a line
+        # owns it.
+        owner = {line_no: index
+                 for index, (_, first, last, _, _) in enumerate(groups)
+                 for line_no in range(first, last + 1)}
+        closed: set[tuple[int, int]] = set()
+        for token in trailing:
+            text = token.text.rstrip()
+            if SUPPRESSION_COMMENT.search(text):
+                index, at = 0, 0
+            else:
+                index = owner.get(token.span.start_line, len(groups) - 1)
+                at = len(groups[index][0]) - 1
+            lines, _, _, _, column = groups[index]
+            if (index, at) not in closed \
+                    and len(text) <= cfg.eol_comment_max \
+                    and len(lines[at]) + 1 + len(text) <= cfg.max_line_length:
+                lines[at] += " " + text
+                if text.startswith("%"):
+                    closed.add((index, at))
+            else:
+                above[index].append(" " * column + text)
+    out: list[str] = []
+    for comments, (lines, _, _, _, _) in zip(above, groups):
+        out += comments
+        out += lines
+    out += [token.text.rstrip() for token in own_line[pending:]]
+    return out
+
+
 def _gap(items: list[Clause], previous: _Unit | None, unit: _Unit) -> int:
     if previous is None:
         return 0
@@ -540,11 +572,9 @@ def _formatted_units(program: Program, cfg: Config) -> Iterator[list[str]]:
             continue
         clause = program.items[idx]
         lines += [token.text.rstrip() for token in unit.preceding]
-        formatter = _ClauseFormatter(_Renderer(table), cfg,
-                                     interior.get(idx, []))
-        out = formatter.format_clause(clause)
-        _attach_trailing(out, trailing.get(idx, []), cfg)
-        lines += out.lines
+        groups = _ClauseFormatter(_Renderer(table), cfg).format_clause(clause)
+        lines += _place_comments(groups, interior.get(idx, []),
+                                 trailing.get(idx, []), cfg)
         if clause.kind == ClauseKind.DIRECTIVE:
             apply_directive_to_table(clause.body, table)
         yield lines
@@ -561,42 +591,6 @@ def format_program(program: Program, cfg: Config | None = None) -> str:
     for lines in _formatted_units(program, cfg or Config()):
         output += lines
     return "\n".join(output) + "\n" if output else ""
-
-
-def _attach_trailing(out: _Out, comments: list[Token], cfg: Config) -> None:
-    # Whether each line can take a comment: one after a ``%`` comment would
-    # become part of it.
-    open_lines = [True] * len(out.lines)
-    for token in comments:
-        line_no = token.span.start_line
-        text = token.text.rstrip()
-        target = None
-        if SUPPRESSION_COMMENT.search(text):
-            # Suppression comments only act on the clause's first line.
-            target = 0
-        else:
-            for idx in range(len(out.lines) - 1, -1, -1):
-                span = out.spans[idx]
-                if span is not None and span[0] <= line_no <= span[1]:
-                    target = idx
-                    break
-        if target is None:
-            target = len(out.lines) - 1
-        candidate = out.lines[target] + " " + text
-        if open_lines[target] and len(candidate) <= cfg.max_line_length \
-                and len(text) <= cfg.eol_comment_max:
-            out.lines[target] = candidate
-            open_lines[target] = not text.startswith("%")
-        else:
-            first = target
-            span = out.spans[target]
-            while first > 0 and span is not None \
-                    and out.spans[first - 1] is span:
-                first -= 1
-            column = _comment_column(out.lines[first])
-            out.lines.insert(first, " " * column + text)
-            out.spans.insert(first, None)
-            open_lines.insert(first, False)
 
 
 def check_format(src: SourceFile, program: Program,

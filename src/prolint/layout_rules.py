@@ -36,6 +36,7 @@ _OPENERS = {TokenKind.OPEN_PAREN, TokenKind.OPEN_BRACKET,
 _CLOSERS = {TokenKind.CLOSE_PAREN, TokenKind.CLOSE_BRACKET,
             TokenKind.CLOSE_BRACE}
 _COMMA = TokenKind.COMMA
+_NON_SPACE = re.compile(r"\S")
 
 
 class _Lines:
@@ -208,8 +209,8 @@ def _l06_clause_start(facts: Facts) -> Iterator[Diagnostic]:
 
 def _comma_is_at_eol(ctx: _Lines, comma: Token) -> bool:
     span = comma.span
-    stripped = ctx.texts[span.end_line - 1][span.end_col - 1:].strip()
-    return stripped == "" or stripped.startswith("%")
+    after = _NON_SPACE.search(ctx.texts[span.end_line - 1], span.end_col - 1)
+    return after is None or after.group() == "%"
 
 
 def _followed_by_single_space(ctx: _Lines, comma: Token) -> bool:

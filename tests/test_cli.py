@@ -104,6 +104,15 @@ def test_severity_override_flag(tmp_path, capsys):
     assert "hint [L01]" in capsys.readouterr().out
 
 
+def test_severity_override_does_not_outlive_its_call(tmp_path, capsys):
+    # The parser is built once per process, so its list default is shared.
+    path = write(tmp_path, "bad.pl", TABBED)
+    assert main(["check", "--severity", "L01=error", path]) == 1
+    assert cli.build_parser().parse_args(["check", path]).severity == []
+    main(["check", path])
+    assert "warning [L01]" in capsys.readouterr().out
+
+
 def test_config_file_discovered_by_flag(tmp_path, capsys):
     config = write(tmp_path, "lint.cfg", "rule.L01.enabled = false\n")
     path = write(tmp_path, "bad.pl", TABBED)

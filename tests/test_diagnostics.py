@@ -167,17 +167,6 @@ def test_syntax_diagnostics_not_suppressible():
     assert "E02" in rule_ids(diags)
 
 
-def test_rule_crash_becomes_internal_diagnostic(monkeypatch):
-    from prolint import layout_rules
-
-    def boom(*args, **kwargs):
-        raise RuntimeError("boom")
-
-    monkeypatch.setattr(layout_rules, "check_layout", boom)
-    diags = lint_text("a.\n")
-    assert "E99" in rule_ids(diags)
-
-
 def _boom(facts):
     raise RuntimeError("boom")
 

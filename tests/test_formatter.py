@@ -310,6 +310,9 @@ ROUND_TRIP_CASES = {
         "p :-\n    (   a\n    ;   b\n        % c\n    ).\n",
         "p :-\n    (   a\n    ;   b\n    ).\n% c\n"),
     "comment_inside_fact": ("foo(\n% c\na).\n", "foo(a).\n% c\n"),
+    "line_comment_before_end_then_trailing_comment": (
+        "p :-\n    a\n    % interior\n    . % trailing\n",
+        "p :-\n    a. % trailing\n% interior\n"),
     "xf_operand_of_xf": (
         ":- op(100, xf, ++).\nq((X ++) ++).\n",
         ":- op(100, xf, ++).\nq((X ++) ++).\n"),
@@ -334,6 +337,11 @@ ROUND_TRIP_CASES = {
         "p :-\n    (   true\n"
         "        % a trailing comment that is long enough to move\n"
         "    ;   findall(X, (a, b), L) ->\n        c\n    ;   d\n    ).\n"),
+    "long_comment_before_goal_starting_with_semicolon": (
+        "p :-\n    a,\n    ;(x). % a trailing comment that is long enough"
+        " to move\n",
+        "p :-\n    a,\n    % a trailing comment that is long enough to move"
+        "\n    ;(x).\n"),
     "second_trailing_comment_after_line_comment": (
         "p :- f(a, % c1\n    b, % c2\n    c).\n",
         "p :-\n    % c2\n    f(a, b, c). % c1\n"),
@@ -369,6 +377,16 @@ def test_suppression_comment_reattaches_to_head_line():
     out = fmt("p :- q, !.  % prolint: allow I01\n")
     assert out.splitlines()[0] == "p :- % prolint: allow I01"
     # still effective after the rewrite
+    src = source_from_text(out, "x.pl")
+    diags = run(src, program_from_source(src), Config())
+    assert not [d for d in diags if d.rule_id == "I01"]
+
+
+def test_suppression_comment_stays_on_head_line_after_a_moved_comment():
+    out = fmt("p :- /* a long block comment that will not fit on the line */"
+              " % prolint: allow I01\n    a,\n    !.\n")
+    assert out == ("/* a long block comment that will not fit on the line */\n"
+                   "p :- % prolint: allow I01\n    a,\n    !.\n")
     src = source_from_text(out, "x.pl")
     diags = run(src, program_from_source(src), Config())
     assert not [d for d in diags if d.rule_id == "I01"]

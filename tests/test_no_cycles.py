@@ -16,6 +16,7 @@ from prolint import (
     run,
     source_from_text,
 )
+from prolint.cli import main
 from prolint.formatter import check_format, format_program
 
 from gen import gen_file
@@ -85,3 +86,22 @@ def test_no_cycles_after_a_rule_raises(monkeypatch):
     src = source_from_text(texts[0])
     assert "E99" in {d.rule_id
                      for d in run(src, program_from_source(src), Config())}
+
+
+def test_no_cycles_from_cli_calls(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # no ./.prolint is read
+    path = tmp_path / "a.pl"
+    path.write_text(list(formatter_corpus().values())[0], encoding="utf-8")
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        main(["rules"])  # builds the parser the later calls share
+        gc.collect()
+        main(["rules"])
+        assert gc.collect() == 0
+        main(["check", str(path)])
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+    capsys.readouterr()

@@ -1,0 +1,124 @@
+"""Linear time on pathological input shapes, one layer at a time.
+
+Each shape is built at a size n and at 4n and one layer is timed on both,
+best of 3 with the cyclic collector off, as the CLI runs.  Linear time gives
+a ratio near 4 and quadratic time one near 16, so a ratio of 8 or more
+fails, unless the larger input takes under ``FLOOR`` seconds, where timer
+noise on a shared machine could make any ratio.
+"""
+
+from __future__ import annotations
+
+import gc
+import time
+
+import pytest
+
+from prolint import (
+    Config,
+    format_program,
+    program_from_source,
+    run,
+    source_from_text,
+)
+from prolint.diagnostics import REGISTRY
+
+RATIO = 8
+FLOOR = 0.05
+
+
+def _trailing_comments(n: int) -> str:
+    """One clause with a ``%`` comment after each of its goals."""
+    return "p :-\n" + "".join(f"    a{i}, % c\n" for i in range(n)) \
+        + "    z.\n"
+
+
+def _inline_block_comments(n: int) -> str:
+    """One head on one line with a block comment before each argument."""
+    return "p(" + ", ".join(f"/* c */ a{i}" for i in range(n)) + ").\n"
+
+
+def _own_line_comments(n: int) -> str:
+    return "p :-\n" + "".join(f"    % c{i}\n    a{i},\n" for i in range(n)) \
+        + "    z.\n"
+
+
+def _conjunction(n: int) -> str:
+    return "p :-\n" + "".join(f"    a{i},\n" for i in range(n)) + "    z.\n"
+
+
+#: Long elements make a line long for its number of tokens, so that a
+#: step per comma that reads the rest of the line shows at a size that is
+#: quick to read.
+_ELEMENT = "a" * 10
+
+
+def _arguments_on_one_line(n: int) -> str:
+    """Spaced argument commas: clean under the "simple" comma style."""
+    return "p(" + ", ".join([_ELEMENT] * n) + ").\n"
+
+
+def _list_on_one_line(n: int) -> str:
+    """Unspaced list commas: clean under the "structured" comma style."""
+    return "p([" + ",".join([_ELEMENT] * n) + "]).\n"
+
+
+def _format(text: str, cfg: Config):
+    program = program_from_source(source_from_text(text))
+    return lambda: format_program(program, cfg)
+
+
+def _layout_l07(text: str, cfg: Config):
+    src = source_from_text(text)
+    program = program_from_source(src)
+    return lambda: run(src, program, cfg)
+
+
+def _only_l07(comma_style: str) -> Config:
+    cfg = Config()
+    cfg.comma_style = comma_style
+    cfg.rule_enabled = {rule_id: rule_id == "L07" for rule_id in REGISTRY}
+    return cfg
+
+
+SHAPES = {
+    # name: (text builder, n, the layer under test as a function that reads
+    # the text and returns the call to time, config)
+    "trailing_comment_after_each_goal": (
+        _trailing_comments, 2_500, _format, Config()),
+    "block_comment_before_each_head_argument": (
+        _inline_block_comments, 2_500, _format, Config()),
+    "own_line_comment_before_each_goal": (
+        _own_line_comments, 2_500, _format, Config()),
+    "long_conjunction": (_conjunction, 2_500, _format, Config()),
+    "arguments_on_one_line": (
+        _arguments_on_one_line, 10_000, _layout_l07, _only_l07("simple")),
+    "list_on_one_line": (
+        _list_on_one_line, 10_000, _layout_l07, _only_l07("structured")),
+}
+
+
+def _best_of_3(small, large) -> tuple[float, float]:
+    """The best of 3 times of each action, run in turn so that a burst of
+    load on the machine slows both."""
+    best = [float("inf"), float("inf")]
+    for _ in range(3):
+        for index, action in enumerate((small, large)):
+            started = time.perf_counter()
+            action()
+            best[index] = min(best[index], time.perf_counter() - started)
+    return best[0], best[1]
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_shape_time_grows_linearly(name):
+    build, n, layer, cfg = SHAPES[name]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        small, large = _best_of_3(layer(build(n), cfg),
+                                  layer(build(4 * n), cfg))
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert large < FLOOR or large < RATIO * small, (name, small, large)

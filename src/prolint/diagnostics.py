@@ -470,15 +470,13 @@ def _suppressed_lines(program: "Program") -> dict[int, frozenset]:
 
 
 def run_family(family: str, facts: "Facts") -> list[Diagnostic]:
-    """Run the enabled rules whose ids start with ``family`` ("L", "N", "D"
-    or "I"), in registration order.  A rule that raises becomes one E99 naming
-    it and the exception type; the family's other rules still report."""
+    """Run the enabled rules of ``family`` ("L", "N", "D" or "I") from
+    ``facts.rules``.  A rule that raises becomes one E99 naming it and the
+    exception type; the family's other rules still report."""
     from .source_model import Span  # deferred, as in config_problem
 
     diags: list[Diagnostic] = []
-    for rule_id, check in RULES.items():
-        if not rule_id.startswith(family) or not facts.cfg.enabled(rule_id):
-            continue
+    for rule_id, check in facts.rules.get(family, ()):
         try:
             found = list(check(facts))
         except Exception as exc:  # one rule's failure must not hide others

@@ -3,6 +3,7 @@ variables, repeated magic numbers, reminder-tag inventory."""
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterator
 from itertools import chain
 
@@ -17,7 +18,7 @@ from .reader import (
     is_compound,
     strip_module_qualifier,
 )
-from .source_model import Span, TokenKind
+from .source_model import Span
 
 
 def check_idioms(facts: Facts) -> list[Diagnostic]:
@@ -121,25 +122,16 @@ def _i05_magic_numbers(facts: Facts) -> Iterator[Diagnostic]:
 
 # -- I06 --------------------------------------------------------------------
 
-_TAGS = ("%TBD:", "%FIX:")
+_TAG = re.compile(r"%(?:TBD:|FIX:|D(?=[ \t]|\Z))")
 
 
 @rule("I06")
 def _i06_reminder_tags(facts: Facts) -> Iterator[Diagnostic]:
-    for token in facts.program.tokens:
-        if token.kind != TokenKind.LINE_COMMENT:
-            continue
-        text = token.text
-        tag = None
-        for candidate in _TAGS:
-            if text.startswith(candidate):
-                tag = candidate
-                break
-        if tag is None and text.startswith("%D") \
-                and (len(text) == 2 or text[2] in " \t"):
-            tag = "%D"
-        if tag is not None:
-            rest = text[len(tag):].strip()
+    for token in facts.index.line_comments:
+        match = _TAG.match(token.text)
+        if match:
+            tag = match.group()
+            rest = token.text[len(tag):].strip()
             summary = f": {rest}" if rest else ""
             yield diag("I06", token.span,
                        f"reminder tag {tag} found{summary}",

@@ -23,66 +23,12 @@ from .reader import (
     is_compound,
     strip_module_qualifier,
 )
-from .source_model import (
-    COMMENT_KINDS,
-    NON_CODE_KINDS,
-    Span,
-    Token,
-    TokenKind,
-)
+from .source_model import CLOSER_KINDS, COMMENT_KINDS, Span, Token, TokenKind
 
-_OPENERS = {TokenKind.OPEN_PAREN, TokenKind.OPEN_BRACKET,
-            TokenKind.OPEN_BRACE}
-_CLOSERS = {TokenKind.CLOSE_PAREN, TokenKind.CLOSE_BRACKET,
-            TokenKind.CLOSE_BRACE}
-_COMMA = TokenKind.COMMA
+_ATOM, _END = TokenKind.ATOM, TokenKind.END
+_LINE_COMMENT, _BLOCK_COMMENT = TokenKind.LINE_COMMENT, TokenKind.BLOCK_COMMENT
 _NON_SPACE = re.compile(r"\S")
-
-
-class _Lines:
-    """Shared lexical context for the line-oriented rules."""
-
-    def __init__(self, facts: Facts) -> None:
-        self.src = src = facts.src
-        self.tokens = tokens = facts.program.tokens
-        self.code_tokens = facts.program.code_tokens
-        self.texts = src.line_texts
-        self.offsets = src.line_starts
-        self.first_by_line: dict[int, Token] = {}
-        for tok in tokens:
-            self.first_by_line.setdefault(tok.span.start_line, tok)
-        self.last_code_by_line: dict[int, Token] = {}
-        for tok in self.code_tokens:
-            self.last_code_by_line[tok.span.start_line] = tok
-        # Bracket depth at the start of each line and the previous code
-        # token, recorded at each line's first token.
-        self.depth_at_line: dict[int, int] = {}
-        self.prev_code_at_line: dict[int, Token | None] = {}
-        depth = 0
-        prev: Token | None = None
-        for tok in self.code_tokens:
-            line = tok.span.start_line
-            if line not in self.depth_at_line:
-                self.depth_at_line[line] = depth
-                self.prev_code_at_line[line] = prev
-            if tok.kind in _OPENERS:
-                depth += 1
-            elif tok.kind in _CLOSERS:
-                depth = max(0, depth - 1)
-            prev = tok
-        # Byte ranges whose contents are data or prose, not layout; sorted
-        # and non-overlapping, as the tokens are.
-        non_code = [t for t in tokens if t.kind in NON_CODE_KINDS]
-        self.non_code_starts = [t.span.byte_start for t in non_code]
-        self.non_code_ends = [t.span.byte_end for t in non_code]
-
-    def inside_non_code(self, byte: int) -> bool:
-        idx = bisect_right(self.non_code_starts, byte) - 1
-        return idx >= 0 and byte < self.non_code_ends[idx]
-
-    def span_at(self, line: int, col: int, width: int = 1) -> Span:
-        byte = self.offsets[line - 1] + col - 1
-        return Span(line, col, line, col + width, byte, byte + width)
+_TAB = re.compile("\t")
 
 
 def _indent_width(text: str) -> int:
@@ -98,15 +44,16 @@ def check_layout(facts: Facts) -> list[Diagnostic]:
 
 @rule("L01")
 def _l01_tabs(facts: Facts) -> Iterator[Diagnostic]:
-    ctx = facts.context(_Lines)
-    for line_no, text in enumerate(ctx.texts, start=1):
+    index = facts.index
+    for line_no, text in enumerate(facts.src.line_texts, start=1):
         if "\t" not in text:
             continue
-        for match in re.finditer("\t", text):
-            byte = ctx.offsets[line_no - 1] + match.start()
-            if ctx.inside_non_code(byte):
-                continue
-            yield diag("L01", ctx.span_at(line_no, match.start() + 1),
+        for match in _TAB.finditer(text):
+            byte = index.offsets[line_no - 1] + match.start()
+            idx = bisect_right(index.non_code_starts, byte) - 1
+            if idx >= 0 and byte < index.non_code_ends[idx]:
+                continue  # inside a quoted item or a comment
+            yield diag("L01", index.span_at(line_no, match.start() + 1),
                        "tab character used for indentation")
             break
 
@@ -115,26 +62,27 @@ def _l01_tabs(facts: Facts) -> Iterator[Diagnostic]:
 
 @rule("L02")
 def _l02_indentation(facts: Facts) -> Iterator[Diagnostic]:
-    ctx = facts.context(_Lines)
+    index = facts.index
+    texts = facts.src.line_texts
     unit = facts.cfg.indent_size
-    for line_no, first in sorted(ctx.first_by_line.items()):
+    for line_no, first in sorted(index.first_by_line.items()):
         if first.kind in COMMENT_KINDS:
             continue
         if first.span.start_line != line_no:
             continue  # continuation of a multi-line token
-        prev = ctx.prev_code_at_line.get(line_no)
-        if prev is None or prev.kind == TokenKind.END:
+        prev = index.prev_code_at_line.get(line_no)
+        if prev is None or prev.kind is _END:
             continue  # a clause-start line; L06 owns it
-        if first.kind in _CLOSERS:
+        if first.kind in CLOSER_KINDS:
             continue  # closing brackets may align with their opener
-        indent = _indent_width(ctx.texts[line_no - 1])
-        depth = ctx.depth_at_line.get(line_no, 0)
+        indent = _indent_width(texts[line_no - 1])
+        depth = index.depth_at_line.get(line_no, 0)
         if indent < unit:
-            yield diag("L02", ctx.span_at(line_no, 1, max(indent, 1)),
+            yield diag("L02", index.span_at(line_no, 1, max(indent, 1)),
                        f"body line indented {indent} columns; expected at "
                        f"least one level of {unit}")
         elif depth == 0 and indent % unit != 0:
-            yield diag("L02", ctx.span_at(line_no, 1, indent),
+            yield diag("L02", index.span_at(line_no, 1, indent),
                        f"indentation of {indent} columns is not a multiple "
                        f"of {unit}")
 
@@ -143,12 +91,12 @@ def _l02_indentation(facts: Facts) -> Iterator[Diagnostic]:
 
 @rule("L03")
 def _l03_line_length(facts: Facts) -> Iterator[Diagnostic]:
-    ctx = facts.context(_Lines)
+    index = facts.index
     limit = facts.cfg.max_line_length
-    for line_no, text in enumerate(ctx.texts, start=1):
+    for line_no, text in enumerate(facts.src.line_texts, start=1):
         if len(text) > limit:
             yield diag("L03",
-                       ctx.span_at(line_no, limit + 1, len(text) - limit),
+                       index.span_at(line_no, limit + 1, len(text) - limit),
                        f"line is {len(text)} characters long "
                        f"(limit is {limit})")
 
@@ -207,18 +155,15 @@ def _l06_clause_start(facts: Facts) -> Iterator[Diagnostic]:
 
 # -- L07 --------------------------------------------------------------------
 
-def _comma_is_at_eol(ctx: _Lines, comma: Token) -> bool:
+def _comma_is_at_eol(texts: list[str], comma: Token) -> bool:
     span = comma.span
-    after = _NON_SPACE.search(ctx.texts[span.end_line - 1], span.end_col - 1)
+    after = _NON_SPACE.search(texts[span.end_line - 1], span.end_col - 1)
     return after is None or after.group() == "%"
 
 
-def _followed_by_single_space(ctx: _Lines, comma: Token) -> bool:
-    content = ctx.src.content
-    byte = comma.span.byte_end
-    if byte >= len(content) or content[byte] != " ":
-        return False
-    return byte + 1 >= len(content) or content[byte + 1] not in " \t"
+def _followed_by_single_space(content: str, comma: Token) -> bool:
+    after = content[comma.span.byte_end:comma.span.byte_end + 2]
+    return after[:1] == " " and after[1:] not in (" ", "\t")
 
 
 def _goal_level_compounds(facts: Facts) -> list[Compound]:
@@ -238,27 +183,27 @@ def _goal_level_compounds(facts: Facts) -> list[Compound]:
 
 
 def _is_goal_level(units: list[Compound], starts: list[int],
-                   byte: int) -> bool:
+                   arg_starts: list[list[int]], byte: int) -> bool:
     """True when ``byte`` lies inside a goal unit but in none of its
-    arguments; ``starts`` are the units' start offsets."""
+    arguments; ``starts`` are the units' start offsets and ``arg_starts``
+    those of each unit's arguments."""
     # Units and arguments never overlap, so only the last one starting
     # before ``byte`` can hold it.
     idx = bisect_left(starts, byte) - 1
     if idx < 0 or byte >= units[idx].span.byte_end:
         return False
-    args = units[idx].args
-    arg = bisect_right(args, byte, key=lambda a: a.span.byte_start) - 1
-    return arg < 0 or byte >= args[arg].span.byte_end
+    arg = bisect_right(arg_starts[idx], byte) - 1
+    return arg < 0 or byte >= units[idx].args[arg].span.byte_end
 
 
 @rule("L07")
 def _l07_commas(facts: Facts) -> Iterator[Diagnostic]:
-    ctx = facts.context(_Lines)
-    commas = [t for t in ctx.code_tokens if t.kind is _COMMA]
+    commas = facts.index.commas
+    texts, content = facts.src.line_texts, facts.src.content
     if facts.cfg.comma_style == "simple":
         for comma in commas:
-            if _comma_is_at_eol(ctx, comma) \
-                    or _followed_by_single_space(ctx, comma):
+            if _comma_is_at_eol(texts, comma) \
+                    or _followed_by_single_space(content, comma):
                 continue
             yield diag("L07", comma.span,
                        "comma should be followed by exactly one space or a "
@@ -269,16 +214,16 @@ def _l07_commas(facts: Facts) -> Iterator[Diagnostic]:
     # data-structure commas do not.
     units = _goal_level_compounds(facts)
     starts = [unit.span.byte_start for unit in units]
+    arg_starts = [[arg.span.byte_start for arg in unit.args]
+                  for unit in units]
     roles = facts.program.comma_roles
-    content = ctx.src.content
     for comma in commas:
         byte = comma.span.byte_start
         role = roles.get(byte)
         spaced = role == "and_then" or (
-            role != "list" and _is_goal_level(units, starts, byte))
-        at_eol = _comma_is_at_eol(ctx, comma)
-        has_space = comma.span.byte_end < len(content) \
-            and content[comma.span.byte_end] == " "
+            role != "list" and _is_goal_level(units, starts, arg_starts, byte))
+        at_eol = _comma_is_at_eol(texts, comma)
+        has_space = content.startswith(" ", comma.span.byte_end)
         if spaced:
             if not at_eol and not has_space:
                 yield diag("L07", comma.span,
@@ -307,10 +252,10 @@ def _cluster_layout_problem(term: Compound) -> str | None:
 
 @rule("L08")
 def _l08_disjunctions(facts: Facts) -> Iterator[Diagnostic]:
-    ctx = facts.context(_Lines)
-    for line_no, last in ctx.last_code_by_line.items():
-        if last.kind == TokenKind.ATOM and last.text == ";":
-            first = ctx.first_by_line.get(line_no)
+    index = facts.index
+    for line_no, last in index.last_code_by_line.items():
+        if last.kind is _ATOM and last.text == ";":
+            first = index.first_by_line.get(line_no)
             if first is not last:
                 yield diag("L08", last.span,
                            "a semicolon at the end of a line can go "
@@ -372,13 +317,10 @@ def _l09_repeat_indent(facts: Facts) -> Iterator[Diagnostic]:
 
 @rule("L10")
 def _l10_eol_comments(facts: Facts) -> Iterator[Diagnostic]:
-    ctx = facts.context(_Lines)
+    first_by_line = facts.index.first_by_line
     limit = facts.cfg.eol_comment_max
-    for tok in ctx.tokens:
-        if tok.kind != TokenKind.LINE_COMMENT:
-            continue
-        first = ctx.first_by_line.get(tok.span.start_line)
-        if first is tok:
+    for tok in facts.index.line_comments:
+        if first_by_line.get(tok.span.start_line) is tok:
             continue
         length = len(tok.text.rstrip())
         if length > limit:
@@ -392,17 +334,17 @@ def _l10_eol_comments(facts: Facts) -> Iterator[Diagnostic]:
 
 @rule("L11")
 def _l11_header(facts: Facts) -> Iterator[Diagnostic]:
-    ctx = facts.context(_Lines)
     program = facts.program
     if not program.items:
         return
-    leading = list(takewhile(lambda t: t.kind in COMMENT_KINDS, ctx.tokens))
-    qualifies = any(t.kind == TokenKind.BLOCK_COMMENT for t in leading)
+    leading = list(takewhile(lambda t: t.kind in COMMENT_KINDS,
+                             program.tokens))
+    qualifies = any(t.kind is _BLOCK_COMMENT for t in leading)
     if not qualifies:
         run = 0
         prev_line = None
         for tok in leading:
-            if tok.kind != TokenKind.LINE_COMMENT:
+            if tok.kind is not _LINE_COMMENT:
                 continue
             if prev_line is not None and tok.span.start_line == prev_line + 1:
                 run += 1
@@ -417,15 +359,14 @@ def _l11_header(facts: Facts) -> Iterator[Diagnostic]:
                    "file should begin with a header comment (a block "
                    "comment or at least three comment lines)")
 
-    block_starts = [t.span.byte_start for t in ctx.tokens
-                    if t.kind == TokenKind.BLOCK_COMMENT]
+    block_starts = facts.index.block_starts
     for idx, clause in enumerate(program.items):
         if clause.kind != ClauseKind.DIRECTIVE:
             continue
         body = strip_module_qualifier(clause.body)
         if not is_compound(body, "module", 2):
             continue
-        limit = len(ctx.src.content)
+        limit = len(facts.src.content)
         for later in program.items[idx + 1:]:
             if later.kind != ClauseKind.DIRECTIVE:
                 limit = later.span.byte_start

@@ -9,11 +9,13 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic, diag, rule, run_family
 from .reader import Facts, Variable, is_compound
-from .source_model import MAX_INTEGER_DIGITS, Span, Token, TokenKind
+from .source_model import MAX_INTEGER_DIGITS, Span
 
 
 @dataclass
@@ -31,9 +33,12 @@ class IdentifierWords:
     trailing_digits: str | None = None
 
 
+_TRAILING_DIGITS = re.compile(r"^(.*?[^\d])(\d+)$")
+
+
 def split_identifier(name: str) -> IdentifierWords:
     base, digits = name, None
-    match = re.search(r"^(.*?[^\d])(\d+)$", name)
+    match = _TRAILING_DIGITS.search(name)
     if match:
         base, digits = match.group(1), match.group(2)
     segments: list[str] = []
@@ -72,7 +77,7 @@ _ALNUM_ATOM = re.compile(r"[a-z][A-Za-z0-9_]*$")
 _LEET = re.compile(r"[A-Za-z][0-9]+[A-Za-z]")
 _STATE_SUFFIX = re.compile(r"^(.*[^\d])(\d+)$")
 _IN_OUT = re.compile(r"^(.+)_(in|out)$")
-_ATOM, _VARIABLE = TokenKind.ATOM, TokenKind.VARIABLE
+_EXEMPT_SUFFIX = re.compile(r"(in|out|tmp)\d*")
 
 
 def _snake_suggestion(words: IdentifierWords) -> str:
@@ -91,36 +96,52 @@ def check_naming(facts: Facts) -> list[Diagnostic]:
     return run_family("N", facts)
 
 
+class _Verdicts(NamedTuple):
+    """What N01-N04 conclude from a name alone, whatever the config: its
+    words, N02's fix for its lowercase words, N03's segments of four or more
+    characters with letters but no vowel, and N04's number word after its
+    last underscore."""
+
+    words: IdentifierWords
+    lowercase_fix: str | None
+    unpronounceable: tuple[str, ...]
+    number_suffix: str | None
+
+
+@lru_cache(maxsize=2048)
+def _verdicts(name: str) -> _Verdicts:
+    """The verdicts of ``name``, remembered for the 2,048 names used last
+    and shared by every file, so callers must not change them."""
+    words = split_identifier(name)
+    unpronounceable = tuple(
+        segment for segment in words.segments
+        if len(segment) >= 4 and any(c.isalpha() for c in segment)
+        and not any(c.lower() in _VOWELS for c in segment if c.isalpha()))
+    suffix = _NUMBER_SUFFIX.search(name.lower())
+    return _Verdicts(words, _lowercase_fix(name), unpronounceable,
+                     suffix.group(1) if suffix else None)
+
+
 class _Names:
     """The first occurrence of each plain atom and each named variable, and
-    the words of each name, split once per file."""
+    the verdicts of each name, looked up once per file."""
 
     def __init__(self, facts: Facts) -> None:
-        tokens = facts.program.tokens
-        self.atoms = _first_occurrences(
-            t for t in tokens
-            if t.kind is _ATOM and _ALNUM_ATOM.match(t.text))
-        self.variables = _first_occurrences(
-            t for t in tokens
-            if t.kind is _VARIABLE and not t.text.startswith("_"))
-        self.words: dict[str, IdentifierWords] = {
-            tok.text: split_identifier(tok.text)
+        index = facts.index
+        self.atoms = [tok for name, tok in index.atoms.items()
+                      if _ALNUM_ATOM.match(name)]
+        self.variables = [tok for name, tok in index.variables.items()
+                          if not name.startswith("_")]
+        self.verdicts: dict[str, _Verdicts] = {
+            tok.text: _verdicts(tok.text)
             for tok in self.atoms + self.variables}
 
     def split(self, name: str) -> IdentifierWords:
         """The words of ``name``, which need not be a collected name."""
-        words = self.words.get(name)
-        if words is None:
-            words = self.words[name] = split_identifier(name)
-        return words
-
-
-def _first_occurrences(tokens) -> list[Token]:
-    seen: dict[str, Token] = {}
-    for tok in tokens:
-        if tok.text not in seen:
-            seen[tok.text] = tok
-    return list(seen.values())
+        verdicts = self.verdicts.get(name)
+        if verdicts is None:
+            verdicts = self.verdicts[name] = _verdicts(name)
+        return verdicts.words
 
 
 # -- N01 --------------------------------------------------------------------
@@ -129,14 +150,14 @@ def _first_occurrences(tokens) -> list[Token]:
 def _n01_intercaps(facts: Facts) -> Iterator[Diagnostic]:
     names = facts.context(_Names)
     for tok in names.atoms:
-        words = names.words[tok.text]
+        words = names.verdicts[tok.text].words
         if _has_intercaps(words):
             suggestion = _snake_suggestion(words)
             yield diag("N01", tok.span,
                        f"atom '{tok.text}' uses internal capitalization; "
                        f"write '{suggestion}'", suggestion=suggestion)
     for tok in names.variables:
-        words = names.words[tok.text]
+        words = names.verdicts[tok.text].words
         if _has_intercaps(words):
             suggestion = _variable_suggestion(words)
             yield diag("N01", tok.span,
@@ -147,28 +168,25 @@ def _n01_intercaps(facts: Facts) -> Iterator[Diagnostic]:
 
 # -- N02 --------------------------------------------------------------------
 
-def _exempt_suffix(segment: str) -> bool:
-    return re.fullmatch(r"(in|out|tmp)\d*", segment) is not None
+def _lowercase_fix(name: str) -> str | None:
+    """``name`` with each lowercase word capitalized, or None if it has
+    none; a last word such as ``in`` or ``tmp2`` is exempt."""
+    parts = name.split("_")
+    words = [(part, not part or part[0].isdigit() or (
+        idx == len(parts) - 1 and _EXEMPT_SUFFIX.fullmatch(part)))
+        for idx, part in enumerate(parts)]
+    if not any(part[0].islower() for part, exempt in words if not exempt):
+        return None
+    return "_".join(part if exempt else part[0].upper() + part[1:]
+                    for part, exempt in words)
 
 
 @rule("N02")
 def _n02_word_caps(facts: Facts) -> Iterator[Diagnostic]:
-    for tok in facts.context(_Names).variables:
-        parts = tok.text.split("_")
-        bad = False
-        for idx, part in enumerate(parts):
-            if not part or part[0].isdigit():
-                continue
-            if idx == len(parts) - 1 and _exempt_suffix(part):
-                continue
-            if part[0].islower():
-                bad = True
-        if bad:
-            suggestion = "_".join(
-                part if (not part or part[0].isdigit()
-                         or (idx == len(parts) - 1 and _exempt_suffix(part)))
-                else part[0].upper() + part[1:]
-                for idx, part in enumerate(parts))
+    names = facts.context(_Names)
+    for tok in names.variables:
+        suggestion = names.verdicts[tok.text].lowercase_fix
+        if suggestion is not None:
             yield diag("N02", tok.span,
                        f"variable '{tok.text}' has lowercase words; prefer "
                        f"'{suggestion}'", suggestion=suggestion)
@@ -179,14 +197,10 @@ def _n02_word_caps(facts: Facts) -> Iterator[Diagnostic]:
 @rule("N03")
 def _n03_pronounceable(facts: Facts) -> Iterator[Diagnostic]:
     names = facts.context(_Names)
+    allowlist = facts.cfg.pronounceable_allowlist
     for tok in names.atoms + names.variables:
-        for segment in names.words[tok.text].segments:
-            letters = [c for c in segment if c.isalpha()]
-            if len(segment) < 4 or not letters:
-                continue
-            if segment.lower() in facts.cfg.pronounceable_allowlist:
-                continue
-            if not any(c.lower() in _VOWELS for c in letters):
+        for segment in names.verdicts[tok.text].unpronounceable:
+            if segment.lower() not in allowlist:
                 yield diag("N03", tok.span,
                            f"name '{tok.text}' contains the unpronounceable "
                            f"segment '{segment}'")
@@ -209,11 +223,9 @@ def _n04_number_words(facts: Facts) -> Iterator[Diagnostic]:
         name = tok.text
         if name in flagged:
             continue
-        hit: str | None = None
+        hit = names.verdicts[name].number_suffix
         suggestion: str | None = None
-        suffix = _NUMBER_SUFFIX.search(name.lower())
-        if suffix:
-            hit = suffix.group(1)
+        if hit:
             suggestion = name[:len(name) - len(hit)] + str(_NUMBER_VALUE[hit])
         elif name in defined:
             segs = segments_of(name)

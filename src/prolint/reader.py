@@ -16,10 +16,13 @@ from functools import cached_property
 from itertools import chain
 from typing import TYPE_CHECKING, Callable, TypeVar
 
-from .diagnostics import Diagnostic, Severity
+from .diagnostics import RULES, Diagnostic, Severity
 from .source_model import (
+    CLOSER_KINDS,
     COMMENT_KINDS,
     ESCAPES,
+    NON_CODE_KINDS,
+    OPENER_KINDS,
     SourceFile,
     Span,
     Token,
@@ -400,8 +403,6 @@ class Program:
     exports: list[tuple[str, int]] | None = None
     module_name: str | None = None
     tokens: list[Token] = field(default_factory=list)
-    #: ``tokens`` without the comments, as the parser reads them.
-    code_tokens: list[Token] = field(default_factory=list)
     syntax_diagnostics: list[Diagnostic] = field(default_factory=list)
     comma_roles: dict[int, str] = field(default_factory=dict)
 
@@ -453,6 +454,8 @@ _COMMA = TokenKind.COMMA
 _BAR = TokenKind.BAR
 _END = TokenKind.END
 _ERROR = TokenKind.ERROR
+_LINE_COMMENT = TokenKind.LINE_COMMENT
+_BLOCK_COMMENT = TokenKind.BLOCK_COMMENT
 
 _OPERAND_KINDS = frozenset({
     _VARIABLE, _INTEGER, _FLOAT, _STRING, _OPEN_PAREN, _OPEN_BRACKET,
@@ -877,8 +880,7 @@ def read_program(tokens: list[Token]) -> tuple[Program, list[Diagnostic]]:
     to the next clause terminator."""
     program = Program(tokens=tokens)
     diagnostics: list[Diagnostic] = []
-    code = program.code_tokens = [t for t in tokens
-                                  if t.kind not in COMMENT_KINDS]
+    code = [t for t in tokens if t.kind not in COMMENT_KINDS]
     ops, comma_roles = program.operator_table, program.comma_roles
     pos, end = 0, len(code)
     while pos < end:
@@ -1004,13 +1006,71 @@ def group_predicates(program: Program) -> list[PredicateDef]:
     return defs
 
 
+class TokenIndex:
+    """What the rules read off a file's tokens, in one pass: each line's
+    first token and last code (non-comment) token, and at its first code
+    token the bracket depth and the code token before; the sorted byte
+    ranges of quoted items and comments, which hold data or prose, not
+    layout; the commas, line comments and block-comment offsets; and the
+    first token of each atom and variable name."""
+
+    def __init__(self, src: SourceFile, tokens: list[Token]) -> None:
+        self.offsets = src.line_starts
+        first = self.first_by_line = {}
+        last = self.last_code_by_line = {}
+        depths = self.depth_at_line = {}
+        prevs = self.prev_code_at_line = {}
+        starts = self.non_code_starts = []
+        ends = self.non_code_ends = []
+        commas = self.commas = []
+        line_comments = self.line_comments = []
+        block_starts = self.block_starts = []
+        atoms = self.atoms = {}
+        variables = self.variables = {}
+        depth = line = code_line = 0
+        prev = None
+        for tok in tokens:
+            kind, span = tok.kind, tok.span
+            if span.start_line != line:
+                line = span.start_line
+                first[line] = tok
+            if kind in NON_CODE_KINDS:
+                starts.append(span.byte_start)
+                ends.append(span.byte_end)
+                if kind is _LINE_COMMENT:
+                    line_comments.append(tok)
+                    continue
+                if kind is _BLOCK_COMMENT:
+                    block_starts.append(span.byte_start)
+                    continue
+            if line != code_line:
+                code_line = line
+                depths[line], prevs[line] = depth, prev
+            last[line] = prev = tok
+            if kind is _ATOM:
+                atoms.setdefault(tok.text, tok)
+            elif kind is _VARIABLE:
+                variables.setdefault(tok.text, tok)
+            elif kind is _COMMA:
+                commas.append(tok)
+            elif kind in OPENER_KINDS:
+                depth += 1
+            elif kind in CLOSER_KINDS:
+                depth = max(0, depth - 1)
+
+    def span_at(self, line: int, col: int, width: int = 1) -> Span:
+        byte = self.offsets[line - 1] + col - 1
+        return Span(line, col, line, col + width, byte, byte + width)
+
+
 _Context = TypeVar("_Context")
 
 
 class Facts:
     """What the rules know about one file.  Each fact is computed on first
     use and shared by every rule that reads it; per-clause facts are lists
-    aligned with ``program.items``."""
+    aligned with ``program.items``.  ``rules`` maps each family's letter to
+    its enabled ``(rule id, check)`` pairs, in registration order."""
 
     def __init__(self, src: SourceFile, program: Program,
                  cfg: "Config") -> None:
@@ -1018,6 +1078,10 @@ class Facts:
         self.program = program
         self.cfg = cfg
         self._contexts: dict[Callable, object] = {}
+        self.rules: dict[str, list[tuple[str, Callable]]] = {}
+        for rule_id, check in RULES.items():
+            if cfg.enabled(rule_id):
+                self.rules.setdefault(rule_id[0], []).append((rule_id, check))
 
     @cached_property
     def predicates(self) -> list[PredicateDef]:
@@ -1052,6 +1116,10 @@ class Facts:
                     occurrences.setdefault(term.name, []).append(term)
             out.append(occurrences)
         return out
+
+    @cached_property
+    def index(self) -> TokenIndex:
+        return TokenIndex(self.src, self.program.tokens)
 
     def context(self, build: Callable[["Facts"], _Context]) -> _Context:
         """A rule family's own shared context, ``build(self)``, built on

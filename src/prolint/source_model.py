@@ -71,6 +71,10 @@ NON_CODE_KINDS = frozenset(
 )
 
 COMMENT_KINDS = frozenset({TokenKind.LINE_COMMENT, TokenKind.BLOCK_COMMENT})
+OPENER_KINDS = frozenset({TokenKind.OPEN_PAREN, TokenKind.OPEN_BRACKET,
+                          TokenKind.OPEN_BRACE})
+CLOSER_KINDS = frozenset({TokenKind.CLOSE_PAREN, TokenKind.CLOSE_BRACKET,
+                          TokenKind.CLOSE_BRACE})
 
 
 @dataclass(slots=True)

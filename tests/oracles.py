@@ -14,7 +14,9 @@ reference JSON renderer builds the document as dicts and lists and hands it
 to ``json.dumps``, where ``render_json`` writes the text itself.  The
 reference format check formats the whole program and compares the text
 character by character, where ``check_format`` renders one unit at a time
-and stops at the first unit that differs from the source.
+and stops at the first unit that differs from the source.  The reference
+token index makes one pass over the tokens for each of its fields, where
+``reader.TokenIndex`` collects them all in one.
 """
 
 from __future__ import annotations
@@ -36,7 +38,14 @@ from prolint.reader import (
     Term,
     Variable,
 )
-from prolint.source_model import SourceFile, Span, Token, TokenKind
+from prolint.source_model import (
+    COMMENT_KINDS,
+    NON_CODE_KINDS,
+    SourceFile,
+    Span,
+    Token,
+    TokenKind,
+)
 
 
 def term_to_tuple(term: Term):
@@ -158,6 +167,65 @@ def singleton_names_from_tokens(tokens: list[Token],
         counts[token.text] = counts.get(token.text, 0) + 1
     return {name for name, count in counts.items()
             if count == 1 and not name.startswith("_")}
+
+
+def token_index_reference(src: SourceFile, tokens: list[Token]) -> dict:
+    """The fields of ``reader.TokenIndex``, each from its own pass over the
+    tokens, as the rules built them one filter at a time."""
+    code_tokens = [t for t in tokens if t.kind not in COMMENT_KINDS]
+    first_by_line: dict[int, Token] = {}
+    for tok in tokens:
+        first_by_line.setdefault(tok.span.start_line, tok)
+    last_code_by_line: dict[int, Token] = {}
+    for tok in code_tokens:
+        last_code_by_line[tok.span.start_line] = tok
+    depth_at_line: dict[int, int] = {}
+    prev_code_at_line: dict[int, Token | None] = {}
+    depth = 0
+    prev: Token | None = None
+    for tok in code_tokens:
+        line = tok.span.start_line
+        if line not in depth_at_line:
+            depth_at_line[line] = depth
+            prev_code_at_line[line] = prev
+        if tok.kind in _BRACKET_OPENERS:
+            depth += 1
+        elif tok.kind in _BRACKET_CLOSERS:
+            depth = max(0, depth - 1)
+        prev = tok
+    non_code = [t for t in tokens if t.kind in NON_CODE_KINDS]
+    return {
+        "offsets": src.line_starts,
+        "first_by_line": first_by_line,
+        "last_code_by_line": last_code_by_line,
+        "depth_at_line": depth_at_line,
+        "prev_code_at_line": prev_code_at_line,
+        "non_code_starts": [t.span.byte_start for t in non_code],
+        "non_code_ends": [t.span.byte_end for t in non_code],
+        "commas": [t for t in code_tokens if t.kind is TokenKind.COMMA],
+        "line_comments": [t for t in tokens
+                          if t.kind == TokenKind.LINE_COMMENT],
+        "block_starts": [t.span.byte_start for t in tokens
+                         if t.kind == TokenKind.BLOCK_COMMENT],
+        "atoms": _first_occurrences(
+            t for t in tokens if t.kind is TokenKind.ATOM),
+        "variables": _first_occurrences(
+            t for t in tokens if t.kind is TokenKind.VARIABLE),
+    }
+
+
+_BRACKET_OPENERS = {TokenKind.OPEN_PAREN, TokenKind.OPEN_BRACKET,
+                    TokenKind.OPEN_BRACE}
+_BRACKET_CLOSERS = {TokenKind.CLOSE_PAREN, TokenKind.CLOSE_BRACKET,
+                    TokenKind.CLOSE_BRACE}
+
+
+def _first_occurrences(tokens) -> dict[str, Token]:
+    seen: dict[str, Token] = {}
+    for tok in tokens:
+        if tok.text not in seen:
+            seen[tok.text] = tok
+    return seen
 
 
 def attach_comments_reference(tokens: list[Token], clause_spans: list):

@@ -12,6 +12,7 @@ from prolint import (
     source_from_text,
 )
 from prolint import naming_rules
+from prolint.diagnostics import render_json
 from prolint.naming_rules import split_identifier
 
 from conftest import lint_text, rule_ids
@@ -76,6 +77,28 @@ def test_each_name_is_split_once(monkeypatch):
     assert quoted == {"Odd Name"}
     assert len(calls) == len(set(calls))
     assert len(calls) <= len(names) + len(quoted)
+
+
+def test_name_memo_does_not_leak_between_configs():
+    # strng is an N03 segment that the second config allows, and h4x0r is a
+    # leet spelling that only the second config reports.
+    text = "p(Count_two) :- strng(X), h4x0r(X), walkTree(X).\n"
+    lenient = Config()
+    lenient.pronounceable_allowlist = \
+        lenient.pronounceable_allowlist | {"strng"}
+    lenient.leet_enabled = True
+    configs = [Config(), lenient, Config()]
+    naming_rules._verdicts.cache_clear()
+    memoized = [render_json(lint_text(text, cfg)) for cfg in configs]
+    fresh = []
+    for cfg in configs:
+        naming_rules._verdicts.cache_clear()
+        fresh.append(render_json(lint_text(text, cfg)))
+    assert memoized == fresh
+    segment = "unpronounceable segment 'strng'"
+    assert segment in fresh[0] and segment not in fresh[1]
+    leet = "digits embedded between letters in 'h4x0r'"
+    assert leet in fresh[1] and leet not in fresh[0]
 
 
 # -- N01 ----------------------------------------------------------------------

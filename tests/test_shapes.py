@@ -17,6 +17,7 @@ import pytest
 from prolint import (
     Config,
     format_program,
+    naming_rules,
     program_from_source,
     run,
     source_from_text,
@@ -63,21 +64,27 @@ def _list_on_one_line(n: int) -> str:
     return "p([" + ",".join([_ELEMENT] * n) + "]).\n"
 
 
+def _intercaps_names(n: int) -> str:
+    """One clause calling ``n`` distinct intercaps atoms, each an N01."""
+    return "p :-\n" + "".join(f"    walkTree{i},\n" for i in range(n)) \
+        + "    z.\n"
+
+
 def _format(text: str, cfg: Config):
     program = program_from_source(source_from_text(text))
     return lambda: format_program(program, cfg)
 
 
-def _layout_l07(text: str, cfg: Config):
+def _rules(text: str, cfg: Config):
     src = source_from_text(text)
     program = program_from_source(src)
     return lambda: run(src, program, cfg)
 
 
-def _only_l07(comma_style: str) -> Config:
+def _only(*rule_ids: str, comma_style: str = "simple") -> Config:
     cfg = Config()
     cfg.comma_style = comma_style
-    cfg.rule_enabled = {rule_id: rule_id == "L07" for rule_id in REGISTRY}
+    cfg.rule_enabled = {rule_id: rule_id in rule_ids for rule_id in REGISTRY}
     return cfg
 
 
@@ -92,9 +99,16 @@ SHAPES = {
         _own_line_comments, 2_500, _format, Config()),
     "long_conjunction": (_conjunction, 2_500, _format, Config()),
     "arguments_on_one_line": (
-        _arguments_on_one_line, 10_000, _layout_l07, _only_l07("simple")),
+        _arguments_on_one_line, 10_000, _rules, _only("L07")),
     "list_on_one_line": (
-        _list_on_one_line, 10_000, _layout_l07, _only_l07("structured")),
+        _list_on_one_line, 10_000, _rules,
+        _only("L07", comma_style="structured")),
+    # More names than the name memo holds, so that it evicts.
+    "distinct_intercaps_names": (
+        _intercaps_names, naming_rules._verdicts.cache_info().maxsize + 500,
+        _rules, _only("N01", "N02", "N03", "N04")),
+    "trailing_comment_after_each_goal_rules": (
+        _trailing_comments, 5_000, _rules, _only("L10", "I06")),
 }
 
 

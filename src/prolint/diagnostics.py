@@ -5,6 +5,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Callable, Iterable
 
@@ -469,22 +470,46 @@ def _suppressed_lines(program: "Program") -> dict[int, frozenset]:
     return allowed
 
 
+@lru_cache(maxsize=64)
+def enabled_rules(settings: tuple, registered: tuple) -> dict:
+    """Each family's enabled ``(rule id, check)`` pairs in registration
+    order for ``Config.rule_enabled`` and ``RULES`` as items, built once per
+    setting and set of checks and shared, so callers must not change them."""
+    enabled = Config(rule_enabled=dict(settings)).enabled
+    rules: dict[str, list[tuple[str, Callable]]] = {}
+    for rule_id, check in registered:
+        if enabled(rule_id):
+            rules.setdefault(rule_id[0], []).append((rule_id, check))
+    return rules
+
+
 def run_family(family: str, facts: "Facts") -> list[Diagnostic]:
     """Run the enabled rules of ``family`` ("L", "N", "D" or "I") from
     ``facts.rules``.  A rule that raises becomes one E99 naming it and the
     exception type; the family's other rules still report."""
-    from .source_model import Span  # deferred, as in config_problem
-
     diags: list[Diagnostic] = []
     for rule_id, check in facts.rules.get(family, ()):
         try:
             found = list(check(facts))
         except Exception as exc:  # one rule's failure must not hide others
+            from .source_model import Span  # deferred, as in config_problem
             found = [diag("E99", Span(1, 1, 1, 1, 0, 0),
                           f"internal rule failure in {rule_id}: "
                           f"{type(exc).__name__}: {exc}")]
         diags += found
     return diags
+
+
+@lru_cache(maxsize=None)
+def _pipeline() -> tuple:
+    """``Facts`` and each family's module with the name of its check,
+    imported on first use because they import this module.  The check is
+    looked up on every run, so that it can be wrapped."""
+    from . import doc_rules, idiom_rules, layout_rules, naming_rules
+    from .reader import Facts
+    return Facts, ((layout_rules, "check_layout"),
+                   (naming_rules, "check_naming"),
+                   (doc_rules, "check_docs"), (idiom_rules, "check_idioms"))
 
 
 def run(src: "SourceFile", program: "Program", cfg: Config) -> list[Diagnostic]:
@@ -493,15 +518,11 @@ def run(src: "SourceFile", program: "Program", cfg: Config) -> list[Diagnostic]:
     A rule that raises becomes an E99 naming it (``run_family``), so the
     run never crashes.  Output is sorted by (line, column, rule id).
     """
-    # Imported here: the rule modules import this module for Diagnostic.
-    from . import doc_rules, idiom_rules, layout_rules, naming_rules
-    from .reader import Facts
-
-    facts = Facts(src, program, cfg)
+    facts_class, families = _pipeline()
+    facts = facts_class(src, program, cfg)
     diags: list[Diagnostic] = []
-    for check in (layout_rules.check_layout, naming_rules.check_naming,
-                  doc_rules.check_docs, idiom_rules.check_idioms):
-        diags += check(facts)
+    for module, check in families:
+        diags += getattr(module, check)(facts)
 
     allowed = _suppressed_lines(program)
     # The program keeps its syntax diagnostics for later runs and ``fmt``,
@@ -522,11 +543,15 @@ def run(src: "SourceFile", program: "Program", cfg: Config) -> list[Diagnostic]:
 # Rendering
 # ---------------------------------------------------------------------------
 
+#: Each severity's label, from the most severe down.
+_LABELS = {sev: sev.label for sev in sorted(Severity, reverse=True)}
+
+
 def render_text(diags: list[Diagnostic]) -> str:
     """One ``path:line:col: severity [RULE] message`` line per diagnostic."""
     lines = [
         f"{d.path}:{d.span.start_line}:{d.span.start_col}: "
-        f"{d.severity.label} [{d.rule_id}] {d.message}"
+        f"{_LABELS[d.severity]} [{d.rule_id}] {d.message}"
         for d in diags
     ]
     return "".join(line + "\n" for line in lines)
@@ -538,11 +563,11 @@ def render_json(diags: list[Diagnostic]) -> str:
     written here because ``json.dumps`` falls back to its pure-Python
     encoder whenever ``indent`` is set."""
     quote = encode_basestring_ascii
-    counts = {sev.label: 0 for sev in
-              (Severity.ERROR, Severity.WARNING, Severity.INFO, Severity.HINT)}
+    counts = dict.fromkeys(_LABELS.values(), 0)
+    paths = {path: quote(path) for path in {d.path for d in diags}}
     entries = []
     for d in diags:
-        label = d.severity.label
+        label = _LABELS[d.severity]
         counts[label] += 1
         span = d.span
         suggestion = "null" if d.suggestion is None else quote(d.suggestion)
@@ -550,7 +575,7 @@ def render_json(diags: list[Diagnostic]) -> str:
                      if d.predicate else "null")
         entries.append(
             "    {\n"
-            f'      "path": {quote(d.path)},\n'
+            f'      "path": {paths[d.path]},\n'
             f'      "line": {span.start_line},\n'
             f'      "col": {span.start_col},\n'
             f'      "end_line": {span.end_line},\n'

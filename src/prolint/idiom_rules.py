@@ -5,13 +5,10 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator
-from itertools import chain
 
 from .diagnostics import Diagnostic, Severity, diag, rule, run_family
 from .reader import (
     Facts,
-    Float,
-    Integer,
     contains_cut,
     final_goal,
     is_atom,
@@ -46,7 +43,7 @@ def _i01_terminal_cut(facts: Facts) -> Iterator[Diagnostic]:
 
 @rule("I02")
 def _i02_repeat_without_cut(facts: Facts) -> Iterator[Diagnostic]:
-    for clause, sequences in zip(facts.program.items, facts.goal_sequences):
+    for clause, sequences in facts.goal_sequences:
         for seq in sequences:
             for idx, goal in enumerate(seq):
                 if not is_atom(goal, "repeat"):
@@ -79,7 +76,8 @@ def _i03_append_one_element(facts: Facts) -> Iterator[Diagnostic]:
 
 @rule("I04")
 def _i04_singletons(facts: Facts) -> Iterator[Diagnostic]:
-    for clause, variables in zip(facts.program.items, facts.variables):
+    for clause, variables in zip(facts.program.items,
+                                 facts.term_index.variables):
         for name, occurrences in variables.items():
             if name.startswith("_"):
                 if len(occurrences) > 1:
@@ -102,13 +100,10 @@ def _i04_singletons(facts: Facts) -> Iterator[Diagnostic]:
 @rule("I05")
 def _i05_magic_numbers(facts: Facts) -> Iterator[Diagnostic]:
     by_text: dict[str, list[tuple[Span, object]]] = {}
-    for head_terms, body_terms in facts.terms:
-        for term in chain(head_terms, body_terms):
-            if isinstance(term, (Integer, Float)):
-                if term.value in facts.cfg.magic_number_allowlist:
-                    continue
-                text = term.lexeme or str(term.value)
-                by_text.setdefault(text, []).append((term.span, term.value))
+    for term in facts.term_index.numbers:
+        if term.value not in facts.cfg.magic_number_allowlist:
+            text = term.lexeme or str(term.value)
+            by_text.setdefault(text, []).append((term.span, term.value))
     for text in sorted(by_text, key=lambda t: by_text[t][0][0].byte_start):
         occurrences = by_text[text]
         if len(occurrences) < 2:
@@ -142,15 +137,12 @@ def _i06_reminder_tags(facts: Facts) -> Iterator[Diagnostic]:
 
 @rule("I07")
 def _i07_bare_conjunction(facts: Facts) -> Iterator[Diagnostic]:
-    for clause, (_, body_terms) in zip(facts.program.items, facts.terms):
-        for term in body_terms:
-            if not is_compound(term, ";", 2):
-                continue
-            if term.span.start_line != term.span.end_line:
-                continue
-            if any(is_compound(arg, ",", 2) and not arg.parenthesized
-                   for arg in term.args):
-                yield diag("I07", term.span,
-                           "conjunction mixed with disjunction on one line; "
-                           "add parentheses to make the precedence obvious",
-                           predicate=clause.indicator)
+    for term, clause in facts.term_index.clusters:
+        if term.name != ";" or term.span.start_line != term.span.end_line:
+            continue
+        if any(is_compound(arg, ",", 2) and not arg.parenthesized
+               for arg in term.args):
+            yield diag("I07", term.span,
+                       "conjunction mixed with disjunction on one line; "
+                       "add parentheses to make the precedence obvious",
+                       predicate=clause.indicator)

@@ -26,7 +26,7 @@ from .reader import (
 from .source_model import CLOSER_KINDS, COMMENT_KINDS, Span, Token, TokenKind
 
 _ATOM, _END = TokenKind.ATOM, TokenKind.END
-_LINE_COMMENT, _BLOCK_COMMENT = TokenKind.LINE_COMMENT, TokenKind.BLOCK_COMMENT
+_BLOCK_COMMENT = TokenKind.BLOCK_COMMENT
 _NON_SPACE = re.compile(r"\S")
 _TAB = re.compile("\t")
 
@@ -202,8 +202,8 @@ def _l07_commas(facts: Facts) -> Iterator[Diagnostic]:
     texts, content = facts.src.line_texts, facts.src.content
     if facts.cfg.comma_style == "simple":
         for comma in commas:
-            if _comma_is_at_eol(texts, comma) \
-                    or _followed_by_single_space(content, comma):
+            if _followed_by_single_space(content, comma) \
+                    or _comma_is_at_eol(texts, comma):
                 continue
             yield diag("L07", comma.span,
                        "comma should be followed by exactly one space or a "
@@ -262,23 +262,14 @@ def _l08_disjunctions(facts: Facts) -> Iterator[Diagnostic]:
                            "unnoticed; place it at the start of the next "
                            "line")
 
-    for clause in facts.program.items:
-        if clause.body is None:
-            continue
-        stack: list[tuple[Term, bool]] = [(clause.body, False)]
-        while stack:
-            term, in_cluster = stack.pop()
-            if not isinstance(term, Compound):
-                continue
-            is_cluster = len(term.args) == 2 \
-                and term.name in (";", "->", "*->")
-            if is_cluster and not in_cluster:
-                problem = _cluster_layout_problem(term)
-                if problem:
-                    yield diag("L08", term.span, problem,
-                               predicate=clause.indicator)
-            for arg in term.args:
-                stack.append((arg, is_cluster))
+    # A cluster that is a direct argument of another one is laid out as
+    # part of it.
+    clusters = facts.term_index.clusters
+    inner = {id(arg) for term, _ in clusters for arg in term.args}
+    for term, clause in clusters:
+        problem = id(term) not in inner and _cluster_layout_problem(term)
+        if problem:
+            yield diag("L08", term.span, problem, predicate=clause.indicator)
 
 
 # -- L09 --------------------------------------------------------------------
@@ -286,7 +277,7 @@ def _l08_disjunctions(facts: Facts) -> Iterator[Diagnostic]:
 @rule("L09")
 def _l09_repeat_indent(facts: Facts) -> Iterator[Diagnostic]:
     texts = facts.src.line_texts
-    for clause, sequences in zip(facts.program.items, facts.goal_sequences):
+    for clause, sequences in facts.goal_sequences:
         for seq in sequences:
             for idx, goal in enumerate(seq):
                 if not is_atom(goal, "repeat"):
@@ -339,22 +330,10 @@ def _l11_header(facts: Facts) -> Iterator[Diagnostic]:
         return
     leading = list(takewhile(lambda t: t.kind in COMMENT_KINDS,
                              program.tokens))
-    qualifies = any(t.kind is _BLOCK_COMMENT for t in leading)
-    if not qualifies:
-        run = 0
-        prev_line = None
-        for tok in leading:
-            if tok.kind is not _LINE_COMMENT:
-                continue
-            if prev_line is not None and tok.span.start_line == prev_line + 1:
-                run += 1
-            else:
-                run = 1
-            prev_line = tok.span.start_line
-            if run >= 3:
-                qualifies = True
-                break
-    if not qualifies:
+    # Line comments end their lines: three in a row are on three lines.
+    lines = [tok.span.start_line for tok in leading]
+    if not any(t.kind is _BLOCK_COMMENT for t in leading) \
+            and not any(b - a == 2 for a, b in zip(lines, lines[2:])):
         yield diag("L11", Span(1, 1, 1, 1, 0, 0),
                    "file should begin with a header comment (a block "
                    "comment or at least three comment lines)")

@@ -10,11 +10,10 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import NamedTuple
 
 from .diagnostics import Diagnostic, diag, rule, run_family
-from .reader import Facts, Variable, is_compound
+from .reader import Facts, Variable
 from .source_model import MAX_INTEGER_DIGITS, Span
 
 
@@ -289,21 +288,17 @@ def _n06_acceptable(head: str, tail: str) -> bool:
 
 @rule("N06")
 def _n06_list_pattern(facts: Facts) -> Iterator[Diagnostic]:
-    for head_terms, body_terms in facts.terms:
-        for term in chain(head_terms, body_terms):
-            if not is_compound(term, ".", 2):
-                continue
-            head, tail = term.args
-            if not isinstance(head, Variable) \
-                    or not isinstance(tail, Variable):
-                continue
-            if head.name.startswith("_") or tail.name.startswith("_"):
-                continue
-            if not _n06_acceptable(head.name, tail.name):
-                yield diag("N06", term.span,
-                           f"list pattern [{head.name}|{tail.name}]: "
-                           "name the tail after the element (e.g. "
-                           f"[{head.name}|{head.name}s])")
+    for term in facts.term_index.cells:
+        head, tail = term.args
+        if not isinstance(head, Variable) or not isinstance(tail, Variable):
+            continue
+        if head.name.startswith("_") or tail.name.startswith("_"):
+            continue
+        if not _n06_acceptable(head.name, tail.name):
+            yield diag("N06", term.span,
+                       f"list pattern [{head.name}|{tail.name}]: "
+                       "name the tail after the element (e.g. "
+                       f"[{head.name}|{head.name}s])")
 
 
 # -- N07 --------------------------------------------------------------------
@@ -326,7 +321,7 @@ def _chain_gaps(indices: list[int]) -> tuple[list[int], int]:
 
 @rule("N07")
 def _n07_threaded_state(facts: Facts) -> Iterator[Diagnostic]:
-    for variables in facts.variables:
+    for variables in facts.term_index.variables:
         chains: dict[str, set[int]] = {}
         chain_spans: dict[str, Span] = {}
         in_out: list[str] = []

@@ -13,10 +13,9 @@ import enum
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import TYPE_CHECKING, Callable, TypeVar
 
-from .diagnostics import RULES, Diagnostic, Severity
+from .diagnostics import RULES, Diagnostic, Severity, enabled_rules
 from .source_model import (
     CLOSER_KINDS,
     COMMENT_KINDS,
@@ -1063,14 +1062,57 @@ class TokenIndex:
         return Span(line, col, line, col + width, byte, byte + width)
 
 
+class TermIndex:
+    """What the rules read off a file's terms, in one pre-order walk over
+    each clause's head and body.  Per clause (aligned with the clauses):
+    the named variables with their occurrences, in order of first
+    occurrence, where the anonymous ``_`` is never aggregated.  Per file:
+    the numbers, the ``'.'/2`` cells, the bodies' binary ``;``, ``->`` and
+    ``*->`` compounds with their clause, and the clauses whose body holds
+    the atom ``repeat``."""
+
+    def __init__(self, clauses: list[Clause]) -> None:
+        self.variables: list[dict[str, list[Variable]]] = []
+        numbers = self.numbers = []
+        cells = self.cells = []
+        clusters = self.clusters = []
+        repeats = self.repeats = []
+        for clause in clauses:
+            occurrences = {}
+            self.variables.append(occurrences)
+            for term, in_body in ((clause.head, False), (clause.body, True)):
+                stack = [term] if term is not None else []
+                while stack:
+                    t = stack.pop()
+                    kind = type(t)
+                    if kind is Compound:
+                        args = t.args
+                        if len(args) == 2:
+                            if t.name == ".":
+                                cells.append(t)
+                            elif in_body and t.name in _BRANCH_FUNCTORS:
+                                clusters.append((t, clause))
+                        stack.extend(reversed(args))
+                    elif kind is Variable:
+                        if t.name != "_":
+                            occurrences.setdefault(t.name, []).append(t)
+                    elif kind is Integer or kind is Float:
+                        numbers.append(t)
+                    elif in_body and kind is Atom and t.name == "repeat" \
+                            and (not repeats or repeats[-1] is not clause):
+                        repeats.append(clause)
+
+
 _Context = TypeVar("_Context")
 
 
 class Facts:
     """What the rules know about one file.  Each fact is computed on first
-    use and shared by every rule that reads it; per-clause facts are lists
-    aligned with ``program.items``.  ``rules`` maps each family's letter to
-    its enabled ``(rule id, check)`` pairs, in registration order."""
+    use and shared by every rule that reads it: the predicates, each
+    clause's leaf goals (aligned with ``program.items``), the goal
+    sequences of the clauses that hold a ``repeat``, the token index and the
+    term index.  ``rules`` maps each family's letter to its enabled
+    ``(rule id, check)`` pairs, in registration order."""
 
     def __init__(self, src: SourceFile, program: Program,
                  cfg: "Config") -> None:
@@ -1078,10 +1120,8 @@ class Facts:
         self.program = program
         self.cfg = cfg
         self._contexts: dict[Callable, object] = {}
-        self.rules: dict[str, list[tuple[str, Callable]]] = {}
-        for rule_id, check in RULES.items():
-            if cfg.enabled(rule_id):
-                self.rules.setdefault(rule_id[0], []).append((rule_id, check))
+        self.rules = enabled_rules(tuple(cfg.rule_enabled.items()),
+                                   tuple(RULES.items()))
 
     @cached_property
     def predicates(self) -> list[PredicateDef]:
@@ -1093,33 +1133,20 @@ class Facts:
                 for clause in self.program.items]
 
     @cached_property
-    def goal_sequences(self) -> list[list[list[Term]]]:
-        return [goal_sequences(clause.body) if clause.body is not None
-                else [] for clause in self.program.items]
-
-    @cached_property
-    def terms(self) -> list[tuple[list[Term], list[Term]]]:
-        """Each clause's head subterms and body subterms, in pre-order."""
-        return [(subterms(clause.head) if clause.head is not None else [],
-                 subterms(clause.body) if clause.body is not None else [])
-                for clause in self.program.items]
-
-    @cached_property
-    def variables(self) -> list[dict[str, list[Variable]]]:
-        """Each clause's named variables with their occurrences, in order
-        of first occurrence; the anonymous ``_`` is never aggregated."""
-        out = []
-        for head_terms, body_terms in self.terms:
-            occurrences: dict[str, list[Variable]] = {}
-            for term in chain(head_terms, body_terms):
-                if isinstance(term, Variable) and term.name != "_":
-                    occurrences.setdefault(term.name, []).append(term)
-            out.append(occurrences)
-        return out
+    def goal_sequences(self) -> list[tuple[Clause, list[list[Term]]]]:
+        """Each clause whose body holds the atom ``repeat``, with its
+        body's goal sequences: the rules that read them look only around a
+        ``repeat`` goal."""
+        return [(clause, goal_sequences(clause.body))
+                for clause in self.term_index.repeats]
 
     @cached_property
     def index(self) -> TokenIndex:
         return TokenIndex(self.src, self.program.tokens)
+
+    @cached_property
+    def term_index(self) -> TermIndex:
+        return TermIndex(self.program.items)
 
     def context(self, build: Callable[["Facts"], _Context]) -> _Context:
         """A rule family's own shared context, ``build(self)``, built on

@@ -16,7 +16,10 @@ reference format check formats the whole program and compares the text
 character by character, where ``check_format`` renders one unit at a time
 and stops at the first unit that differs from the source.  The reference
 token index makes one pass over the tokens for each of its fields, where
-``reader.TokenIndex`` collects them all in one.
+``reader.TokenIndex`` collects them all in one.  The reference term index
+lists each clause's subterms and filters them once per field, finds the
+outermost disjunctions with a stack of its own and reads every clause's
+goal sequences, where ``reader.TermIndex`` makes one walk.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import json
 import re
 from bisect import bisect_right
+from itertools import chain
 
 from prolint.diagnostics import Config, Diagnostic
 from prolint.formatter import format_program
@@ -37,6 +41,10 @@ from prolint.reader import (
     Str,
     Term,
     Variable,
+    goal_sequences,
+    is_atom,
+    is_compound,
+    subterms,
 )
 from prolint.source_model import (
     COMMENT_KINDS,
@@ -212,6 +220,52 @@ def token_index_reference(src: SourceFile, tokens: list[Token]) -> dict:
         "variables": _first_occurrences(
             t for t in tokens if t.kind is TokenKind.VARIABLE),
     }
+
+
+def term_index_reference(program: Program) -> tuple[dict, list, list]:
+    """The fields of ``reader.TermIndex`` as the rules built them before
+    it, each from the subterm lists of every clause; the clusters that L08
+    reports, from its own stack; and the clauses with a ``repeat`` among
+    their goals, from the goal sequences of every clause."""
+    items = program.items
+    terms = [(subterms(c.head) if c.head is not None else [],
+              subterms(c.body) if c.body is not None else []) for c in items]
+    variables = []
+    for head_terms, body_terms in terms:
+        occurrences: dict[str, list[Variable]] = {}
+        for term in chain(head_terms, body_terms):
+            if isinstance(term, Variable) and term.name != "_":
+                occurrences.setdefault(term.name, []).append(term)
+        variables.append(occurrences)
+    every = [t for head_terms, body_terms in terms
+             for t in chain(head_terms, body_terms)]
+    fields = {
+        "variables": variables,
+        "numbers": [t for t in every if isinstance(t, (Integer, Float))],
+        "cells": [t for t in every if is_compound(t, ".", 2)],
+        "clusters": [(t, clause) for clause, (_, body) in zip(items, terms)
+                     for t in body if is_compound(t, arity=2)
+                     and t.name in (";", "->", "*->")],
+        "repeats": [clause for clause, (_, body) in zip(items, terms)
+                    if any(is_atom(t, "repeat") for t in body)],
+    }
+    outermost = []
+    for clause in items:
+        stack = [(clause.body, False)] if clause.body is not None else []
+        while stack:
+            term, in_cluster = stack.pop()
+            if not isinstance(term, Compound):
+                continue
+            is_cluster = len(term.args) == 2 \
+                and term.name in (";", "->", "*->")
+            if is_cluster and not in_cluster:
+                outermost.append(term)
+            stack.extend((arg, is_cluster) for arg in term.args)
+    repeat_goals = [clause for clause in items if clause.body is not None
+                    and any(is_atom(goal, "repeat")
+                            for seq in goal_sequences(clause.body)
+                            for goal in seq)]
+    return fields, outermost, repeat_goals
 
 
 _BRACKET_OPENERS = {TokenKind.OPEN_PAREN, TokenKind.OPEN_BRACKET,

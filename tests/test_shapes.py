@@ -70,6 +70,24 @@ def _intercaps_names(n: int) -> str:
         + "    z.\n"
 
 
+def _format_goals_on_one_line(n: int) -> str:
+    """One line of ``n`` goals.  Reading it grows faster than linearly only
+    while the cyclic collector runs, and the CLI pauses the collector."""
+    return "p(A) :- " + ", ".join(['format("x~w", [A])'] * n) + ".\n"
+
+
+def _numbered_state_goals(n: int) -> str:
+    """One clause threading ``S0 ... S<n-1>`` through goals that each hold
+    a distinct number."""
+    return "p :-\n" + ",\n".join(f"    q({k + 3}, S{k})"
+                                   for k in range(n)) + ".\n"
+
+
+def _read(text: str, cfg: Config):
+    src = source_from_text(text)
+    return lambda: program_from_source(src)
+
+
 def _format(text: str, cfg: Config):
     program = program_from_source(source_from_text(text))
     return lambda: format_program(program, cfg)
@@ -109,6 +127,10 @@ SHAPES = {
         _rules, _only("N01", "N02", "N03", "N04")),
     "trailing_comment_after_each_goal_rules": (
         _trailing_comments, 5_000, _rules, _only("L10", "I06")),
+    "format_goals_on_one_line": (
+        _format_goals_on_one_line, 1_000, _read, Config()),
+    "numbered_state_goals": (
+        _numbered_state_goals, 2_000, _rules, _only("I04", "I05", "N07")),
 }
 
 

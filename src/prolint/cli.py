@@ -158,12 +158,28 @@ def _expand_paths(raw_paths: list[str], cfg: Config) -> list[str]:
             files.append("-")
             continue
         path = Path(raw)
-        if path.is_dir():
-            files.extend(sorted(
-                str(p) for p in path.rglob("*")
-                if p.is_file() and p.suffix in cfg.extensions))
-        else:
+        if not path.is_dir():
             files.append(str(path))
+            continue
+        # Symlinked files count and symlinked directories are not entered,
+        # as under ``Path.rglob``; a suffix is ``Path.suffix``.
+        pending = [str(path)]
+        while pending:
+            directory = pending.pop()
+            try:
+                with os.scandir(directory) as entries:
+                    for entry in entries:
+                        name = entry.name
+                        child = name if directory == "." else entry.path
+                        dot = name.rfind(".")
+                        if entry.is_dir(follow_symlinks=False):
+                            pending.append(child)
+                        elif 0 < dot < len(name) - 1 \
+                                and name[dot:] in cfg.extensions \
+                                and entry.is_file():
+                            files.append(child)
+            except OSError:  # unreadable: skipped, as by ``Path.rglob``
+                continue
     ordered = [f for f in files if f == "-"]
     ordered += sorted(f for f in files if f != "-")
     return ordered

@@ -19,12 +19,12 @@ from dataclasses import dataclass, field
 
 from .diagnostics import SUPPRESSION_COMMENT, Config, Diagnostic
 from .reader import (
+    CONTROL_FUNCTORS,
     Atom,
     Clause,
     ClauseKind,
     CommentAttachment,
     Compound,
-    Float,
     Integer,
     OperatorTable,
     Program,
@@ -36,6 +36,7 @@ from .reader import (
     contains_cut,
     is_atom,
     is_compound,
+    leaf_goals,
 )
 from .source_model import SYMBOL_CHARS, SourceFile, Span, Token
 
@@ -60,148 +61,118 @@ class _Renderer:
         # ``ops``, since an op/3 directive changes every rendering.
         self.rendered: dict[int, tuple[str, int]] = {}
 
-    def render(self, term: Term, max_prec: int,
-               force_parens: bool = False) -> str:
-        entry = self.rendered.get(id(term))
-        if entry is None:
-            self._fill(term)
-            entry = self.rendered[id(term)]
-        text, priority = entry
-        if force_parens or priority > max_prec:
-            return f"({text})"
-        return text
+    def render(self, term: Term, max_prec: int) -> str:
+        text, priority = self.rendered[id(term)]
+        return f"({text})" if priority > max_prec else text
 
-    def _fill(self, term: Term) -> None:
-        """Cache ``term`` and its uncached subterms children-first, so that
-        ``_render`` finds every child it asks for rendered: leaves as the
-        walk meets them, compounds in reverse pre-order, where each comes
-        after its subterms."""
+    def fill(self, terms: list[Term]) -> None:
+        """Cache each of ``terms`` and its subterms in one walk: leaves as
+        the walk meets them, compounds in reverse pre-order, where each
+        comes after its subterms and reads their entries."""
         rendered = self.rendered
+        priorities = self.ops.priorities
         order: list[Compound] = []
-        stack = [term]
+        stack = list(terms)
         while stack:
             node = stack.pop()
-            key = id(node)
-            if key in rendered:
-                continue
-            if not isinstance(node, Compound):
-                rendered[key] = self._render(node)
-                continue
-            order.append(node)
-            # A list's children are its elements and its tail, not its cons
-            # cells, which would each render the rest of the list.
-            if node.name == "." and len(node.args) == 2:
-                while is_compound(node, ".", 2):
-                    stack.append(node.args[0])
-                    node = node.args[1]
-                stack.append(node)
-            else:
-                stack += node.args
+            kind = type(node)
+            if kind is Compound:
+                order.append(node)
+                # A list's children are its elements and its tail, not its
+                # cons cells, which would each render the rest of the list.
+                if node.name == "." and len(node.args) == 2:
+                    while type(node) is Compound and node.name == "." \
+                            and len(node.args) == 2:
+                        stack.append(node.args[0])
+                        node = node.args[1]
+                    stack.append(node)
+                else:
+                    stack += node.args
+            elif kind is Atom:
+                # An operator atom's own parentheses are not printed, so it
+                # has its operator priority even where the source
+                # parenthesized it.
+                rendered[id(node)] = (
+                    node.name if node.lexeme is None else node.lexeme,
+                    0 if node.quoted else priorities.get(node.name, 0))
+            elif kind is Variable:
+                rendered[id(node)] = node.name, 0
+            elif kind is Str:
+                rendered[id(node)] = node.lexeme or f'"{node.text}"', 0
+            else:  # an Integer or a Float
+                rendered[id(node)] = node.lexeme or str(node.value), 0
+        step = self._render_compound
         for node in reversed(order):
-            rendered[id(node)] = self._render(node)
-
-    def _render(self, term: Term) -> tuple[str, int]:
-        if isinstance(term, Variable):
-            return term.name, 0
-        if isinstance(term, (Integer, Float)):
-            return (term.lexeme or str(term.value)), 0
-        if isinstance(term, Str):
-            return (term.lexeme or f'"{term.text}"'), 0
-        if isinstance(term, Atom):
-            # An operator atom's own parentheses are not printed, so it has
-            # its operator priority even where the source parenthesized it.
-            return term.text, 0 if term.quoted \
-                else self.ops.max_priority(term.name)
-        return self._render_compound(term)
+            rendered[id(node)] = step(node)
 
     def _render_compound(self, term: Compound) -> tuple[str, int]:
+        """One compound's text and priority, from its children's entries."""
+        rendered, ops = self.rendered, self.ops
         name, args = term.name, term.args
+        items = args
         if name == "." and len(args) == 2:
-            return self._render_list(term), 0
-        if name == "{}" and len(args) == 1:
-            return "{" + self.render(args[0], 1200) + "}", 0
-        if len(args) == 2:
-            definition = self.ops.infix(name)
-            if definition:
-                p = definition.priority
-                left_max = p if definition.type == "yfx" else p - 1
-                right_max = p if definition.type == "xfy" else p - 1
-                # A bare infix or postfix operator atom before an infix
-                # operator would read as that operator.
-                force_left = (is_compound(args[0], ",", 2)
-                              and args[0].parenthesized
-                              and name in (";", "->", "*->")) or (
-                    isinstance(args[0], Atom) and not args[0].quoted
-                    and (self.ops.infix(args[0].name) is not None
-                         or self.ops.postfix(args[0].name) is not None))
-                force_right = (is_compound(args[1], ",", 2)
-                               and args[1].parenthesized
-                               and name in (";", "->", "*->"))
-                left = self.render(args[0], left_max, force_left)
-                right = self.render(args[1], right_max, force_right)
-                # Nothing asks for an operand again (the emitters split
-                # control constructs unrendered, and ``wrap`` breaks only
-                # lists and canonical compounds); kept, a chain's entries
-                # would hold every prefix of its text.
-                self.rendered.pop(id(args[0]), None)
-                self.rendered.pop(id(args[1]), None)
-                if name == ",":
-                    return f"{left}, {right}", p
-                if self._renders_tight(name, args, left, right):
-                    return f"{left}{name}{right}", p
-                return f"{left} {name} {right}", p
-        if len(args) == 1:
-            definition = self.ops.prefix(name)
-            if definition:
-                arg_max = definition.priority \
-                    - (1 if definition.type == "fx" else 0)
-                return (f"{name} {self.render(args[0], arg_max)}",
-                        definition.priority)
-            definition = self.ops.postfix(name)
-            if definition:
-                arg_max = definition.priority \
-                    - (1 if definition.type == "xf" else 0)
-                return (f"{self.render(args[0], arg_max)} {name}",
-                        definition.priority)
-        rendered = ", ".join([self.render(arg, 999) for arg in args])
-        return f"{term.functor_lexeme or name}({rendered})", 0
-
-    def _renders_tight(self, name: str, args: list, left: str,
-                       right: str) -> bool:
-        """Predicate indicators (``foo/1``) and module qualifications
-        (``m:goal``) print without spaces, provided the characters do not
-        fuse into a longer symbolic token."""
-        if name == "/":
-            if not (isinstance(args[0], Atom) and isinstance(args[1], Integer)):
-                return False
-        elif name != ":":
-            return False
-        return left[-1] not in SYMBOL_CHARS \
-            and right[0] not in SYMBOL_CHARS
-
-    def _render_list(self, term: Compound) -> str:
-        elements = []
-        node: Term = term
-        while is_compound(node, ".", 2):
-            elements.append(self.render(node.args[0], 999))
-            node = node.args[1]
-        if is_atom(node, "[]"):
-            return "[" + ", ".join(elements) + "]"
-        return "[" + ", ".join(elements) + "|" + self.render(node, 999) + "]"
+            items, node = [], term
+            while type(node) is Compound and node.name == "." \
+                    and len(node.args) == 2:
+                items.append(node.args[0])
+                node = node.args[1]
+        elif len(args) == 2 and (definition := ops.infix(name)):
+            p = definition.priority
+            first, second = args
+            # Nothing asks for an operand again (the emitters split control
+            # constructs unrendered, and ``pack`` breaks only lists and
+            # canonical compounds); kept, a chain's entries would hold every
+            # prefix of its text.
+            left, left_priority = rendered.pop(id(first))
+            right, right_priority = rendered.pop(id(second))
+            block = name in (";", "->", "*->")
+            # A bare infix or postfix operator atom before an infix operator
+            # would read as that operator.
+            if left_priority > (p if definition.type == "yfx" else p - 1) \
+                    or (block and is_compound(first, ",", 2)
+                        and first.parenthesized) \
+                    or (type(first) is Atom and not first.quoted
+                        and (ops.infix(first.name) or ops.postfix(first.name))):
+                left = f"({left})"
+            if right_priority > (p if definition.type == "xfy" else p - 1) \
+                    or (block and is_compound(second, ",", 2)
+                        and second.parenthesized):
+                right = f"({right})"
+            if name == ",":
+                return f"{left}, {right}", p
+            # Predicate indicators (``foo/1``) and module qualifications
+            # (``m:goal``) print without spaces, provided the characters do
+            # not fuse into a longer symbolic token.
+            if (name == ":" or name == "/" and type(first) is Atom
+                    and type(second) is Integer) \
+                    and left[-1] not in SYMBOL_CHARS \
+                    and right[0] not in SYMBOL_CHARS:
+                return f"{left}{name}{right}", p
+            return f"{left} {name} {right}", p
+        elif len(args) == 1 and name == "{}":  # no priority is above 1200
+            return "{" + rendered[id(args[0])][0] + "}", 0
+        elif len(args) == 1 \
+                and (definition := ops.prefix(name) or ops.postfix(name)):
+            text, priority = rendered[id(args[0])]
+            if priority > definition.priority \
+                    - (definition.type in ("fx", "xf")):
+                text = f"({text})"
+            return (f"{name} {text}" if definition.type[0] == "f"
+                    else f"{text} {name}"), definition.priority
+        texts = []
+        for item in items:
+            text, priority = rendered[id(item)]
+            texts.append(f"({text})" if priority > 999 else text)
+        if items is args:
+            return f"{term.functor_lexeme or name}(" + ", ".join(texts) \
+                + ")", 0
+        text = "[" + ", ".join(texts)
+        if type(node) is not Atom or node.name != "[]":
+            tail, priority = rendered[id(node)]
+            text += "|" + (f"({tail})" if priority > 999 else tail)
+        return text + "]", 0
 
     # -- width-aware rendering --------------------------------------------
-
-    def wrap(self, term: Term, max_prec: int, col: int, width: int,
-             unit: int) -> list[str]:
-        """Render ``term`` starting at 1-based column ``col``; continuation
-        lines (elements past the first) carry their own leading spaces,
-        indented one unit past the start column.  Oversized lists and
-        canonical compounds break after their commas, and their oversized
-        elements break in turn."""
-        inline = self.render(term, max_prec)
-        if col - 1 + len(inline) <= width:
-            return [inline]
-        return self.pack([], (term, inline, ""), "", col - 1, width, unit)
 
     def pack(self, stack: list[list], pending: tuple | None, line: str,
              base: int, width: int, unit: int) -> list[str]:
@@ -273,8 +244,8 @@ class _Renderer:
 def _is_block(goal: Term) -> bool:
     """A disjunction, an if-then-else, or a conjunction that is one goal
     because it is parenthesized: laid out as a parenthesized block."""
-    return isinstance(goal, Compound) and len(goal.args) == 2 \
-        and goal.name in (",", ";", "->", "*->")
+    return type(goal) is Compound and len(goal.args) == 2 \
+        and goal.name in CONTROL_FUNCTORS
 
 
 class _ClauseFormatter:
@@ -294,12 +265,19 @@ class _ClauseFormatter:
     # -- entry points -------------------------------------------------------
 
     def format_clause(self, clause: Clause) -> list[tuple]:
-        if clause.kind == ClauseKind.DIRECTIVE:
+        kind, body = clause.kind, clause.body
+        # The head and the body's goals, stepping through its blocks, are
+        # what the layout renders whole.
+        terms = [] if body is None else leaf_goals(body)
+        if clause.head is not None:
+            terms.append(clause.head)
+        self.r.fill(terms)
+        if kind is ClauseKind.DIRECTIVE:
             self.emit_directive(clause)
         else:
             self.emit_head(clause)
-        if clause.kind in (ClauseKind.RULE, ClauseKind.GRAMMAR_RULE):
-            self.emit_body(clause.body, " " * self.unit)
+        if kind is ClauseKind.RULE or kind is ClauseKind.GRAMMAR_RULE:
+            self.emit_body(body, " " * self.unit)
         # A symbol character before the end would fuse with it into one atom.
         lines = self.groups[-1][0]
         lines[-1] += " ." if lines[-1][-1] in SYMBOL_CHARS else "."
@@ -309,7 +287,9 @@ class _ClauseFormatter:
         goals = conjunction_goals(clause.body)
         first, last = clause.span.start_line, clause.span.end_line
         if len(goals) == 1 and not _is_block(clause.body):
-            pieces = self.r.wrap(clause.body, 1199, 4, self.width, self.unit)
+            text = self.r.render(clause.body, 1199)
+            pieces = [text] if 3 + len(text) <= self.width else self.r.pack(
+                [], (clause.body, text, ""), "", 3, self.width, self.unit)
             pieces[0] = ":- " + pieces[0]
             self.groups.append((pieces, first, last, None, 0))
         elif any(_is_block(goal) for goal in goals):
@@ -324,8 +304,9 @@ class _ClauseFormatter:
         first = head.span.start_line
         last = (clause.neck_span or head.span).end_line
         inline = self.r.render(head, 1199)
-        tail = {ClauseKind.RULE: " :-",
-                ClauseKind.GRAMMAR_RULE: " -->"}.get(clause.kind, "")
+        kind = clause.kind
+        tail = " :-" if kind is ClauseKind.RULE \
+            else " -->" if kind is ClauseKind.GRAMMAR_RULE else ""
         # A fact's end follows its head on the same line.
         if len(inline) + len(tail or ".") <= self.width \
                 or not isinstance(head, Compound) \
@@ -346,22 +327,34 @@ class _ClauseFormatter:
         """Lay out a body one goal per line, the first after ``lead``.  The
         work list, run last-first, holds goals as (goal, indent, suffix,
         lead) and a block's closing line as its group."""
+        rendered, groups, width = self.r.rendered, self.groups, self.width
         work = _sequence(conjunction_goals(body), self.unit, lead, "",
                          self.unit)
         while work:
             item = work.pop()
-            if isinstance(item[0], list):
-                self.groups.append(item)
+            if type(item[0]) is list:
+                groups.append(item)
                 continue
             goal, indent, suffix, lead = item
-            if not _is_block(goal):
-                pieces = self.r.wrap(goal, 999, indent + 1, self.width,
-                                     self.unit)
-                pieces[0] = lead + pieces[0]
-                pieces[-1] += suffix
+            if type(goal) is not Compound or len(goal.args) != 2 \
+                    or goal.name not in CONTROL_FUNCTORS:
+                text, priority = rendered[id(goal)]
+                if priority > 999:
+                    text = f"({text})"
+                if indent + len(text) <= width:
+                    pieces = [lead + text + suffix]
+                else:
+                    pieces = self.r.pack([], (goal, text, ""), "", indent,
+                                         width, self.unit)
+                    pieces[0] = lead + pieces[0]
+                    pieces[-1] += suffix
                 span = goal.span
-                self.groups.append((pieces, span.start_line, span.end_line,
-                                    span.byte_start, _comment_column(lead)))
+                # A comment placed on its own line above the goal reads
+                # back at the column of a goal after a ``;`` that opens a
+                # branch, else at the lead's indent.
+                groups.append((pieces, span.start_line, span.end_line,
+                               span.byte_start,
+                               len(lead) - len(lead.lstrip(" ;"))))
                 continue
             # A block or a parenthesized conjunction used as one goal: each
             # branch opens with ``(`` or ``;``, and ``)`` closes it below.
@@ -393,13 +386,6 @@ class _ClauseFormatter:
                 work += _sequence(goals, inner, first, end, self.unit)
 
 
-def _comment_column(lead: str) -> int:
-    """The column at which a re-read puts a comment placed on its own line
-    above a goal after ``lead``: that of the goal after a ``;`` that opens
-    a branch, else the lead's indent."""
-    return len(lead) - len(lead.lstrip(" ;"))
-
-
 def _sequence(goals: list[Term], indent: int, lead: str, end: str,
               unit: int) -> list[tuple]:
     """A sequence's goals as work items, last first: the first goal after
@@ -408,13 +394,15 @@ def _sequence(goals: list[Term], indent: int, lead: str, end: str,
     its goals between ``repeat`` and the cut one extra unit."""
     items: list[tuple] = []
     cut_pending = 0
+    last = len(goals) - 1
     for index, goal in enumerate(goals):
-        if is_atom(goal, "!") and cut_pending:
+        atom = type(goal) is Atom
+        if cut_pending and atom and goal.name == "!":
             cut_pending -= 1
         at = indent + cut_pending * unit
-        items.append((goal, at, end if index == len(goals) - 1 else ",",
+        items.append((goal, at, end if index == last else ",",
                       " " * at if index else lead))
-        if not end and is_atom(goal, "repeat") and any(
+        if not end and atom and goal.name == "repeat" and any(
                 contains_cut(later) for later in goals[index + 1:]):
             cut_pending += 1
     return items[::-1]
@@ -503,6 +491,8 @@ def _place_comments(groups: list[tuple], own_line: list[Token],
     goes there.  A comment that does not fit, or whose line already ends in
     a ``%`` comment that would swallow it, goes above that group instead.
     """
+    if not own_line and not trailing:
+        return [line for lines, _, _, _, _ in groups for line in lines]
     above: list[list[str]] = [[] for _ in groups]
     pending = 0
     for (_, _, _, start, column), comments in zip(groups, above):

@@ -145,7 +145,8 @@ def conjunction_goals(body: Term) -> list[Term]:
     stack = [body]
     while stack:
         term = stack.pop()
-        if is_compound(term, ",", 2) and not term.parenthesized:
+        if type(term) is Compound and term.name == "," \
+                and len(term.args) == 2 and not term.parenthesized:
             stack.append(term.args[1])
             stack.append(term.args[0])
         else:
@@ -283,6 +284,9 @@ class OperatorTable:
         self._prefix: dict[str, OperatorDef] = {}
         self._infix: dict[str, OperatorDef] = {}
         self._postfix: dict[str, OperatorDef] = {}
+        #: Each operator name's highest priority, which an atom of that
+        #: name has; ``add`` keeps it.
+        self.priorities: dict[str, int] = {}
 
     @classmethod
     def default(cls) -> "OperatorTable":
@@ -290,6 +294,7 @@ class OperatorTable:
         table._prefix.update(_DEFAULT_TABLE._prefix)
         table._infix.update(_DEFAULT_TABLE._infix)
         table._postfix.update(_DEFAULT_TABLE._postfix)
+        table.priorities.update(_DEFAULT_TABLE.priorities)
         return table
 
     def add(self, priority: int, type_: str, name: str) -> None:
@@ -318,6 +323,14 @@ class OperatorTable:
                 self._infix.pop(name, None)
             else:
                 self._infix[name] = definition
+        best = max([d.priority for d in (self._prefix.get(name),
+                                         self._infix.get(name),
+                                         self._postfix.get(name)) if d],
+                   default=0)
+        if best:
+            self.priorities[name] = best
+        else:
+            self.priorities.pop(name, None)
 
     def prefix(self, name: str) -> OperatorDef | None:
         return self._prefix.get(name)
@@ -327,12 +340,6 @@ class OperatorTable:
 
     def postfix(self, name: str) -> OperatorDef | None:
         return self._postfix.get(name)
-
-    def max_priority(self, name: str) -> int:
-        priorities = [d.priority
-                      for d in (self._prefix.get(name), self._infix.get(name),
-                                self._postfix.get(name)) if d]
-        return max(priorities, default=0)
 
 
 def _prebuilt_default() -> OperatorTable:
@@ -556,7 +563,7 @@ def _parse(tokens: list[Token], pos: int, ops: OperatorTable,
             tok = tokens[pos] if pos < end else None
             if tok is not None and tok.kind is _ATOM and pos + 1 < end \
                     and tokens[pos + 1].kind in _CLOSERS \
-                    and ops.max_priority(tok.text) > 999:
+                    and ops.priorities.get(tok.text, 0) > 999:
                 pos += 1
                 left = Atom(tok.text, tok.span, False, tok.text)
                 finished = True

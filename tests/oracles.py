@@ -19,7 +19,11 @@ token index makes one pass over the tokens for each of its fields, where
 ``reader.TokenIndex`` collects them all in one.  The reference term index
 lists each clause's subterms and filters them once per field, finds the
 outermost disjunctions with a stack of its own and reads every clause's
-goal sequences, where ``reader.TermIndex`` makes one walk.
+goal sequences, where ``reader.TermIndex`` makes one walk.  The reference
+renderer fills its cache with three Python calls per subterm and renders a
+compound through calls that ask for each child again, where the
+formatter's ``_Renderer.fill`` renders leaves inline in one walk and reads
+each compound's children from the cache.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from prolint.reader import (
 )
 from prolint.source_model import (
     COMMENT_KINDS,
+    SYMBOL_CHARS,
     NON_CODE_KINDS,
     SourceFile,
     Span,
@@ -580,6 +585,143 @@ def check_format_reference(src: SourceFile, program: Program,
     line = original.count("\n", 0, offset) + 1
     col = offset - (original.rfind("\n", 0, offset) + 1) + 1
     return False, Span(line, col, line, col + 1, offset, offset + 1)
+
+
+class _ReferenceRenderer:
+    """The formatter's renderer before it rendered in one walk, frozen
+    without the step that drops an operator's operand entries once used, so
+    that the cache keeps every subterm."""
+
+    def __init__(self, ops: OperatorTable) -> None:
+        self.ops = ops
+        self.rendered: dict[int, tuple[str, int]] = {}
+
+    def render(self, term: Term, max_prec: int,
+               force_parens: bool = False) -> str:
+        entry = self.rendered.get(id(term))
+        if entry is None:
+            self._fill(term)
+            entry = self.rendered[id(term)]
+        text, priority = entry
+        if force_parens or priority > max_prec:
+            return f"({text})"
+        return text
+
+    def _fill(self, term: Term) -> None:
+        rendered = self.rendered
+        order: list[Compound] = []
+        stack = [term]
+        while stack:
+            node = stack.pop()
+            key = id(node)
+            if key in rendered:
+                continue
+            if not isinstance(node, Compound):
+                rendered[key] = self._render(node)
+                continue
+            order.append(node)
+            if node.name == "." and len(node.args) == 2:
+                while is_compound(node, ".", 2):
+                    stack.append(node.args[0])
+                    node = node.args[1]
+                stack.append(node)
+            else:
+                stack += node.args
+        for node in reversed(order):
+            rendered[id(node)] = self._render(node)
+
+    def _max_priority(self, name: str) -> int:
+        priorities = [d.priority
+                      for d in (self.ops.prefix(name), self.ops.infix(name),
+                                self.ops.postfix(name)) if d]
+        return max(priorities, default=0)
+
+    def _render(self, term: Term) -> tuple[str, int]:
+        if isinstance(term, Variable):
+            return term.name, 0
+        if isinstance(term, (Integer, Float)):
+            return (term.lexeme or str(term.value)), 0
+        if isinstance(term, Str):
+            return (term.lexeme or f'"{term.text}"'), 0
+        if isinstance(term, Atom):
+            return term.text, 0 if term.quoted \
+                else self._max_priority(term.name)
+        return self._render_compound(term)
+
+    def _render_compound(self, term: Compound) -> tuple[str, int]:
+        name, args = term.name, term.args
+        if name == "." and len(args) == 2:
+            return self._render_list(term), 0
+        if name == "{}" and len(args) == 1:
+            return "{" + self.render(args[0], 1200) + "}", 0
+        if len(args) == 2:
+            definition = self.ops.infix(name)
+            if definition:
+                p = definition.priority
+                left_max = p if definition.type == "yfx" else p - 1
+                right_max = p if definition.type == "xfy" else p - 1
+                force_left = (is_compound(args[0], ",", 2)
+                              and args[0].parenthesized
+                              and name in (";", "->", "*->")) or (
+                    isinstance(args[0], Atom) and not args[0].quoted
+                    and (self.ops.infix(args[0].name) is not None
+                         or self.ops.postfix(args[0].name) is not None))
+                force_right = (is_compound(args[1], ",", 2)
+                               and args[1].parenthesized
+                               and name in (";", "->", "*->"))
+                left = self.render(args[0], left_max, force_left)
+                right = self.render(args[1], right_max, force_right)
+                if name == ",":
+                    return f"{left}, {right}", p
+                if self._renders_tight(name, args, left, right):
+                    return f"{left}{name}{right}", p
+                return f"{left} {name} {right}", p
+        if len(args) == 1:
+            definition = self.ops.prefix(name)
+            if definition:
+                arg_max = definition.priority \
+                    - (1 if definition.type == "fx" else 0)
+                return (f"{name} {self.render(args[0], arg_max)}",
+                        definition.priority)
+            definition = self.ops.postfix(name)
+            if definition:
+                arg_max = definition.priority \
+                    - (1 if definition.type == "xf" else 0)
+                return (f"{self.render(args[0], arg_max)} {name}",
+                        definition.priority)
+        rendered = ", ".join([self.render(arg, 999) for arg in args])
+        return f"{term.functor_lexeme or name}({rendered})", 0
+
+    def _renders_tight(self, name: str, args: list, left: str,
+                       right: str) -> bool:
+        if name == "/":
+            if not (isinstance(args[0], Atom)
+                    and isinstance(args[1], Integer)):
+                return False
+        elif name != ":":
+            return False
+        return left[-1] not in SYMBOL_CHARS \
+            and right[0] not in SYMBOL_CHARS
+
+    def _render_list(self, term: Compound) -> str:
+        elements = []
+        node: Term = term
+        while is_compound(node, ".", 2):
+            elements.append(self.render(node.args[0], 999))
+            node = node.args[1]
+        if is_atom(node, "[]"):
+            return "[" + ", ".join(elements) + "]"
+        return "[" + ", ".join(elements) + "|" + self.render(node, 999) + "]"
+
+
+def render_reference(terms: list[Term],
+                     ops: OperatorTable) -> dict[int, tuple[str, int]]:
+    """``id(subterm) -> (text, priority)`` for each of ``terms`` and every
+    subterm under it, a list's inner cons cells excepted, under ``ops``."""
+    renderer = _ReferenceRenderer(ops)
+    for term in terms:
+        renderer.render(term, 1200)
+    return renderer.rendered
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,12 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import prolint
-from prolint import cli
+from prolint import Config, cli
 from prolint.cli import main
 
 from snippets import SAME_LENGTH
@@ -204,6 +205,56 @@ def test_directory_recursion_and_extension_filter(tmp_path, capsys):
     assert main(["check", str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "a.pl" in out and "b.pro" in out and "ignored.txt" not in out
+
+
+def _expand_with_rglob(raw_paths, cfg):
+    """The path expansion that walked directories with ``Path.rglob``."""
+    files = []
+    for raw in raw_paths:
+        if raw == "-":
+            files.append("-")
+            continue
+        path = Path(raw)
+        if path.is_dir():
+            files.extend(str(p) for p in path.rglob("*")
+                         if p.is_file() and p.suffix in cfg.extensions)
+        else:
+            files.append(str(path))
+    return [f for f in files if f == "-"] + sorted(f for f in files
+                                                  if f != "-")
+
+
+def test_path_expansion_matches_rglob(tmp_path, monkeypatch):
+    root = tmp_path / "root"
+    deep = root / "sub" / "deeper"
+    deep.mkdir(parents=True)
+    (root / "x.pl").mkdir()  # a directory with a Prolog suffix
+    names = ["a.pl", "b.pro", "c.prolog", "d.txt", "e.pl.bak", ".hidden.pl",
+             ".pl", "trailing.", "sub/f.pl", "sub/deeper/g.pro",
+             "x.pl/inner.pl"]
+    for name in names:
+        (root / name).write_text("p.\n", encoding="utf-8")
+    (root / "link.pl").symlink_to(root / "a.pl")
+    (root / "link.txt").symlink_to(root / "a.pl")
+    (root / "broken.pl").symlink_to(root / "missing.pl")
+    (root / "linked_dir").symlink_to(root / "sub", target_is_directory=True)
+    (root / "linked_dir.pl").symlink_to(root / "sub",
+                                        target_is_directory=True)
+    cfg = Config()
+    odd = Config()
+    odd.extensions = (".pl", ".bak", ".")
+    monkeypatch.chdir(tmp_path)
+    for config in (cfg, odd):
+        for raw in ([str(root)], [str(root) + "/"], ["root"], ["./root"],
+                    ["-", "root/sub", "root/d.txt", "root"]):
+            want = _expand_with_rglob(raw, config)
+            assert cli._expand_paths(raw, config) == want, raw
+    monkeypatch.chdir(root)
+    assert cli._expand_paths(["."], cfg) == _expand_with_rglob(["."], cfg)
+    got = cli._expand_paths(["."], cfg)
+    assert "link.pl" in got and "broken.pl" not in got, got
+    assert not any(path.startswith("linked_dir") for path in got), got
+    assert "x.pl/inner.pl" in got and "x.pl" not in got, got
 
 
 def test_non_decimal_digit_file_reported_with_the_others(tmp_path, capsys):

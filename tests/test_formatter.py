@@ -15,7 +15,7 @@ from prolint import (
     structurally_equal,
 )
 from prolint.formatter import _Renderer
-from prolint.reader import MAX_TERM_DEPTH, subterms
+from prolint.reader import MAX_TERM_DEPTH, Compound, subterms
 from prolint.source_model import TokenKind, scan
 
 from gen import gen_file
@@ -403,18 +403,19 @@ def test_wrapping_renders_each_subterm_once(depth, monkeypatch):
     program = program_from_source(source_from_text(_nested_fact(depth)))
     assert not program.syntax_diagnostics
     calls = 0
-    original = _Renderer._render
+    original = _Renderer._render_compound
 
     def counting(self, *args):
         nonlocal calls
         calls += 1
         return original(self, *args)
 
-    monkeypatch.setattr(_Renderer, "_render", counting)
+    # Leaves are rendered inline by the walk; each compound is one step.
+    monkeypatch.setattr(_Renderer, "_render_compound", counting)
     out = format_program(program)
     assert len(out.splitlines()) > depth  # wrapped at every level
     head = program.items[0].head
-    assert calls <= sum(1 for _ in subterms(head))
+    assert 0 < calls <= sum(isinstance(t, Compound) for t in subterms(head))
 
 
 def test_deepest_readable_term_formats_and_reads_back():

@@ -48,6 +48,15 @@ def _conjunction(n: int) -> str:
     return "p :-\n" + "".join(f"    a{i},\n" for i in range(n)) + "    z.\n"
 
 
+def _conjunction_in_block(n: int) -> str:
+    """One clause whose body is one ``( ... ; ... )`` block holding a
+    conjunction of ``n`` goals.  Rendering that conjunction whole would copy
+    each prefix of its text."""
+    return "p :-\n    (   " + ",\n        ".join(
+        f"goal_number_{i}(Argument)" for i in range(n)) \
+        + "\n    ;   z\n    ).\n"
+
+
 #: Long elements make a line long for its number of tokens, so that a
 #: step per comma that reads the rest of the line shows at a size that is
 #: quick to read.
@@ -116,6 +125,8 @@ SHAPES = {
     "own_line_comment_before_each_goal": (
         _own_line_comments, 2_500, _format, Config()),
     "long_conjunction": (_conjunction, 2_500, _format, Config()),
+    "conjunction_in_one_block": (
+        _conjunction_in_block, 2_500, _format, Config()),
     "arguments_on_one_line": (
         _arguments_on_one_line, 10_000, _rules, _only("L07")),
     "list_on_one_line": (

@@ -80,6 +80,12 @@ _NAME = re.compile(r"[a-z][A-Za-z0-9_]*")
 _ARG_NAME = re.compile(r"[A-Z_][A-Za-z0-9_]*")
 
 
+def _marker_kind(text: str) -> str:
+    """``"double"`` for a comment opened by ``%%`` or PlDoc's ``%!``, which
+    introduce a predicate callable from elsewhere, else ``"single"``."""
+    return "double" if text.startswith(("%%", "%!")) else "single"
+
+
 class _Cursor:
     def __init__(self, text: str) -> None:
         self.text = text
@@ -111,11 +117,8 @@ def _parse_structure(comment_text: str) -> DocHead:
     caller validates symbols against the active system."""
     first_line = comment_text.split("\n", 1)[0]
     cur = _Cursor(first_line)
-    marker = cur.match(_MARKER)
-    if marker is None:
+    if cur.match(_MARKER) is None:
         raise DocHeadError("doc comment must begin with '%'", 0)
-    marker_kind = "double" if marker in ("%!",) or marker.startswith("%%") \
-        else "single"
     cur.skip_ws()
     name = cur.match(_NAME)
     if name is None:
@@ -151,7 +154,7 @@ def _parse_structure(comment_text: str) -> DocHead:
             f"unexpected text after doc head: {first_line[cur.i:].strip()!r}",
             cur.i)
     return DocHead(predicate_name=name, args=args, determinism=determinism,
-                   marker=marker_kind)
+                   marker=_marker_kind(first_line))
 
 
 def _parse_arg(cur: _Cursor) -> ArgDoc:
@@ -246,9 +249,7 @@ class _DocBlock:
 
     @property
     def marker(self) -> str:
-        text = self.tokens[0].text
-        return "double" if text.startswith("%%") or text.startswith("%!") \
-            else "single"
+        return _marker_kind(self.tokens[0].text)
 
 
 def _strip_marker(text: str) -> str:
@@ -257,16 +258,14 @@ def _strip_marker(text: str) -> str:
 
 
 def _collect_blocks(program: Program) -> list[_DocBlock]:
-    by_clause: dict[int, list[Token]] = {}
-    for attached in program.comments:
-        if attached.kind != CommentAttachment.PRECEDING:
-            continue
-        if attached.token.kind != TokenKind.LINE_COMMENT:
-            continue
-        by_clause.setdefault(attached.clause_index, []).append(attached.token)
-
+    """The line comments above each clause that is not a directive."""
     blocks = []
-    for clause_index, tokens in sorted(by_clause.items()):
+    for clause_index, clause in enumerate(program.items):
+        tokens = [attached.token for attached in clause.comments
+                  if attached.kind is CommentAttachment.PRECEDING
+                  and attached.token.kind is TokenKind.LINE_COMMENT]
+        if not tokens or clause.kind is ClauseKind.DIRECTIVE:
+            continue
         block = _DocBlock(clause_index=clause_index, tokens=tokens)
         for position, token in enumerate(tokens):
             stripped = _strip_marker(token.text)
@@ -300,9 +299,7 @@ class _Docs:
         for gi, group in enumerate(self.groups):
             for clause in group.clauses:
                 self.group_index[clause_ids[id(clause)]] = gi
-        self.blocks = [
-            block for block in _collect_blocks(program)
-            if program.items[block.clause_index].kind != ClauseKind.DIRECTIVE]
+        self.blocks = _collect_blocks(program)
         #: Predicates with a '%%' head naming them, and the first head
         #: written for each indicator.
         self.documented: set[tuple[str, int]] = set()

@@ -13,9 +13,8 @@ verbatim.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .diagnostics import SUPPRESSION_COMMENT, Config, Diagnostic
 from .reader import (
@@ -436,46 +435,23 @@ class _Unit:
     end_line: int
     #: The clause's index in ``program.items``; None for a free comment.
     index: int | None = None
-    preceding: list[Token] = field(default_factory=list)
     comment: Token | None = None
 
 
-def _collect_units(program: Program) -> tuple[list[_Unit], dict[int, list[Token]],
-                                              dict[int, list[Token]]]:
-    preceding: dict[int, list[Token]] = {}
-    trailing: dict[int, list[Token]] = {}
-    interior: dict[int, list[Token]] = {}
-    free_comments: list[Token] = []
-
-    starts = [clause.span.byte_start for clause in program.items]
-    for attached in program.comments:
-        token = attached.token
-        if attached.kind == CommentAttachment.PRECEDING:
-            preceding.setdefault(attached.clause_index, []).append(token)
-        elif attached.kind == CommentAttachment.TRAILING \
-                and attached.clause_index is not None:
-            trailing.setdefault(attached.clause_index, []).append(token)
-        else:
-            # The last clause starting before the comment is the only one
-            # that can hold it.
-            idx = bisect_left(starts, token.span.byte_start) - 1
-            if idx >= 0 and token.span.byte_start \
-                    < program.items[idx].span.byte_end:
-                interior.setdefault(idx, []).append(token)
-            else:
-                free_comments.append(token)
-
+def _collect_units(program: Program) -> list[_Unit]:
+    """The clauses, each starting at its first preceding comment, and the
+    comments that no clause owns, in line order."""
     units: list[_Unit] = []
     for idx, clause in enumerate(program.items):
-        ahead = preceding.get(idx, [])
-        start = ahead[0].span.start_line if ahead else clause.span.start_line
-        units.append(_Unit(start_line=start, end_line=clause.span.end_line,
-                           index=idx, preceding=ahead))
-    for token in free_comments:
-        units.append(_Unit(start_line=token.span.start_line,
-                           end_line=token.span.end_line, comment=token))
+        units.append(_Unit(start_line=clause.first_line,
+                           end_line=clause.span.end_line, index=idx))
+    for attached in program.comments:
+        if attached.clause_index is None:
+            token = attached.token
+            units.append(_Unit(start_line=token.span.start_line,
+                               end_line=token.span.end_line, comment=token))
     units.sort(key=lambda u: u.start_line)
-    return units, trailing, interior
+    return units
 
 
 def _place_comments(groups: list[tuple], own_line: list[Token],
@@ -549,7 +525,7 @@ def _formatted_units(program: Program, cfg: Config) -> Iterator[list[str]]:
     free comment; nothing after a unit is rendered until it is asked for."""
     if program.syntax_diagnostics:
         raise FormatError(program.syntax_diagnostics[0])
-    units, trailing, interior = _collect_units(program)
+    units = _collect_units(program)
     table = OperatorTable.default()
     previous: _Unit | None = None
     for unit in units:
@@ -561,10 +537,18 @@ def _formatted_units(program: Program, cfg: Config) -> Iterator[list[str]]:
             yield lines
             continue
         clause = program.items[idx]
-        lines += [token.text.rstrip() for token in unit.preceding]
+        own_line: list[Token] = []
+        trailing: list[Token] = []
+        for attached in clause.comments:
+            kind = attached.kind
+            if kind is CommentAttachment.PRECEDING:
+                lines.append(attached.token.text.rstrip())
+            elif kind is CommentAttachment.INTERIOR:
+                own_line.append(attached.token)
+            else:
+                trailing.append(attached.token)
         groups = _ClauseFormatter(_Renderer(table), cfg).format_clause(clause)
-        lines += _place_comments(groups, interior.get(idx, []),
-                                 trailing.get(idx, []), cfg)
+        lines += _place_comments(groups, own_line, trailing, cfg)
         if clause.kind == ClauseKind.DIRECTIVE:
             apply_directive_to_table(clause.body, table)
         yield lines

@@ -14,7 +14,6 @@ from itertools import takewhile
 from .diagnostics import Diagnostic, Severity, diag, rule, run_family
 from .reader import (
     ClauseKind,
-    CommentAttachment,
     Compound,
     Facts,
     Term,
@@ -362,27 +361,17 @@ def _l11_header(facts: Facts) -> Iterator[Diagnostic]:
 
 @rule("L12")
 def _l12_vertical_space(facts: Facts) -> Iterator[Diagnostic]:
-    program = facts.program
+    items = facts.program.items
     texts = facts.src.line_texts
-    preceding_start: dict[int, int] = {}
-    for attached in program.comments:
-        if attached.kind == CommentAttachment.PRECEDING:
-            line = attached.token.span.start_line
-            idx = attached.clause_index
-            preceding_start[idx] = min(preceding_start.get(idx, line), line)
-
-    for idx in range(len(program.items) - 1):
-        first, second = program.items[idx], program.items[idx + 1]
+    for first, second in zip(items, items[1:]):
         # A head that is not callable (a number, a string, a variable)
         # names no predicate to space.
         if first.kind == ClauseKind.DIRECTIVE \
                 or second.kind == ClauseKind.DIRECTIVE \
                 or second.indicator is None:
             continue
-        effective_start = preceding_start.get(idx + 1,
-                                              second.span.start_line)
         blanks = sum(
-            1 for line_no in range(first.span.end_line + 1, effective_start)
+            1 for line_no in range(first.span.end_line + 1, second.first_line)
             if not texts[line_no - 1].strip())
         same = first.indicator == second.indicator
         if same and blanks > 0:

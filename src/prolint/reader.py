@@ -5,6 +5,11 @@ The reader interprets ``:- op(P, T, N)`` directives so that later clauses
 parse under the updated table, and extracts exports from a ``:- module(M, Es)``
 directive.  Other directives are stored but not executed.  ``Facts`` holds
 what the lint rules share about one read file.
+
+The reader alone decides which clause owns each comment
+(``_attach_comments``): ``Program.comments`` lists every comment with its
+kind (TRAILING, INTERIOR, PRECEDING or FREE), and ``Clause.comments`` holds
+the ones a clause owns.  A comment inside a clause belongs to that clause.
 """
 
 from __future__ import annotations
@@ -374,15 +379,27 @@ class Clause:
     body: Term | None
     span: Span
     neck_span: Span | None = None
+    #: The comments this clause owns, in source order (``_attach_comments``).
+    comments: list[AttachedComment] = field(default_factory=list)
 
     @property
     def indicator(self) -> tuple[str, int] | None:
         return indicator_of(self.head) if self.head is not None else None
 
+    @property
+    def first_line(self) -> int:
+        """The line of the clause's first preceding comment, else its own
+        first line: preceding comments come first in ``comments``."""
+        if self.comments \
+                and self.comments[0].kind is CommentAttachment.PRECEDING:
+            return self.comments[0].token.span.start_line
+        return self.span.start_line
+
 
 class CommentAttachment(enum.Enum):
     PRECEDING = "preceding"
     TRAILING = "trailing"
+    INTERIOR = "interior"
     FREE = "free"
 
 
@@ -927,16 +944,20 @@ def read_program(tokens: list[Token]) -> tuple[Program, list[Diagnostic]]:
 
 def _attach_comments(tokens: list[Token],
                      items: list[Clause]) -> list[AttachedComment]:
-    """Attach each comment to a clause, in one forward pass over ``tokens``
-    (which arrive in byte order).
+    """Give each comment its kind and owner, in one forward pass over
+    ``tokens`` (which arrive in byte order), and hand each clause the
+    comments it owns (``Clause.comments``).
 
     * TRAILING: code ends on the line the comment starts on, before it; the
       comment belongs to the clause holding the last such code token (or to
       none, when that token is outside every clause).
-    * PRECEDING: line-initial comments on adjacent lines form a block; every
-      comment of a block belongs to the first clause starting after the
-      block's last comment on that comment's last line or the next one.
-    * FREE: every other comment.
+    * INTERIOR: any other comment that starts inside a clause belongs to
+      that clause.
+    * PRECEDING: the remaining line-initial comments on adjacent lines form
+      a block; every comment of a block belongs to the first clause starting
+      after the block's last comment on that comment's last line or the
+      next one.
+    * FREE: every other comment, owned by no clause.
     """
     starts = [clause.span.byte_start for clause in items]
 
@@ -958,8 +979,8 @@ def _attach_comments(tokens: list[Token],
                 attached.clause_index = idx
 
     result: list[AttachedComment] = []
-    # The line-initial comments on adjacent lines read so far, as FREE until
-    # the block ends and is resolved.
+    # The line-initial comments between clauses on adjacent lines read so
+    # far, as FREE until the block ends and is resolved.
     block: list[AttachedComment] = []
     last_code: Token | None = None
     for tok in tokens:
@@ -970,6 +991,9 @@ def _attach_comments(tokens: list[Token],
             result.append(AttachedComment(
                 tok, CommentAttachment.TRAILING,
                 clause_at(last_code.span.byte_start)))
+        elif (idx := clause_at(tok.span.byte_start)) is not None:
+            result.append(AttachedComment(
+                tok, CommentAttachment.INTERIOR, idx))
         else:
             if block and block[-1].token.span.end_line + 1 \
                     < tok.span.start_line:
@@ -979,6 +1003,9 @@ def _attach_comments(tokens: list[Token],
             result.append(block[-1])
     if block:
         resolve(block)
+    for attached in result:
+        if attached.clause_index is not None:
+            items[attached.clause_index].comments.append(attached)
     return result
 
 

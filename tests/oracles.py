@@ -292,7 +292,9 @@ def attach_comments_reference(tokens: list[Token], clause_spans: list):
     every token and every clause span.
 
     Returns ``(token, kind, clause_index)`` per comment in source order, with
-    ``kind`` one of ``"trailing"``, ``"preceding"``, ``"free"``.
+    ``kind`` one of ``"trailing"``, ``"interior"``, ``"preceding"``,
+    ``"free"``.  A comment that is not trailing and starts inside a clause
+    span is interior to that clause and never joins a block.
     """
     comment_kinds = (TokenKind.LINE_COMMENT, TokenKind.BLOCK_COMMENT)
     code_tokens = [t for t in tokens if t.kind not in comment_kinds]
@@ -317,9 +319,15 @@ def attach_comments_reference(tokens: list[Token], clause_spans: list):
                 if t.span.end_line == comment.span.start_line
                 and t.span.byte_end <= comment.span.byte_start]
 
+    def clause_holding(comment: Token):
+        for idx, span in enumerate(clause_spans):
+            if span.byte_start <= comment.span.byte_start < span.byte_end:
+                return idx
+        return None
+
     blocks: list[list[Token]] = []
     for comment in comments:
-        if code_before_on_line(comment):
+        if code_before_on_line(comment) or clause_holding(comment) is not None:
             continue
         if blocks and blocks[-1][-1].span.end_line + 1 \
                 >= comment.span.start_line:
@@ -339,6 +347,8 @@ def attach_comments_reference(tokens: list[Token], clause_spans: list):
         if trailing_code:
             result.append((comment, "trailing",
                            clause_at(trailing_code[-1].span.byte_start)))
+        elif (holder := clause_holding(comment)) is not None:
+            result.append((comment, "interior", holder))
         elif comment.span.byte_start in preceding:
             result.append((comment, "preceding",
                            preceding[comment.span.byte_start]))

@@ -22,6 +22,10 @@ def attachments(text: str):
     program = program_from_source(src)
     got = [(a.token.span.byte_start, a.kind.value, a.clause_index)
            for a in program.comments]
+    # Each clause holds the comments attached to it, in source order.
+    for index, clause in enumerate(program.items):
+        assert clause.comments == [a for a in program.comments
+                                   if a.clause_index == index]
     spans = [clause.span for clause in program.items]
     want = [(token.span.byte_start, kind, index)
             for token, kind, index in attach_comments_reference(tokens, spans)]
@@ -38,6 +42,7 @@ EDGE_CASES = {
     "syntax_error_mid_way": "foo.\n% before the break\nbar( :- . % broken\n"
                             "baz :- ) . % also broken\nqux. % fine\n",
     "interior_comment": "foo :-\n    % why\n    bar, % eol\n    baz.\n",
+    "interior_before_next_clause": "a :-\n    % why b\n    b. c.\n",
     "no_clauses": "% only\n/* comments */\n",
     "after_multi_line_token": "foo(X) :-\n    X = 'two\nlines' % eol\n"
                               "    , bar(X).\n",
@@ -67,6 +72,13 @@ def test_attachment_edge_case_kinds():
     assert [(kind, index) for _, kind, index in got] \
         == [("free", None), ("trailing", None), ("trailing", None),
             ("trailing", 1)]
+    got, _ = attachments(EDGE_CASES["interior_comment"])
+    assert [(kind, index) for _, kind, index in got] \
+        == [("interior", 0), ("trailing", 0)]
+    # A comment inside a clause stays with it, even when the next clause
+    # starts on the line after it.
+    got, _ = attachments(EDGE_CASES["interior_before_next_clause"])
+    assert [(kind, index) for _, kind, index in got] == [("interior", 0)]
     got, _ = attachments(EDGE_CASES["after_multi_line_token"])
     assert [(kind, index) for _, kind, index in got] == [("trailing", 0)]
 

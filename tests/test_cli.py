@@ -186,6 +186,49 @@ def test_config_unknown_key_warns_but_continues(tmp_path, capsys):
     assert "mystery" in capsys.readouterr().err
 
 
+def test_unreadable_config_path_exits_two(tmp_path, capsys):
+    path = write(tmp_path, "clean.pl", CLEAN)
+    missing = str(tmp_path / "absent.cfg")
+    assert main(["check", "--config", missing, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot read config" in captured.err
+
+
+def test_unknown_severity_level_exits_two(tmp_path, capsys):
+    path = write(tmp_path, "clean.pl", CLEAN)
+    assert main(["check", "--severity", "I04=bogus", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown severity 'bogus'" in captured.err
+
+
+def test_fmt_undecodable_file_exits_two_after_others(tmp_path, capsys):
+    first = write(tmp_path, "a.pl", "a(1).   a(2).\n")
+    undecodable = tmp_path / "b.pl"
+    undecodable.write_bytes(b"p :- q('\xff\xfe').\n")
+    last = write(tmp_path, "c.pl", "c :- d,e.\n")
+    assert main(["fmt", first, str(undecodable), last]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "a(1).\na(2).\nc :-\n    d,\n    e.\n"
+    assert str(undecodable) in captured.err
+
+
+def test_fmt_write_failed_rename_keeps_the_original(tmp_path, capsys,
+                                                    monkeypatch):
+    messy = "q :- r,s.\n"
+    path = write(tmp_path, "file.pl", messy)
+
+    def refuse(source, target):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main(["fmt", "--write", path]) == 2
+    assert "rename refused" in capsys.readouterr().err
+    assert (tmp_path / "file.pl").read_text(encoding="utf-8") == messy
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file.pl"]
+
+
 def test_unreadable_file_exits_two_after_others(tmp_path, capsys):
     good = write(tmp_path, "bad.pl", TABBED)
     missing = str(tmp_path / "absent.pl")

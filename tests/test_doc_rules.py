@@ -201,6 +201,13 @@ def test_d01_multi_arity_block_covers_both():
     assert only(lint_text(text), "D01") == []
 
 
+def test_d01_comment_inside_a_clause_documents_no_later_clause():
+    # The head inside a's body belongs to a, not to c on the next line.
+    text = "a :-\n    %% c is det.\n    b.  c.\n\nd :-\n    c.\n"
+    diags = only(lint_text(text), "D01")
+    assert [d.predicate for d in diags] == [("c", 0)]
+
+
 # -- D02 -------------------------------------------------------------------------
 
 def test_d02_pldoc_mode_under_recommended_system():

@@ -313,6 +313,9 @@ ROUND_TRIP_CASES = {
     "line_comment_before_end_then_trailing_comment": (
         "p :-\n    a\n    % interior\n    . % trailing\n",
         "p :-\n    a. % trailing\n% interior\n"),
+    "comment_inside_clause_before_next_clause": (
+        "a :-\n    % why b\n    b. c.\n",
+        "a :-\n    % why b\n    b.\n\nc.\n"),
     "xf_operand_of_xf": (
         ":- op(100, xf, ++).\nq((X ++) ++).\n",
         ":- op(100, xf, ++).\nq((X ++) ++).\n"),

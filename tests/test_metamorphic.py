@@ -4,10 +4,12 @@ formatting must keep.
 
 The programs are the benchmark's library modules at seed 1 and 100
 ``gen_file`` outputs.  Each is read once; ``run`` then lints the same
-``Program`` under each configuration, as the properties need.  The round
-trip through ``fmt`` runs over seeded token soup and over seeded bodies that
-nest control constructs and data up to 64 levels deep; the same bodies with
-comments planted between their goals keep their structure and comments.
+``Program`` under each configuration, as the properties need.  The
+suppression and ``fmt``-invariance gates run over the library modules and
+``gen_file(random.Random(i))`` for i < 300.  The round trip through ``fmt``
+runs over seeded token soup and over seeded bodies that nest control
+constructs and data up to 64 levels deep; the same bodies with comments
+planted between their goals keep their structure and comments.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import importlib.util
 import random
 import re
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,6 +26,7 @@ import pytest
 
 from prolint import (
     REGISTRY,
+    Config,
     Severity,
     format_program,
     program_from_source,
@@ -104,6 +108,82 @@ def test_config_algebra(programs, monkeypatch, tmp_path):
         assert lowered == [replace(d, severity=Severity.INFO)
                            if d.rule_id == rule_id else d
                            for d in base], (src.path, rule_id)
+
+
+@pytest.fixture(scope="module")
+def gate_programs():
+    """Each gate program's source, ``Program`` and default diagnostics."""
+    texts = _library_modules() \
+        + [gen_file(random.Random(seed)) for seed in range(300)]
+    out = []
+    for index, text in enumerate(texts):
+        src = source_from_text(text, f"g{index:03d}.pl")
+        program = program_from_source(src)
+        out.append((src, program, run(src, program, Config())))
+    return out
+
+
+def _placed(d) -> tuple:
+    """A diagnostic by line and column: the byte offsets after an edit
+    move."""
+    span = d.span
+    return (d.rule_id, d.severity, span.start_line, span.start_col,
+            span.end_line, span.end_col, d.message, d.predicate)
+
+
+def test_suppression_comment_removes_exactly_its_rule_on_its_clause(
+        gate_programs):
+    """Appending ``% prolint: allow X`` to a clause's first line, where X
+    fires in that clause, removes exactly the X diagnostics on the lines of
+    the clauses starting on that line.  L03 is left out: the comment
+    lengthens the line."""
+    rng = random.Random(5)
+    trials = 0
+    for src, program, base in gate_programs:
+        # A line that ends inside a token would take the comment into it.
+        crossed = {line for token in program.tokens
+                   for line in range(token.span.start_line,
+                                     token.span.end_line)}
+        picks = sorted({(clause.span.start_line, d.rule_id)
+                        for clause in program.items for d in base
+                        if clause.span.start_line not in crossed
+                        and d.rule_id not in NON_SUPPRESSIBLE
+                        and d.rule_id != "L03"
+                        and clause.span.start_line <= d.span.start_line
+                        <= clause.span.end_line})
+        if not picks:
+            continue
+        trials += 1
+        line, rule_id = rng.choice(picks)
+        lines = src.content.split("\n")
+        lines[line - 1] += f"  % prolint: allow {rule_id}"
+        changed = source_from_text("\n".join(lines), src.path)
+        after = run(changed, program_from_source(changed), Config())
+        allowed = {covered for clause in program.items
+                   if clause.span.start_line == line
+                   for covered in range(line, clause.span.end_line + 1)}
+        want = [_placed(d) for d in base if d.rule_id != "L03"
+                and not (d.rule_id == rule_id
+                         and d.span.start_line in allowed)]
+        assert [_placed(d) for d in after if d.rule_id != "L03"] == want, \
+            (src.path, line, rule_id)
+    assert trials >= 300
+
+
+def _rule_findings(diags) -> Counter:
+    """The N, D and I findings other than I07, by rule, message with its
+    numbers masked, and predicate: what layout cannot change."""
+    return Counter((d.rule_id, re.sub(r"\d+", "#", d.message), d.predicate)
+                   for d in diags
+                   if d.rule_id[0] in "NDI" and d.rule_id != "I07")
+
+
+def test_fmt_keeps_the_naming_doc_and_idiom_findings(gate_programs):
+    for src, program, base in gate_programs:
+        assert not program.syntax_diagnostics, src.path
+        formatted = source_from_text(format_program(program), src.path)
+        after = run(formatted, program_from_source(formatted), Config())
+        assert _rule_findings(after) == _rule_findings(base), src.path
 
 
 def _assert_fmt_round_trip(text: str, program) -> None:

@@ -13,6 +13,7 @@ verbatim.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -248,12 +249,13 @@ def _is_block(goal: Term) -> bool:
 
 
 class _ClauseFormatter:
-    """Lays out one clause as groups of lines with the source lines they
-    came from, (lines, first source line, last source line, start offset of
-    a goal or None, column of a comment above them): one for its head or
-    directive line, one for each goal and one for each block's closing
-    line.  ``_place_comments`` then places the clause's comments among
-    them."""
+    """Lays out one clause as groups of lines (lines, begin, start, column)
+    for ``_place_comments``, in source order: one for its head or directive
+    line, one for each goal and one for each block's closing line.  A group
+    begins at the source offset of the ``(`` or ``;`` that leads it, else
+    of its goal, the first at the clause's own start, and never before the
+    group ahead of it; ``start`` is its goal's (None for a head or directive
+    line).  A closing line begins and starts at its ``)``."""
 
     def __init__(self, renderer: _Renderer, cfg: Config) -> None:
         self.r = renderer
@@ -276,7 +278,7 @@ class _ClauseFormatter:
         else:
             self.emit_head(clause)
         if kind is ClauseKind.RULE or kind is ClauseKind.GRAMMAR_RULE:
-            self.emit_body(body, " " * self.unit)
+            self.emit_body(body, " " * self.unit, None)
         # A symbol character before the end would fuse with it into one atom.
         lines = self.groups[-1][0]
         lines[-1] += " ." if lines[-1][-1] in SYMBOL_CHARS else "."
@@ -284,24 +286,23 @@ class _ClauseFormatter:
 
     def emit_directive(self, clause: Clause) -> None:
         goals = conjunction_goals(clause.body)
-        first, last = clause.span.start_line, clause.span.end_line
+        begin = clause.span.byte_start
         if len(goals) == 1 and not _is_block(clause.body):
             text = self.r.render(clause.body, 1199)
             pieces = [text] if 3 + len(text) <= self.width else self.r.pack(
                 [], (clause.body, text, ""), "", 3, self.width, self.unit)
             pieces[0] = ":- " + pieces[0]
-            self.groups.append((pieces, first, last, None, 0))
+            self.groups.append((pieces, begin, None, 0))
         elif any(_is_block(goal) for goal in goals):
             # The block form, as in a rule body, keeps one goal per line.
-            self.groups.append(([":-"], first, last, None, 0))
-            self.emit_body(clause.body, " " * self.unit)
+            self.groups.append(([":-"], begin, None, 0))
+            self.emit_body(clause.body, " " * self.unit, None)
         else:
-            self.emit_body(clause.body, ":- ")
+            self.emit_body(clause.body, ":- ", begin)
 
     def emit_head(self, clause: Clause) -> None:
         head = clause.head
-        first = head.span.start_line
-        last = (clause.neck_span or head.span).end_line
+        begin = clause.span.byte_start
         inline = self.r.render(head, 1199)
         kind = clause.kind
         tail = " :-" if kind is ClauseKind.RULE \
@@ -310,7 +311,7 @@ class _ClauseFormatter:
         if len(inline) + len(tail or ".") <= self.width \
                 or not isinstance(head, Compound) \
                 or self.r.rendered[id(head)][1] != 0:
-            self.groups.append(([inline + tail], first, last, None, 0))
+            self.groups.append(([inline + tail], begin, None, 0))
             return
         # Break after the head's opening parenthesis; the argument block is
         # indented one unit and the closer returns to column 1.
@@ -318,23 +319,25 @@ class _ClauseFormatter:
         args = self.r.pack([[head.args, 0, pad, "", self.unit, "", 0]], None,
                            pad, 0, self.width, self.unit)
         self.groups.append(([(head.functor_lexeme or head.name) + "(", *args,
-                             ")" + tail], first, last, None, 0))
+                             ")" + tail], begin, None, 0))
 
     # -- bodies --------------------------------------------------------------
 
-    def emit_body(self, body: Term, lead: str) -> None:
-        """Lay out a body one goal per line, the first after ``lead``.  The
-        work list, run last-first, holds goals as (goal, indent, suffix,
-        lead) and a block's closing line as its group."""
+    def emit_body(self, body: Term, lead: str, begin: int | None) -> None:
+        """Lay out a body one goal per line, the first after ``lead``, which
+        begins at ``begin`` unless that is None.  The work list, run
+        last-first, holds goals as (goal, indent, suffix, lead, begin) and a
+        block's closing line as its group."""
         rendered, groups, width = self.r.rendered, self.groups, self.width
-        work = _sequence(conjunction_goals(body), self.unit, lead, "",
+        work = _sequence(conjunction_goals(body), self.unit, lead, begin, "",
                          self.unit)
         while work:
             item = work.pop()
             if type(item[0]) is list:
                 groups.append(item)
                 continue
-            goal, indent, suffix, lead = item
+            goal, indent, suffix, lead, begin = item
+            begin = goal.span.byte_start if begin is None else begin
             if type(goal) is not Compound or len(goal.args) != 2 \
                     or goal.name not in CONTROL_FUNCTORS:
                 text, priority = rendered[id(goal)]
@@ -347,50 +350,50 @@ class _ClauseFormatter:
                                          width, self.unit)
                     pieces[0] = lead + pieces[0]
                     pieces[-1] += suffix
-                span = goal.span
                 # A comment placed on its own line above the goal reads
                 # back at the column of a goal after a ``;`` that opens a
                 # branch, else at the lead's indent.
-                groups.append((pieces, span.start_line, span.end_line,
-                               span.byte_start,
+                groups.append((pieces, begin, goal.span.byte_start,
                                len(lead) - len(lead.lstrip(" ;"))))
                 continue
             # A block or a parenthesized conjunction used as one goal: each
             # branch opens with ``(`` or ``;``, and ``)`` closes it below.
             pad, inner = " " * indent, indent + self.unit
-            work.append(([pad + ")" + suffix], goal.span.end_line,
-                         goal.span.end_line, None, indent))
-            sequences: list[tuple[list[Term], str, str]] = []
+            close = goal.span.byte_end - 1
+            work.append(([pad + ")" + suffix], close, close, indent))
+            sequences: list[tuple[list[Term], str, int | None, str]] = []
             # The block's parentheses are the root's own; only parentheses
             # on nested subterms are the author's.
-            for index, branch in enumerate(_branches(goal)):
+            for index, (branch, at) in enumerate(_branches(goal, begin)):
                 prefix = (pad + ";" if index else lead + "(") \
                     + " " * (self.unit - 1)
                 if goal.name == ",":
                     sequences.append((conjunction_goals(goal.args[0])
                                       + conjunction_goals(goal.args[1]),
-                                      prefix, ""))
+                                      prefix, at, ""))
                 elif branch is goal or (
                         is_compound(branch, None, 2)
                         and not branch.parenthesized
                         and branch.name in ("->", "*->")):
                     condition, then_part = branch.args
-                    sequences += [(conjunction_goals(condition), prefix,
+                    sequences += [(conjunction_goals(condition), prefix, at,
                                    f" {branch.name}"),
                                   (conjunction_goals(then_part), " " * inner,
-                                   "")]
+                                   None, "")]
                 else:
-                    sequences.append((conjunction_goals(branch), prefix, ""))
-            for goals, first, end in reversed(sequences):
-                work += _sequence(goals, inner, first, end, self.unit)
+                    sequences.append((conjunction_goals(branch), prefix, at,
+                                      ""))
+            for goals, first, at, end in reversed(sequences):
+                work += _sequence(goals, inner, first, at, end, self.unit)
 
 
-def _sequence(goals: list[Term], indent: int, lead: str, end: str,
-              unit: int) -> list[tuple]:
+def _sequence(goals: list[Term], indent: int, lead: str, begin: int | None,
+              end: str, unit: int) -> list[tuple]:
     """A sequence's goals as work items, last first: the first goal after
-    ``lead``, the others after their indent, the last followed by ``end``.
-    A sequence that ends a body (``end`` empty, unlike a condition) indents
-    its goals between ``repeat`` and the cut one extra unit."""
+    ``lead``, which begins at ``begin`` (None for a lead of spaces), the
+    others after their indent, the last followed by ``end``.  A sequence
+    that ends a body (``end`` empty, unlike a condition) indents its goals
+    between ``repeat`` and the cut one extra unit."""
     items: list[tuple] = []
     cut_pending = 0
     last = len(goals) - 1
@@ -400,27 +403,30 @@ def _sequence(goals: list[Term], indent: int, lead: str, end: str,
             cut_pending -= 1
         at = indent + cut_pending * unit
         items.append((goal, at, end if index == last else ",",
-                      " " * at if index else lead))
+                      " " * at if index else lead, None if index else begin))
         if not end and atom and goal.name == "repeat" and any(
                 contains_cut(later) for later in goals[index + 1:]):
             cut_pending += 1
     return items[::-1]
 
 
-def _branches(root: Compound) -> list[Term]:
+def _branches(root: Compound, begin: int) -> list[tuple[Term, int]]:
     """Flatten a right-nested, unparenthesized ``;`` chain into its branch
-    list; anything parenthesized stays whole to preserve term structure."""
-    if root.name in ("->", "*->"):
-        return [root]
-    out: list[Term] = []
-    stack: list[tuple[Term, bool]] = [(root, True)]
+    list; anything parenthesized stays whole to preserve term structure.
+    Each branch comes with where it begins: ``begin``, or the ``;`` before
+    it, or in a canonical ``;(A, B)``, whose ``;`` comes first, A's end."""
+    out: list[tuple[Term, int]] = []
+    stack: list[tuple[Term, int]] = [(root, begin)]
     while stack:
-        term, at_root = stack.pop()
-        if is_compound(term, ";", 2) and (at_root or not term.parenthesized):
-            stack.append((term.args[1], False))
-            stack.append((term.args[0], False))
+        term, begin = stack.pop()
+        if is_compound(term, ";", 2) \
+                and (term is root or not term.parenthesized):
+            first, second = term.args
+            stack.append((second, max(term.functor_span.byte_start,
+                                      first.span.byte_end)))
+            stack.append((first, begin))
         else:
-            out.append(term)
+            out.append((term, begin))
     return out
 
 
@@ -456,52 +462,49 @@ def _collect_units(program: Program) -> list[_Unit]:
 
 def _place_comments(groups: list[tuple], own_line: list[Token],
                     trailing: list[Token], cfg: Config) -> list[str]:
-    """A clause's lines: its groups with its comments placed where a re-read
-    puts them back, in one pass over each comment list.
+    """A clause's lines: its groups with its comments placed by source
+    offset alone, in one pass over each comment list.
 
-    An own-line comment goes above the first goal that starts after it, at
-    its group's comment column, or after the clause at column 1 when no goal
-    does.  A trailing comment goes at the end of the last line of the last
-    group whose source lines hold its line (of the last group when none
-    does); a suppression comment acts only on the clause's first line, so it
-    goes there.  A comment that does not fit, or whose line already ends in
-    a ``%`` comment that would swallow it, goes above that group instead.
+    An own-line comment goes above the first goal or ``)`` that starts
+    after it, at its group's comment column, or after the clause at column
+    1 when none does.  A trailing comment goes at the end of the last group
+    that begins at or before it; a suppression comment acts only on the
+    clause's first line, so it goes there.  One that does not fit, or whose
+    line already ends in a ``%`` comment that would swallow it, goes above
+    that group, where a re-read takes it for an own-line comment of it: the
+    comments above a group keep their source order.
     """
     if not own_line and not trailing:
-        return [line for lines, _, _, _, _ in groups for line in lines]
-    above: list[list[str]] = [[] for _ in groups]
+        return [line for lines, _, _, _ in groups for line in lines]
+    above: list[list[Token]] = [[] for _ in groups]
     pending = 0
-    for (_, _, _, start, column), comments in zip(groups, above):
+    for (_, _, start, _), comments in zip(groups, above):
         while start is not None and pending < len(own_line) \
                 and own_line[pending].span.byte_start < start:
-            comments.append(" " * column + own_line[pending].text.rstrip())
+            comments.append(own_line[pending])
             pending += 1
-    if trailing:
-        # Later groups overwrite earlier ones: the last group holding a line
-        # owns it.
-        owner = {line_no: index
-                 for index, (_, first, last, _, _) in enumerate(groups)
-                 for line_no in range(first, last + 1)}
-        closed: set[tuple[int, int]] = set()
-        for token in trailing:
-            text = token.text.rstrip()
-            if SUPPRESSION_COMMENT.search(text):
-                index, at = 0, 0
-            else:
-                index = owner.get(token.span.start_line, len(groups) - 1)
-                at = len(groups[index][0]) - 1
-            lines, _, _, _, column = groups[index]
-            if (index, at) not in closed \
-                    and len(text) <= cfg.eol_comment_max \
-                    and len(lines[at]) + 1 + len(text) <= cfg.max_line_length:
-                lines[at] += " " + text
-                if text.startswith("%"):
-                    closed.add((index, at))
-            else:
-                above[index].append(" " * column + text)
+    begins = [begin for _, begin, _, _ in groups]
+    closed: set[tuple[int, int]] = set()
+    for token in trailing:
+        text = token.text.rstrip()
+        if SUPPRESSION_COMMENT.search(text):
+            index, at = 0, 0
+        else:
+            index = bisect_right(begins, token.span.byte_start) - 1
+            at = len(groups[index][0]) - 1
+        lines = groups[index][0]
+        if (index, at) not in closed \
+                and len(text) <= cfg.eol_comment_max \
+                and len(lines[at]) + 1 + len(text) <= cfg.max_line_length:
+            lines[at] += " " + text
+            if text.startswith("%"):
+                closed.add((index, at))
+        else:
+            above[index].append(token)
     out: list[str] = []
-    for comments, (lines, _, _, _, _) in zip(above, groups):
-        out += comments
+    for comments, (lines, _, _, column) in zip(above, groups):
+        comments.sort(key=lambda token: token.span.byte_start)
+        out += [" " * column + token.text.rstrip() for token in comments]
         out += lines
     out += [token.text.rstrip() for token in own_line[pending:]]
     return out

@@ -378,7 +378,6 @@ class Clause:
     head: Term | None
     body: Term | None
     span: Span
-    neck_span: Span | None = None
     #: The comments this clause owns, in source order (``_attach_comments``).
     comments: list[AttachedComment] = field(default_factory=list)
 
@@ -842,14 +841,11 @@ def read_term(tokens: list[Token], ops: OperatorTable | None = None) -> Term:
 
 def _classify(term: Term, span: Span) -> Clause:
     if is_compound(term, ":-", 2):
-        return Clause(ClauseKind.RULE, term.args[0], term.args[1], span,
-                      neck_span=term.functor_span)
+        return Clause(ClauseKind.RULE, *term.args, span)
     if is_compound(term, ":-", 1):
-        return Clause(ClauseKind.DIRECTIVE, None, term.args[0], span,
-                      neck_span=term.functor_span)
+        return Clause(ClauseKind.DIRECTIVE, None, term.args[0], span)
     if is_compound(term, "-->", 2):
-        return Clause(ClauseKind.GRAMMAR_RULE, term.args[0], term.args[1],
-                      span, neck_span=term.functor_span)
+        return Clause(ClauseKind.GRAMMAR_RULE, *term.args, span)
     return Clause(ClauseKind.FACT, term, None, span)
 
 

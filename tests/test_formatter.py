@@ -284,10 +284,10 @@ def test_formatting_contract_over_corpus():
 
 
 #: Operator atoms as operands, symbol characters before a clause's end,
-#: comments before it or before a block, moved trailing comments, postfix
-#: operators, the list bar, multi-goal directives and curly terms, each with
-#: the output it must get: output that reads back to the same clauses and
-#: formats to itself.
+#: comments before it, before a block and on a block's ``(``, ``;`` and
+#: ``)`` lines, moved trailing comments, postfix operators, the list bar,
+#: multi-goal directives and curly terms, each with the output it must get:
+#: output that reads back to the same clauses and formats to itself.
 ROUND_TRIP_CASES = {
     "operator_atom_argument": (
         "p(X) :- X = f(dynamic).\n",
@@ -308,7 +308,24 @@ ROUND_TRIP_CASES = {
         "p :-\n    a\n    /* x */ .\n", "p :-\n    a.\n/* x */\n"),
     "comment_before_block_close": (
         "p :-\n    (   a\n    ;   b\n        % c\n    ).\n",
-        "p :-\n    (   a\n    ;   b\n    ).\n% c\n"),
+        "p :-\n    (   a\n    ;   b\n    % c\n    ).\n"),
+    "comment_after_block_open_on_its_own_line": (
+        "p :- nl, % step\n( % c\n b(X) -> d ; e ).\n",
+        "p :-\n    nl, % step\n    (   b(X) -> % c\n        d\n    ;   e\n"
+        "    ).\n"),
+    "long_comment_after_block_close": (
+        "p :- ( a ; b ), % a comment longer than forty characters here\n"
+        "    c.\n",
+        "p :-\n    (   a\n    ;   b\n"
+        "    % a comment longer than forty characters here\n    ),\n    c.\n"),
+    "long_comment_after_block_open_then_own_line_comment": (
+        "p :- x, ( % a trailing comment longer than forty characters\n"
+        "    % own\n    a ; b ).\n",
+        "p :-\n    x,\n    % a trailing comment longer than forty characters\n"
+        "    % own\n    (   a\n    ;   b\n    ).\n"),
+    "comment_after_semicolon_alone_on_its_line": (
+        "p :- ( a\n ; % c\n b ).\n",
+        "p :-\n    (   a\n    ;   b % c\n    ).\n"),
     "comment_inside_fact": ("foo(\n% c\na).\n", "foo(a).\n% c\n"),
     "line_comment_before_end_then_trailing_comment": (
         "p :-\n    a\n    % interior\n    . % trailing\n",

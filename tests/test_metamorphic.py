@@ -36,6 +36,7 @@ from prolint import (
 )
 from prolint.cli import _configure, build_parser
 from prolint.diagnostics import NON_SUPPRESSIBLE
+from prolint.source_model import TokenKind
 
 from gen import gen_file
 from test_formatter import comment_texts
@@ -186,6 +187,36 @@ def test_fmt_keeps_the_naming_doc_and_idiom_findings(gate_programs):
         assert _rule_findings(after) == _rule_findings(base), src.path
 
 
+def test_enabling_n06_only_adds_n06(gate_programs):
+    cfg = _config("--enable", "N06")
+    added = 0
+    for src, program, base in gate_programs:
+        after = run(src, program, cfg)
+        assert [d for d in after if d.rule_id != "N06"] == base, src.path
+        added += len(after) - len(base)
+    assert added > 0
+
+
+def test_blank_line_after_each_clause_end_keeps_the_findings(gate_programs):
+    """A blank line after each line whose last token is a clause's end
+    leaves the N, D and I findings alone.  After any line ending in ``.``
+    it would part a doc comment that ends in ``.`` from its clause, where
+    D01 is right to change."""
+    for src, program, base in gate_programs:
+        tokens = program.tokens
+        ends = {token.span.end_line for token, after
+                in zip(tokens, tokens[1:] + [None])
+                if token.kind is TokenKind.END
+                and (after is None
+                     or after.span.start_line > token.span.end_line)}
+        lines = src.content.split("\n")
+        spaced = "\n".join(line + "\n" if number in ends else line
+                           for number, line in enumerate(lines, 1))
+        changed = source_from_text(spaced, src.path)
+        after = run(changed, program_from_source(changed), Config())
+        assert _rule_findings(after) == _rule_findings(base), src.path
+
+
 def _assert_fmt_round_trip(text: str, program) -> None:
     """``fmt``'s output reads back without syntax errors to the same
     clauses and formats to itself."""
@@ -273,13 +304,59 @@ def _planted(rng: random.Random, text: str) -> str:
 
 
 def test_fmt_keeps_comments_planted_at_growing_depth():
-    # Idempotence is not asserted: a long comment moved above a block's
-    # ``)`` line reads back below it.
     rng, plants = random.Random(64), random.Random(8)
     for index in range(300):
         text = _planted(plants, _deep_program(rng, 1 + index % 64))
         program = program_from_source(source_from_text(text))
         assert not program.syntax_diagnostics, text
         once = format_program(program)
-        _reread_same_clauses(text, program, once)
+        again = _reread_same_clauses(text, program, once)
         assert comment_texts(once) == comment_texts(text), (text, once)
+        assert format_program(again) == once, (text, once)
+
+
+#: Default; narrow with short end-of-line comments; indent 2; indent 8 at
+#: width 30; width 100.
+_PLANT_CONFIGS = [
+    Config(), Config(max_line_length=40, eol_comment_max=10),
+    Config(indent_size=2, max_line_length=60),
+    Config(indent_size=8, max_line_length=30, eol_comment_max=5),
+    Config(max_line_length=100),
+]
+_BOUNDARY_PLANTS = [" % c\n", " /* alt */ ", " " + _PLANTS[2],
+                    " % prolint: allow I04\n"]
+_NUMERALS = (TokenKind.INTEGER, TokenKind.FLOAT)
+
+
+def _planted_at_boundaries(rng: random.Random, text: str, program) -> str:
+    """``text`` with one to four comments planted between tokens, where
+    they leave every token's reading alone: never between a name and the
+    ``(`` right after it, nor between ``-`` and the numeral right after
+    it."""
+    tokens = program.tokens
+    cuts = [left.span.byte_end for left, right in zip(tokens, tokens[1:])
+            if left.span.byte_end < right.span.byte_start
+            or not (right.kind is TokenKind.OPEN_PAREN
+                    or left.text == "-" and right.kind in _NUMERALS)]
+    for cut in sorted(rng.sample(cuts, min(len(cuts), rng.randint(1, 4))),
+                      reverse=True):
+        text = text[:cut] + rng.choice(_BOUNDARY_PLANTS) + text[cut:]
+    return text
+
+
+def test_fmt_keeps_comments_planted_at_token_boundaries():
+    """Comments planted at token boundaries of ``gen_file`` programs read
+    back with the same clauses and comment texts under each config, and
+    ``fmt`` formats its output to itself."""
+    rng = random.Random(16)
+    for seed in range(150):
+        plain = gen_file(random.Random(seed))
+        before = program_from_source(source_from_text(plain))
+        text = _planted_at_boundaries(rng, plain, before)
+        # The plants change no clause.
+        program = _reread_same_clauses(plain, before, text)
+        for cfg in _PLANT_CONFIGS:
+            once = format_program(program, cfg)
+            again = _reread_same_clauses(text, program, once)
+            assert comment_texts(once) == comment_texts(text), (text, once)
+            assert format_program(again, cfg) == once, (text, cfg, once)

@@ -114,7 +114,6 @@ def test_clause_kinds():
         ClauseKind.FACT, ClauseKind.RULE, ClauseKind.DIRECTIVE,
         ClauseKind.GRAMMAR_RULE,
     ]
-    assert program.items[1].neck_span is not None
 
 
 def test_group_predicates_same_length():

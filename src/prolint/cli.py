@@ -187,7 +187,8 @@ def _expand_paths(raw_paths: list[str], cfg: Config) -> list[str]:
 
 def _read(path: str) -> SourceFile:
     if path == "-":
-        return source_from_text(sys.stdin.read(), path="<stdin>")
+        text = sys.stdin.read().removeprefix("\ufeff")  # as load_source
+        return source_from_text(text, path="<stdin>")
     return load_source(path)
 
 
@@ -266,7 +267,8 @@ def _cmd_fmt(args: argparse.Namespace, cfg: Config) -> int:
             text = format_program(program, cfg)
             if text != src.content:
                 try:
-                    _write_in_place(path, text)
+                    # A byte-order mark the file began with stays.
+                    _write_in_place(path, "\ufeff" * src.bom + text)
                 except OSError as exc:
                     print(f"prolint: {path}: {exc}", file=sys.stderr)
                     io_error = True

@@ -329,7 +329,7 @@ class _ClauseFormatter:
         last-first, holds goals as (goal, indent, suffix, lead, begin) and a
         block's closing line as its group."""
         rendered, groups, width = self.r.rendered, self.groups, self.width
-        work = _sequence(conjunction_goals(body), self.unit, lead, begin, "",
+        work = _sequence(_conjunction(body), self.unit, lead, begin, "",
                          self.unit)
         while work:
             item = work.pop()
@@ -361,35 +361,54 @@ class _ClauseFormatter:
             pad, inner = " " * indent, indent + self.unit
             close = goal.span.byte_end - 1
             work.append(([pad + ")" + suffix], close, close, indent))
-            sequences: list[tuple[list[Term], str, int | None, str]] = []
+            sequences: list[tuple[list[tuple], str, int | None, str]] = []
             # The block's parentheses are the root's own; only parentheses
             # on nested subterms are the author's.
             for index, (branch, at) in enumerate(_branches(goal, begin)):
                 prefix = (pad + ";" if index else lead + "(") \
                     + " " * (self.unit - 1)
                 if goal.name == ",":
-                    sequences.append((conjunction_goals(goal.args[0])
-                                      + conjunction_goals(goal.args[1]),
+                    sequences.append((_conjunction(goal.args[0])
+                                      + _conjunction(goal.args[1]),
                                       prefix, at, ""))
                 elif branch is goal or (
                         is_compound(branch, None, 2)
                         and not branch.parenthesized
                         and branch.name in ("->", "*->")):
                     condition, then_part = branch.args
-                    sequences += [(conjunction_goals(condition), prefix, at,
+                    sequences += [(_conjunction(condition), prefix, at,
                                    f" {branch.name}"),
-                                  (conjunction_goals(then_part), " " * inner,
+                                  (_conjunction(then_part), " " * inner,
                                    None, "")]
                 else:
-                    sequences.append((conjunction_goals(branch), prefix, at,
+                    sequences.append((_conjunction(branch), prefix, at,
                                       ""))
             for goals, first, at, end in reversed(sequences):
                 work += _sequence(goals, inner, first, at, end, self.unit)
 
 
-def _sequence(goals: list[Term], indent: int, lead: str, begin: int | None,
-              end: str, unit: int) -> list[tuple]:
-    """A sequence's goals as work items, last first: the first goal after
+def _conjunction(body: Term) -> list[tuple[Term, int | None]]:
+    """``conjunction_goals`` with where a goal begins ahead of its own
+    start: the first goal of a canonical ``','(A, B)`` begins at the
+    functor, so that a comment right after ``','(`` stays with it."""
+    out: list[tuple[Term, int | None]] = []
+    stack: list[tuple[Term, int | None]] = [(body, None)]
+    while stack:
+        term, begin = stack.pop()
+        if type(term) is Compound and term.name == "," \
+                and len(term.args) == 2 and not term.parenthesized:
+            if begin is None and term.functor_lexeme is not None:
+                begin = term.span.byte_start
+            stack += [(term.args[1], None), (term.args[0], begin)]
+        else:
+            out.append((term, begin))
+    return out
+
+
+def _sequence(goals: list[tuple[Term, int | None]], indent: int, lead: str,
+              begin: int | None, end: str, unit: int) -> list[tuple]:
+    """A sequence's goals, each with where it begins ahead of its start
+    (see ``_conjunction``), as work items, last first: the first goal after
     ``lead``, which begins at ``begin`` (None for a lead of spaces), the
     others after their indent, the last followed by ``end``.  A sequence
     that ends a body (``end`` empty, unlike a condition) indents its goals
@@ -397,15 +416,16 @@ def _sequence(goals: list[Term], indent: int, lead: str, begin: int | None,
     items: list[tuple] = []
     cut_pending = 0
     last = len(goals) - 1
-    for index, goal in enumerate(goals):
+    for index, (goal, ahead) in enumerate(goals):
         atom = type(goal) is Atom
         if cut_pending and atom and goal.name == "!":
             cut_pending -= 1
         at = indent + cut_pending * unit
         items.append((goal, at, end if index == last else ",",
-                      " " * at if index else lead, None if index else begin))
+                      " " * at if index else lead,
+                      ahead if index or begin is None else begin))
         if not end and atom and goal.name == "repeat" and any(
-                contains_cut(later) for later in goals[index + 1:]):
+                contains_cut(later) for later, _ in goals[index + 1:]):
             cut_pending += 1
     return items[::-1]
 

@@ -85,6 +85,8 @@ class Token:
     ``span`` locates it in the file; the layout between tokens is read
     from the file through the spans.  ``value`` is the number an
     ``integer`` or ``float`` token denotes, and None for every other kind.
+    ``scan`` builds most tokens without ``__init__``, storing each field
+    itself, so a new field must be stored there too.
     """
 
     kind: TokenKind
@@ -98,10 +100,12 @@ class SourceFile:
     """A file's text with its line index, built once from ``content``:
     ``line_starts`` holds the offset of each line (one more entry than
     newlines), ``line_texts`` each line without its newline and carriage
-    return."""
+    return.  ``bom`` says that the file began with a UTF-8 byte-order mark,
+    which ``content`` leaves out."""
 
     path: str
     content: str
+    bom: bool = False
     line_starts: list[int] = field(init=False, repr=False)
     line_texts: list[str] = field(init=False, repr=False)
 
@@ -120,12 +124,18 @@ def load_source(path: str | os.PathLike) -> SourceFile:
 
     Raises OSError for unreadable input (the exception carries the path) and
     UnicodeDecodeError for undecodable bytes (carrying the first offending
-    offset).  Both LF and CRLF newline conventions are accepted.
+    offset).  Both LF and CRLF newline conventions are accepted.  A leading
+    UTF-8 byte-order mark is skipped, as SWI-Prolog does, so that offsets
+    and columns count from the character after it.
     """
     with open(path, "rb") as handle:
         data = handle.read()
+    # Decoded whole, not as "utf-8-sig", so that a decode error gives the
+    # byte's offset in the file.
     content = data.decode("utf-8")
-    return SourceFile(path=str(path), content=content)
+    bom = content.startswith("\ufeff")
+    return SourceFile(path=str(path), content=content[1:] if bom else content,
+                      bom=bom)
 
 
 def source_from_text(text: str, path: str = "<string>") -> SourceFile:
@@ -149,25 +159,36 @@ ESCAPES = {"a": "\a", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t",
 MAX_INTEGER_DIGITS = 640
 
 #: One token after its whitespace gap; the group that matched says what
-#: starts there.  An identifier that starts with an ASCII letter or ``_``
-#: has a group of its own (atom or variable); ``\w+`` takes the rest, a
-#: numeral or a word that starts with another letter.  ``\w`` is exactly
-#: ``str.isalnum()`` or ``_``, so each of these groups is an identifier's
-#: full extent.  ``/*`` comes before the symbolic atoms.  The catch-all
-#: excludes whitespace, so the gap at the end of the file matches nothing.
+#: starts there.  The groups run from the most common token to the least:
+#: a name that starts with a lowercase ASCII letter, a one-character
+#: punctuation mark, a variable, then a plain integer: up to
+#: ``MAX_INTEGER_DIGITS`` ASCII digits that no word character, ``.`` or
+#: ``'`` follows, so that its value is ``int()`` of its text.  ``\w+``
+#: takes every other numeral and a word that starts with another letter;
+#: ``\w`` is exactly ``str.isalnum()`` or ``_``, so each name group is an
+#: identifier's full extent.  ``/*`` comes before the symbolic atoms.  The
+#: catch-all excludes whitespace, so the gap at the end of the file
+#: matches nothing, and a search from a token's end finds the next token
+#: right after its gap.
 _TOKEN = re.compile(
-    r"[ \t\r\n]*(?:(%[^\n]*)|(/\*)|(['\"`])|([a-z]\w*)|([A-Z_]\w*)|(\w+)"
-    rf"|([{re.escape(SYMBOL_CHARS)}]+)"
-    r"|([()\[\]{},|])|([!;])|([^ \t\r\n]))")
-(_LINE_COMMENT, _BLOCK_COMMENT, _QUOTE, _NAME, _VARIABLE_NAME, _WORD,
- _SYMBOLIC, _SINGLE, _SOLO, _OTHER) = range(1, 11)
+    r"[ \t\r\n]*(?:([a-z]\w*)|([()\[\]{},|])|([A-Z_]\w*)"
+    rf"|([0-9]{{1,{MAX_INTEGER_DIGITS}}})(?![\w.'])|(\w+)|(/\*)"
+    rf"|([{re.escape(SYMBOL_CHARS)}]+)|(%[^\n]*)|(['\"`])|([!;])"
+    r"|([^ \t\r\n]))")
+(_NAME, _SINGLE, _VARIABLE_NAME, _DIGITS, _WORD, _BLOCK_COMMENT, _SYMBOLIC,
+ _LINE_COMMENT, _QUOTE, _SOLO, _OTHER) = range(1, 12)
+_ATOM = TokenKind.ATOM
+_VARIABLE = TokenKind.VARIABLE
+_INTEGER = TokenKind.INTEGER
+_END = TokenKind.END
+_PUNCTUATION = TokenKind.PUNCTUATION
+_ERROR = TokenKind.ERROR
 #: The kind of each group's token where the group alone decides it; None
 #: where the text does.
 _GROUP_KINDS = [None] * (_OTHER + 1)
+_GROUP_KINDS[_NAME] = _GROUP_KINDS[_SOLO] = _ATOM
+_GROUP_KINDS[_VARIABLE_NAME] = _VARIABLE
 _GROUP_KINDS[_LINE_COMMENT] = TokenKind.LINE_COMMENT
-_GROUP_KINDS[_NAME] = TokenKind.ATOM
-_GROUP_KINDS[_VARIABLE_NAME] = TokenKind.VARIABLE
-_GROUP_KINDS[_SOLO] = TokenKind.ATOM
 _SINGLE_KINDS = {
     "(": TokenKind.OPEN_PAREN,
     ")": TokenKind.CLOSE_PAREN,
@@ -226,6 +247,34 @@ def _char_code(text: str, start: int) -> tuple[int, int]:
     return (j + 1 if j < n and text[j] == "\\" else j), value
 
 
+def _word(text: str, start: int, end: int) -> tuple:
+    r"""Kind, end, value and problem of the token at ``start`` that the
+    ``\w+`` group matched up to ``end``: a numeral other than a plain
+    integer, a name that starts with a letter other than an ASCII one, or
+    an unexpected character such as ``²``."""
+    ch = text[start]
+    if ch.isalpha():
+        kind = _VARIABLE if ch.isupper() or ch.istitle() else _ATOM
+        return kind, end, None, None
+    if not ch.isdecimal():
+        return _PUNCTUATION, start + 1, None, f"unexpected character {ch!r}"
+    number = _NUMBER.match(text, start)
+    end = number.end()
+    if number.lastindex == 1:
+        return _INTEGER, end, int(number.group(), 0), None
+    if number.lastindex == 2:
+        end, value = _char_code(text, start)
+        if end < 0:
+            return _ERROR, len(text), None, "unterminated character code"
+        return _INTEGER, end, value, None
+    if number.lastindex is not None:
+        return TokenKind.FLOAT, end, float(number.group()), None
+    if end - start > MAX_INTEGER_DIGITS:
+        return (_PUNCTUATION, end, None,
+                f"integer has more than {MAX_INTEGER_DIGITS} digits")
+    return _INTEGER, end, int(number.group()), None
+
+
 def scan(src: SourceFile) -> tuple[list[Token], list[Diagnostic]]:
     """Tokenize a source file.
 
@@ -237,105 +286,91 @@ def scan(src: SourceFile) -> tuple[list[Token], list[Diagnostic]]:
     text = src.content
     n = len(text)
     line_starts = src.line_starts
+    line_count = len(line_starts)
     tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []
-    match = _TOKEN.match
+    append = tokens.append
     group_kinds = _GROUP_KINDS
     new_tuple = tuple.__new__
-    # The cursor's line and the offset where that line starts, moved on by
-    # the newlines of each gap and by the tokens that can span lines.
-    pos = line_start = 0
-    line = 1
-    while (m := match(text, pos)) is not None:
-        group = m.lastindex
-        start, end = m.span(group)
-        if start != pos:
-            last_newline = text.rfind("\n", pos, start)
-            if last_newline >= 0:
-                line += text.count("\n", pos, last_newline + 1)
-                line_start = last_newline + 1
-        kind = group_kinds[group]
-        if kind is None:
-            if group == _SINGLE:
-                kind = _SINGLE_KINDS[text[start]]
-            elif group == _SYMBOLIC:
-                if end - start == 1 and text[start] == "." \
-                        and (end == n or text[end] in " \t\r\n%"):
-                    kind = TokenKind.END
+    new_object = object.__new__
+    # The line of the last token's start, the offset where that line
+    # starts and where the next one does; a token at or past the next
+    # line's start looks its line up.
+    line, line_start = 1, 0
+    next_start = line_starts[1] if line_count > 1 else n + 1
+    # One search runs on from token to token; a token that ends elsewhere
+    # than its match (a quoted item, a block comment, most numerals that
+    # are not plain integers) starts the next search at its real end.
+    resume: int | None = 0
+    while resume is not None:
+        matches = _TOKEN.finditer(text, resume)
+        resume = None
+        for m in matches:
+            group = m.lastindex
+            start, end = m.span(group)
+            if start >= next_start:
+                line = bisect_right(line_starts, start)
+                line_start = line_starts[line - 1]
+                next_start = line_starts[line] if line < line_count \
+                    else n + 1
+            kind = group_kinds[group]
+            value = None
+            if kind is None:
+                if group == _SINGLE:
+                    kind = _SINGLE_KINDS[text[start]]
+                elif group == _DIGITS:
+                    kind, value = _INTEGER, int(text[start:end])
+                elif group == _SYMBOLIC:
+                    kind = _END if end - start == 1 and text[start] == "." \
+                        and (end == n or text[end] in " \t\r\n%") else _ATOM
+            if kind is not None:
+                # One line, no problem.  A Token built by object.__new__
+                # and a store to each of its slots costs about two thirds
+                # of one built by its __init__, and tuple.__new__ skips the
+                # named tuple's Python-level __new__.
+                token = new_object(Token)
+                token.kind = kind
+                token.text = text[start:end]
+                token.span = new_tuple(Span, (
+                    line, start - line_start + 1, line, end - line_start + 1,
+                    start, end))
+                token.value = value
+                append(token)
+                continue
+            problem = None
+            if group == _WORD:
+                kind, end, value, problem = _word(text, start, end)
+            elif group == _QUOTE:
+                quote = text[start]
+                pattern, kind, what = _QUOTED[quote]
+                end = pattern.match(text, start).end()
+                if text.startswith(quote, end):
+                    end += 1
                 else:
-                    kind = TokenKind.ATOM
-        if kind is not None:
-            # One line, no value, no problem: tuple.__new__ skips the
-            # named tuple's Python-level __new__.
-            tokens.append(Token(kind, text[start:end], new_tuple(Span, (
-                line, start - line_start + 1, line, end - line_start + 1,
-                start, end))))
-            pos = end
-            continue
-        value = None
-        problem = None
-        multi_line = False
-        if group == _WORD:
-            ch = text[start]
-            if ch.isdecimal():
-                number = _NUMBER.match(text, start)
-                end = number.end()
-                if number.lastindex == 1:
-                    kind, value = TokenKind.INTEGER, int(number.group(), 0)
-                elif number.lastindex == 2:
-                    multi_line = True  # the character may be a newline
-                    end, value = _char_code(text, start)
-                    if end < 0:
-                        kind, end, value = TokenKind.ERROR, n, None
-                        problem = "unterminated character code"
-                    else:
-                        kind = TokenKind.INTEGER
-                elif number.lastindex is None:
-                    if end - start > MAX_INTEGER_DIGITS:
-                        kind = TokenKind.PUNCTUATION
-                        problem = ("integer has more than "
-                                   f"{MAX_INTEGER_DIGITS} digits")
-                    else:
-                        kind, value = TokenKind.INTEGER, int(number.group())
-                else:
-                    kind, value = TokenKind.FLOAT, float(number.group())
-            elif ch.isalpha():
-                kind = TokenKind.VARIABLE if ch.isupper() or ch.istitle() \
-                    else TokenKind.ATOM
+                    kind, end, problem = _ERROR, n, what
+            elif group == _BLOCK_COMMENT:
+                kind = TokenKind.BLOCK_COMMENT
+                end = text.find("*/", start + 2) + 2
+                if end == 1:
+                    kind, end = _ERROR, n
+                    problem = "unterminated block comment"
             else:
-                kind, end = TokenKind.PUNCTUATION, start + 1
-                problem = f"unexpected character {ch!r}"
-        elif group == _QUOTE:
-            quote = text[start]
-            pattern, kind, what = _QUOTED[quote]
-            end = pattern.match(text, start).end()
-            multi_line = True
-            if text.startswith(quote, end):
-                end += 1
-            else:
-                kind, end, problem = TokenKind.ERROR, n, what
-        elif group == _BLOCK_COMMENT:
-            kind = TokenKind.BLOCK_COMMENT
-            multi_line = True
-            end = text.find("*/", start + 2) + 2
-            if end == 1:
-                kind, end = TokenKind.ERROR, n
-                problem = "unterminated block comment"
-        else:
-            kind = TokenKind.PUNCTUATION
-            problem = f"unexpected character {text[start]!r}"
-        start_line, start_col = line, start - line_start + 1
-        if multi_line:
-            line = bisect_right(line_starts, end)
-            line_start = line_starts[line - 1]
-        span = new_tuple(Span, (start_line, start_col, line,
-                                end - line_start + 1, start, end))
-        tokens.append(Token(kind, text[start:end], span, value))
-        if problem is not None:
-            diagnostics.append(Diagnostic(
-                rule_id="E01", severity=Severity.ERROR, span=span,
-                message=problem, path=src.path))
-            if kind is TokenKind.ERROR:
+                kind, problem = _PUNCTUATION, \
+                    f"unexpected character {text[start]!r}"
+            # Quoted items, block comments and ``0'c`` may span lines.
+            end_line = line if end < next_start \
+                else bisect_right(line_starts, end)
+            span = new_tuple(Span, (
+                line, start - line_start + 1, end_line,
+                end - line_starts[end_line - 1] + 1, start, end))
+            append(Token(kind, text[start:end], span, value))
+            if problem is not None:
+                diagnostics.append(Diagnostic(
+                    rule_id="E01", severity=Severity.ERROR, span=span,
+                    message=problem, path=src.path))
+            if end != m.end():
+                # An error token runs to the end: the search from there
+                # finds nothing.
+                resume = end
                 break
-        pos = end
     return tokens, diagnostics

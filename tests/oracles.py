@@ -497,6 +497,11 @@ def scan_reference(text: str, path: str = "<string>"):
         lexeme = text[start:i]
         if is_float:
             emit("float", start, i, float(lexeme))
+        elif i - start > 640:
+            # Longer than the least digit limit ``PYTHONINTMAXSTRDIGITS``
+            # can set: an error, whatever the interpreter's setting.
+            emit("punctuation", start, i)
+            error(start, i, "integer has more than 640 digits")
         else:
             emit("integer", start, i, int(lexeme))
         return i

@@ -214,6 +214,50 @@ def test_fmt_undecodable_file_exits_two_after_others(tmp_path, capsys):
     assert str(undecodable) in captured.err
 
 
+BOM = "\ufeff"
+
+
+def _with_and_without_bom(tmp_path, text):
+    """The paths of ``text`` written with a byte-order mark and without."""
+    return (write(tmp_path, "marked.pl", BOM + text),
+            write(tmp_path, "plain.pl", text))
+
+
+def test_check_reads_past_a_byte_order_mark(tmp_path, capsys):
+    marked, plain = _with_and_without_bom(tmp_path, TABBED + "q :- r,s.\n")
+    outputs = []
+    for path in (marked, plain):
+        assert main(["check", "--format", "json", path]) == 1
+        diags = json.loads(capsys.readouterr().out)["diagnostics"]
+        outputs.append([{**d, "path": None} for d in diags])
+    assert outputs[0] == outputs[1]
+    assert {d["rule"] for d in outputs[0]} >= {"L01"}
+    assert not any(d["rule"] in ("E01", "E02") for d in outputs[0])
+
+
+def test_stdin_check_reads_past_a_byte_order_mark(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(BOM + TABBED))
+    assert main(["check", "-"]) == 1
+    out = capsys.readouterr().out
+    assert "[L01]" in out and "[E01]" not in out and "[E02]" not in out
+
+
+def test_fmt_check_agrees_with_and_without_a_byte_order_mark(tmp_path,
+                                                             capsys):
+    for text, code in ((CLEAN, 0), (TABBED, 1)):
+        for path in _with_and_without_bom(tmp_path, text):
+            assert main(["fmt", "--check", path]) == code, (text, path)
+        capsys.readouterr()
+
+
+def test_fmt_write_keeps_the_byte_order_mark(tmp_path):
+    marked, plain = _with_and_without_bom(tmp_path, "q :- r,s.\n")
+    assert main(["fmt", "--write", marked, plain]) == 0
+    assert Path(marked).read_text(encoding="utf-8") \
+        == BOM + Path(plain).read_text(encoding="utf-8") \
+        == BOM + "q :-\n    r,\n    s.\n"
+
+
 def test_fmt_write_failed_rename_keeps_the_original(tmp_path, capsys,
                                                     monkeypatch):
     messy = "q :- r,s.\n"

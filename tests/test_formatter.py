@@ -313,6 +313,9 @@ ROUND_TRIP_CASES = {
         "p :- nl, % step\n( % c\n b(X) -> d ; e ).\n",
         "p :-\n    nl, % step\n    (   b(X) -> % c\n        d\n    ;   e\n"
         "    ).\n"),
+    "comment_after_canonical_conjunction_functor": (
+        "p :- ( a ; b ), ','(% z\n a, b).\n",
+        "p :-\n    (   a\n    ;   b\n    ),\n    a, % z\n    b.\n"),
     "long_comment_after_block_close": (
         "p :- ( a ; b ), % a comment longer than forty characters here\n"
         "    c.\n",

@@ -4,7 +4,8 @@ formatting must keep.
 
 The programs are the benchmark's library modules at seed 1 and 100
 ``gen_file`` outputs.  Each is read once; ``run`` then lints the same
-``Program`` under each configuration, as the properties need.  The
+``Program`` under each configuration, as the properties need; the
+odd-config gate lints and formats the first 100 under 600 configs.  The
 suppression and ``fmt``-invariance gates run over the library modules and
 ``gen_file(random.Random(i))`` for i < 300.  The round trip through ``fmt``
 runs over seeded token soup and over seeded bodies that nest control
@@ -29,13 +30,14 @@ from prolint import (
     Config,
     Severity,
     format_program,
+    load_config,
     program_from_source,
     run,
     source_from_text,
     structurally_equal,
 )
 from prolint.cli import _configure, build_parser
-from prolint.diagnostics import NON_SUPPRESSIBLE
+from prolint.diagnostics import _SCALAR_KEYS, NON_SUPPRESSIBLE
 from prolint.source_model import TokenKind
 
 from gen import gen_file
@@ -215,6 +217,30 @@ def test_blank_line_after_each_clause_end_keeps_the_findings(gate_programs):
         changed = source_from_text(spaced, src.path)
         after = run(changed, program_from_source(changed), Config())
         assert _rule_findings(after) == _rule_findings(base), src.path
+
+
+#: Values no scalar key should be given: zero, negatives, a value past
+#: every bound, nothing, an unclosed regular expression, digits of another
+#: script and other near misses.
+_ODD_VALUES = ["0", "-1", str(10**9), "", "api_(", "٣", "٣٣٣", "²", "-0",
+               "1e9", "0x10", "nan", "true", ",", ",,", "a,,b", "*", "[",
+               "/1", "p/٣", " ", "é"]
+
+
+def test_odd_config_values_never_crash(programs):
+    """600 seeded configs, each setting 1 to 3 scalar keys to odd values:
+    the config loads without raising (its problems become C01s), no rule
+    raises into an E99 under it, and ``fmt`` does not raise."""
+    rng = random.Random(11)
+    keys = sorted(_SCALAR_KEYS)
+    for index in range(600):
+        text = "".join(f"{key} = {rng.choice(_ODD_VALUES)}\n"
+                       for key in rng.sample(keys, rng.randint(1, 3)))
+        cfg = load_config(text)
+        src, program = programs[index % 100]
+        assert not [d for d in run(src, program, cfg)
+                    if d.rule_id == "E99"], (text, src.path)
+        format_program(program, cfg)
 
 
 def _assert_fmt_round_trip(text: str, program) -> None:

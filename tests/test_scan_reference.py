@@ -62,6 +62,29 @@ def test_scan_matches_reference_on_generated_files():
         assert_matches_reference(gen_file(random.Random(seed)))
 
 
+#: Texts the random strings do not reach: plain integers at and around the
+#: digit limit, digit runs that leave the plain-integer group for what
+#: follows them, a character code cut off by the end of the file, numerals
+#: and number signs of other scripts, CRLF line ends, and ``/*`` right
+#: after a symbolic atom.
+FIXED_TEXTS = [
+    *(f"p({'7' * k}).\n" for k in (639, 640, 641)),
+    *("1" * k for k in (639, 640, 641)),
+    *(f"X = 12{tail} Y.\n" for tail in
+      (".", ". ", ".5", "'a", "_x", "e5", "x1", "q", "É")),
+    "X = 12.", "X = 12", "0'", "X = 0'", "p :- X = 0'",
+    "p(٣٣, ², ①).", "p(X) :- X = ٣٣², ①.",
+    "p :-\r\n    q(1),\r\n    'a\r\nb',\r\n    r.\r\n% c\r\n",
+    "X =/* c */ 1.\n", "p :- /* c */ q, X = - /* d */ 1, Y =.. /*e*/ Z.\n",
+    "a --> /* c */ b.\n", "+/*\n",
+]
+
+
+@pytest.mark.parametrize("index", range(len(FIXED_TEXTS)))
+def test_scan_matches_reference_on_fixed_texts(index):
+    assert_matches_reference(FIXED_TEXTS[index])
+
+
 def test_scan_matches_reference_on_random_strings():
     rng = random.Random(5)
     for _ in range(12_000):

@@ -92,6 +92,14 @@ def _numbered_state_goals(n: int) -> str:
                                    for k in range(n)) + ".\n"
 
 
+def _tokens_off_the_fast_path(n: int) -> str:
+    """``n`` lines, each holding tokens whose end is not their match's: a
+    quoted atom with an escape, a string, a block comment, a float and a
+    character code.  The scanner starts a new search after each."""
+    return "".join(f"p{i}('a\\n', \"s\", /* c */ 1.5e3, 0'c).\n"
+                   for i in range(n))
+
+
 def _read(text: str, cfg: Config):
     src = source_from_text(text)
     return lambda: program_from_source(src)
@@ -140,6 +148,8 @@ SHAPES = {
         _trailing_comments, 5_000, _rules, _only("L10", "I06")),
     "format_goals_on_one_line": (
         _format_goals_on_one_line, 1_000, _read, Config()),
+    "tokens_off_the_scanner_fast_path": (
+        _tokens_off_the_fast_path, 500, _read, Config()),
     "numbered_state_goals": (
         _numbered_state_goals, 2_000, _rules, _only("I04", "I05", "N07")),
 }

@@ -72,6 +72,11 @@ def test_load_source_rejects_non_text(tmp_path):
     with pytest.raises(UnicodeDecodeError) as excinfo:
         load_source(target)
     assert excinfo.value.start == 4
+    # After a byte-order mark the offset is still the byte's in the file.
+    target.write_bytes(b"\xef\xbb\xbffoo(\xff\xfe).\n")
+    with pytest.raises(UnicodeDecodeError) as excinfo:
+        load_source(target)
+    assert excinfo.value.start == 7
 
 
 def test_scan_canonical_clause():

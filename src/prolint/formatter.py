@@ -32,6 +32,7 @@ from .reader import (
     Term,
     Variable,
     apply_directive_to_table,
+    conjunction_goal_begins,
     conjunction_goals,
     contains_cut,
     is_atom,
@@ -329,8 +330,8 @@ class _ClauseFormatter:
         last-first, holds goals as (goal, indent, suffix, lead, begin) and a
         block's closing line as its group."""
         rendered, groups, width = self.r.rendered, self.groups, self.width
-        work = _sequence(_conjunction(body), self.unit, lead, begin, "",
-                         self.unit)
+        work = _sequence(conjunction_goal_begins(body), self.unit, lead,
+                         begin, "", self.unit)
         while work:
             item = work.pop()
             if type(item[0]) is list:
@@ -368,51 +369,33 @@ class _ClauseFormatter:
                 prefix = (pad + ";" if index else lead + "(") \
                     + " " * (self.unit - 1)
                 if goal.name == ",":
-                    sequences.append((_conjunction(goal.args[0])
-                                      + _conjunction(goal.args[1]),
+                    sequences.append((conjunction_goal_begins(goal.args[0])
+                                      + conjunction_goal_begins(goal.args[1]),
                                       prefix, at, ""))
                 elif branch is goal or (
                         is_compound(branch, None, 2)
                         and not branch.parenthesized
                         and branch.name in ("->", "*->")):
                     condition, then_part = branch.args
-                    sequences += [(_conjunction(condition), prefix, at,
-                                   f" {branch.name}"),
-                                  (_conjunction(then_part), " " * inner,
-                                   None, "")]
+                    sequences += [(conjunction_goal_begins(condition),
+                                   prefix, at, f" {branch.name}"),
+                                  (conjunction_goal_begins(then_part),
+                                   " " * inner, None, "")]
                 else:
-                    sequences.append((_conjunction(branch), prefix, at,
-                                      ""))
+                    sequences.append((conjunction_goal_begins(branch),
+                                      prefix, at, ""))
             for goals, first, at, end in reversed(sequences):
                 work += _sequence(goals, inner, first, at, end, self.unit)
-
-
-def _conjunction(body: Term) -> list[tuple[Term, int | None]]:
-    """``conjunction_goals`` with where a goal begins ahead of its own
-    start: the first goal of a canonical ``','(A, B)`` begins at the
-    functor, so that a comment right after ``','(`` stays with it."""
-    out: list[tuple[Term, int | None]] = []
-    stack: list[tuple[Term, int | None]] = [(body, None)]
-    while stack:
-        term, begin = stack.pop()
-        if type(term) is Compound and term.name == "," \
-                and len(term.args) == 2 and not term.parenthesized:
-            if begin is None and term.functor_lexeme is not None:
-                begin = term.span.byte_start
-            stack += [(term.args[1], None), (term.args[0], begin)]
-        else:
-            out.append((term, begin))
-    return out
 
 
 def _sequence(goals: list[tuple[Term, int | None]], indent: int, lead: str,
               begin: int | None, end: str, unit: int) -> list[tuple]:
     """A sequence's goals, each with where it begins ahead of its start
-    (see ``_conjunction``), as work items, last first: the first goal after
-    ``lead``, which begins at ``begin`` (None for a lead of spaces), the
-    others after their indent, the last followed by ``end``.  A sequence
-    that ends a body (``end`` empty, unlike a condition) indents its goals
-    between ``repeat`` and the cut one extra unit."""
+    (see ``conjunction_goal_begins``), as work items, last first: the first
+    goal after ``lead``, which begins at ``begin`` (None for a lead of
+    spaces), the others after their indent, the last followed by ``end``.
+    A sequence that ends a body (``end`` empty, unlike a condition) indents
+    its goals between ``repeat`` and the cut one extra unit."""
     items: list[tuple] = []
     cut_pending = 0
     last = len(goals) - 1

@@ -146,16 +146,26 @@ def conjunction_goals(body: Term) -> list[Term]:
     Control constructs (``;``, ``->``) and explicitly parenthesized subterms
     count as single goals; rules recurse into them separately.
     """
-    goals: list[Term] = []
-    stack = [body]
+    return [goal for goal, _ in conjunction_goal_begins(body)]
+
+
+def conjunction_goal_begins(body: Term) -> list[tuple[Term, int | None]]:
+    """``conjunction_goals``, each goal with the offset where it begins
+    ahead of its own start, else None: the first goal of a canonical
+    ``','(A, B)`` begins at the functor, so that a comment right after
+    ``','(`` stays with it."""
+    goals: list[tuple[Term, int | None]] = []
+    stack: list[tuple[Term, int | None]] = [(body, None)]
     while stack:
-        term = stack.pop()
+        term, begin = stack.pop()
         if type(term) is Compound and term.name == "," \
                 and len(term.args) == 2 and not term.parenthesized:
-            stack.append(term.args[1])
-            stack.append(term.args[0])
+            if begin is None and term.functor_lexeme is not None:
+                begin = term.span.byte_start
+            stack.append((term.args[1], None))
+            stack.append((term.args[0], begin))
         else:
-            goals.append(term)
+            goals.append((term, begin))
     return goals
 
 

@@ -14,6 +14,7 @@ from prolint.reader import (
     Integer,
     OperatorTable,
     Variable,
+    conjunction_goal_begins,
     conjunction_goals,
     final_goal,
     group_predicates,
@@ -174,6 +175,17 @@ def test_conjunction_goals_respects_parenthesized_group():
     goals = conjunction_goals(body)
     assert [type(g).__name__ for g in goals] \
         == ["Atom", "Compound", "Atom"]
+
+
+def test_conjunction_goal_begins_marks_a_canonical_conjunctions_start():
+    text = "t :- x, ','(','(a, b), c), d.\n"
+    body = parse_body(text)
+    pairs = conjunction_goal_begins(body)
+    assert [term_to_tuple(g) for g, _ in pairs] == ["x", "a", "b", "c", "d"]
+    # Only the first goal of the outer ``','(`` begins ahead of itself.
+    assert [begin for _, begin in pairs] \
+        == [None, text.index("','("), None, None, None]
+    assert conjunction_goals(body) == [g for g, _ in pairs]
 
 
 def test_list_desugaring():

@@ -11,15 +11,6 @@ from .diagnostics import (
     render_text,
     run,
 )
-from .doc_rules import (
-    ArgDoc,
-    DocHead,
-    DocHeadError,
-    MODE_SYSTEMS,
-    parse_doc_head,
-    print_doc_head,
-)
-from .formatter import FormatError, check_format, format_program
 from .reader import (
     Clause,
     ClauseKind,
@@ -56,3 +47,17 @@ __all__ = [
     "read_program", "read_term", "render_json", "render_text", "run",
     "scan", "source_from_text", "structurally_equal",
 ]
+
+#: The module of each name that loads on first access (PEP 562), so that
+#: ``import prolint.cli`` loads only the layers every command runs.
+_LAZY = {**dict.fromkeys(("FormatError", "check_format", "format_program"),
+                         "formatter"),
+         **dict.fromkeys(("ArgDoc", "DocHead", "DocHeadError", "MODE_SYSTEMS",
+                          "parse_doc_head", "print_doc_head"), "doc_rules")}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)

@@ -4,6 +4,9 @@
 Exit codes: 0 success, 1 findings at or above the failure threshold (or
 non-canonical files under ``fmt --check``), 2 usage, configuration or I/O
 errors.
+
+Importing this module loads only the layers every command runs; the others
+are imported where a command first needs them.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import gc
 import os
 import stat
 import sys
-import tempfile
 from pathlib import Path
 
 from .diagnostics import (
@@ -28,7 +30,6 @@ from .diagnostics import (
     render_text,
     run,
 )
-from .formatter import check_format, format_program
 from .reader import program_from_source
 from .source_model import SourceFile, load_source, source_from_text
 
@@ -151,7 +152,8 @@ def _configure(args: argparse.Namespace) -> tuple[Config, int]:
 
 
 def _expand_paths(raw_paths: list[str], cfg: Config) -> list[str]:
-    """Resolve files and recursed directories, path-sorted; '-' is stdin."""
+    """Resolve files and recursed directories, path-sorted and each named
+    once; '-' is stdin and comes first."""
     files: list[str] = []
     for raw in raw_paths:
         if raw == "-":
@@ -180,8 +182,8 @@ def _expand_paths(raw_paths: list[str], cfg: Config) -> list[str]:
                             files.append(child)
             except OSError:  # unreadable: skipped, as by ``Path.rglob``
                 continue
-    ordered = [f for f in files if f == "-"]
-    ordered += sorted(f for f in files if f != "-")
+    ordered = ["-"] if "-" in files else []
+    ordered += sorted({f for f in files if f != "-"})
     return ordered
 
 
@@ -220,6 +222,7 @@ def _cmd_check(args: argparse.Namespace, cfg: Config) -> int:
 def _write_in_place(path: str, text: str) -> None:
     """Write through a temp file and rename so an interrupted run never
     truncates the original; the file keeps its permission bits."""
+    import tempfile
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, temp_path = tempfile.mkstemp(dir=directory, prefix=".prolint-")
     try:
@@ -235,6 +238,7 @@ def _write_in_place(path: str, text: str) -> None:
 
 
 def _cmd_fmt(args: argparse.Namespace, cfg: Config) -> int:
+    from .formatter import check_format, format_program
     files = _expand_paths(args.paths, cfg)
     failed = False
     io_error = False

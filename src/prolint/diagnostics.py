@@ -6,7 +6,6 @@ import enum
 import re
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Callable, Iterable
 
 if TYPE_CHECKING:
@@ -561,8 +560,9 @@ def render_json(diags: list[Diagnostic]) -> str:
     """The ``{"diagnostics": [...], "summary": {...}}`` document, laid out
     byte for byte as ``json.dumps(document, indent=2)`` lays it out.  It is
     written here because ``json.dumps`` falls back to its pure-Python
-    encoder whenever ``indent`` is set."""
-    quote = encode_basestring_ascii
+    encoder whenever ``indent`` is set.  ``json`` is imported here, as only
+    ``check --format json`` needs it."""
+    from json.encoder import encode_basestring_ascii as quote
     counts = dict.fromkeys(_LABELS.values(), 0)
     paths = {path: quote(path) for path in {d.path for d in diags}}
     entries = []

@@ -218,6 +218,8 @@ def _n04_number_words(facts: Facts) -> Iterator[Diagnostic]:
     def segments_of(name: str) -> list[str]:
         return [seg.lower() for seg in names.split(name).segments if seg]
 
+    defined_segments = {tuple(segments_of(d)) for d in defined}
+
     for tok in names.atoms + names.variables:
         name = tok.text
         if name in flagged:
@@ -234,9 +236,8 @@ def _n04_number_words(facts: Facts) -> Iterator[Diagnostic]:
                     for other in _NUMBER_WORDS:
                         if other == seg:
                             continue
-                        candidate = segs.copy()
-                        candidate[idx] = other
-                        if any(segments_of(d) == candidate for d in defined):
+                        candidate = (*segs[:idx], other, *segs[idx + 1:])
+                        if candidate in defined_segments:
                             siblings = True
                             break
                     if siblings:

@@ -295,7 +295,8 @@ def test_directory_recursion_and_extension_filter(tmp_path, capsys):
 
 
 def _expand_with_rglob(raw_paths, cfg):
-    """The path expansion that walked directories with ``Path.rglob``."""
+    """The path expansion that walked directories with ``Path.rglob``,
+    naming each file once."""
     files = []
     for raw in raw_paths:
         if raw == "-":
@@ -307,8 +308,8 @@ def _expand_with_rglob(raw_paths, cfg):
                          if p.is_file() and p.suffix in cfg.extensions)
         else:
             files.append(str(path))
-    return [f for f in files if f == "-"] + sorted(f for f in files
-                                                  if f != "-")
+    return (["-"] if "-" in files else []) + sorted(
+        {f for f in files if f != "-"})
 
 
 def test_path_expansion_matches_rglob(tmp_path, monkeypatch):
@@ -342,6 +343,23 @@ def test_path_expansion_matches_rglob(tmp_path, monkeypatch):
     assert "link.pl" in got and "broken.pl" not in got, got
     assert not any(path.startswith("linked_dir") for path in got), got
     assert "x.pl/inner.pl" in got and "x.pl" not in got, got
+
+
+def test_a_file_named_twice_is_read_once(tmp_path, monkeypatch, capsys):
+    (tmp_path / "ov").mkdir()
+    write(tmp_path, "ov/a.pl", "p.\n")
+    write(tmp_path, "d.pl", TABBED)
+    monkeypatch.chdir(tmp_path)
+    assert main(["check", "ov", "ov/a.pl", "./ov/a.pl"]) == 0
+    assert capsys.readouterr().out.count("[L11]") == 1
+    assert main(["check", "--format", "json", "ov", "./ov/a.pl"]) == 0
+    document = json.loads(capsys.readouterr().out)
+    assert len(document["diagnostics"]) == 1
+    assert document["summary"]["hint"] == 1
+    assert main(["fmt", "--check", "d.pl", "./d.pl"]) == 1
+    assert capsys.readouterr().out.count("d.pl: needs formatting") == 1
+    assert cli._expand_paths(["d.pl", "-", "./d.pl", "-"], Config()) \
+        == ["-", "d.pl"]
 
 
 def test_non_decimal_digit_file_reported_with_the_others(tmp_path, capsys):

@@ -100,6 +100,12 @@ def _tokens_off_the_fast_path(n: int) -> str:
                    for i in range(n))
 
 
+def _number_word_predicates(n: int) -> str:
+    """``n`` predicates whose names hold the number word ``one`` and have no
+    sibling with another number word in its place."""
+    return "".join(f"step_one_p{i}(X) :- q(X).\n" for i in range(n))
+
+
 def _read(text: str, cfg: Config):
     src = source_from_text(text)
     return lambda: program_from_source(src)
@@ -152,6 +158,8 @@ SHAPES = {
         _tokens_off_the_fast_path, 500, _read, Config()),
     "numbered_state_goals": (
         _numbered_state_goals, 2_000, _rules, _only("I04", "I05", "N07")),
+    "number_word_predicates": (
+        _number_word_predicates, 100, _rules, _only("N04")),
 }
 
 

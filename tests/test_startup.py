@@ -1,0 +1,74 @@
+"""Which layers each command loads.
+
+``import prolint.cli`` loads only what ``check`` and ``fmt`` share; each
+command imports its own layers when it first runs.  Each case runs in a
+fresh interpreter and lists the ``prolint`` modules and ``json`` that the
+import and the command add to ``sys.modules``.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import subprocess
+import sys
+
+import pytest
+
+import prolint
+
+CHILD = ("import sys\n"
+         "before = set(sys.modules)\n"
+         "import prolint.cli\n"
+         "from prolint import Config\n"
+         "Config()\n"
+         "if sys.argv[1:]:\n"
+         "    prolint.cli.main(sys.argv[1:])\n"
+         "print(sorted(set(sys.modules) - before))\n")
+
+SHARED = {"prolint.cli", "prolint.diagnostics", "prolint.reader",
+          "prolint.source_model"}
+FAMILIES = {"prolint.doc_rules", "prolint.idiom_rules",
+            "prolint.layout_rules", "prolint.naming_rules"}
+
+CASES = {
+    "import": ([], SHARED),
+    "check": (["check"], SHARED | FAMILIES),
+    "check_json": (["check", "--format", "json"], SHARED | FAMILIES | {"json"}),
+    "fmt_check": (["fmt", "--check"], SHARED | {"prolint.formatter"}),
+    "rules": (["rules"], SHARED),
+}
+
+
+def _loaded(argv: list[str]) -> set[str]:
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(prolint.__file__)))
+    out = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=60).stdout
+    added = ast.literal_eval(out.splitlines()[-1])
+    return {name for name in added
+            if name.startswith("prolint.") or name == "json"}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_command_loads_only_its_layers(case, tmp_path):
+    argv, want = CASES[case]
+    if argv[:1] in (["check"], ["fmt"]):
+        path = tmp_path / "f.pl"
+        path.write_text("p :- q.\n", encoding="utf-8")
+        argv = argv + [str(path)]
+    assert _loaded(argv) == want
+
+
+def test_every_exported_name_resolves():
+    for name in prolint.__all__:
+        assert getattr(prolint, name) is not None, name
+    namespace: dict = {}
+    exec("from prolint import *", namespace)
+    assert set(prolint.__all__) <= set(namespace)
+    from prolint import format_program
+    from prolint.formatter import format_program as defined
+    assert format_program is defined
+    with pytest.raises(AttributeError):
+        prolint.no_such_name

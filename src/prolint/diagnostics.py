@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 if TYPE_CHECKING:
     from .reader import Facts, Program
@@ -33,25 +32,51 @@ class Severity(enum.IntEnum):
             raise ValueError(f"unknown severity {name!r}") from None
 
 
-@dataclass
-class Diagnostic:
+class Record:
+    """A plain record class: a subclass names its fields in ``__slots__``,
+    in constructor order, and sets each in ``__init__``.  Records of one
+    class are equal when their fields are, ``repr`` shows every field, and
+    a record is unhashable, as it is mutable."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = self.__slots__
+        return [getattr(self, name) for name in names] \
+            == [getattr(other, name) for name in names]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Diagnostic(Record):
     """One lint finding.  The message always names the offending data."""
 
-    rule_id: str
-    severity: Severity
-    span: "Span"
-    message: str
-    suggestion: str | None = None
-    predicate: tuple[str, int] | None = None
-    path: str = ""
+    __slots__ = ("rule_id", "severity", "span", "message", "suggestion",
+                 "predicate", "path")
+
+    def __init__(self, rule_id: str, severity: Severity, span: "Span",
+                 message: str, suggestion: str | None = None,
+                 predicate: tuple[str, int] | None = None,
+                 path: str = "") -> None:
+        self.rule_id = rule_id
+        self.severity = severity
+        self.span = span
+        self.message = message
+        self.suggestion = suggestion
+        self.predicate = predicate
+        self.path = path
 
     def sort_key(self) -> tuple:
         return (self.path, self.span.start_line, self.span.start_col,
                 self.rule_id)
 
 
-@dataclass(frozen=True)
-class RuleDescriptor:
+class RuleDescriptor(NamedTuple):
     rule_id: str
     title: str
     guideline_ref: str
@@ -214,28 +239,53 @@ _DEFAULT_INLINE_GOALS = frozenset(
 )
 
 
-@dataclass
-class Config:
-    indent_size: int = 4
-    max_line_length: int = 79
-    clause_lines_info: int = 24
-    clause_lines_warn: int = 48
-    eol_comment_max: int = 40
-    magic_number_allowlist: frozenset = frozenset({0, 1, -1, 2})
-    inline_goal_allowlist: frozenset = _DEFAULT_INLINE_GOALS
-    mode_system: str = "recommended"
-    comma_style: str = "simple"
-    failure_threshold: Severity = Severity.WARNING
-    extensions: tuple[str, ...] = (".pl", ".pro", ".prolog")
-    pronounceable_allowlist: frozenset = frozenset(
-        {"src", "msg", "tmp", "str", "ptr", "cfg", "db"})
-    leet_enabled: bool = False
-    leet_allowlist: frozenset = frozenset({"i18n", "l10n"})
-    require_docs_without_module: bool = True
-    public_name_pattern: str | None = None
-    rule_enabled: dict = field(default_factory=dict)
-    rule_severity: dict = field(default_factory=dict)
-    problems: list = field(default_factory=list)
+class Config(Record):
+    __slots__ = ("indent_size", "max_line_length", "clause_lines_info",
+                 "clause_lines_warn", "eol_comment_max",
+                 "magic_number_allowlist", "inline_goal_allowlist",
+                 "mode_system", "comma_style", "failure_threshold",
+                 "extensions", "pronounceable_allowlist", "leet_enabled",
+                 "leet_allowlist", "require_docs_without_module",
+                 "public_name_pattern", "rule_enabled", "rule_severity",
+                 "problems")
+
+    def __init__(self, indent_size: int = 4, max_line_length: int = 79,
+                 clause_lines_info: int = 24, clause_lines_warn: int = 48,
+                 eol_comment_max: int = 40,
+                 magic_number_allowlist: frozenset = frozenset({0, 1, -1, 2}),
+                 inline_goal_allowlist: frozenset = _DEFAULT_INLINE_GOALS,
+                 mode_system: str = "recommended",
+                 comma_style: str = "simple",
+                 failure_threshold: Severity = Severity.WARNING,
+                 extensions: tuple[str, ...] = (".pl", ".pro", ".prolog"),
+                 pronounceable_allowlist: frozenset = frozenset(
+                     {"src", "msg", "tmp", "str", "ptr", "cfg", "db"}),
+                 leet_enabled: bool = False,
+                 leet_allowlist: frozenset = frozenset({"i18n", "l10n"}),
+                 require_docs_without_module: bool = True,
+                 public_name_pattern: str | None = None,
+                 rule_enabled: dict | None = None,
+                 rule_severity: dict | None = None,
+                 problems: list | None = None) -> None:
+        self.indent_size = indent_size
+        self.max_line_length = max_line_length
+        self.clause_lines_info = clause_lines_info
+        self.clause_lines_warn = clause_lines_warn
+        self.eol_comment_max = eol_comment_max
+        self.magic_number_allowlist = magic_number_allowlist
+        self.inline_goal_allowlist = inline_goal_allowlist
+        self.mode_system = mode_system
+        self.comma_style = comma_style
+        self.failure_threshold = failure_threshold
+        self.extensions = extensions
+        self.pronounceable_allowlist = pronounceable_allowlist
+        self.leet_enabled = leet_enabled
+        self.leet_allowlist = leet_allowlist
+        self.require_docs_without_module = require_docs_without_module
+        self.public_name_pattern = public_name_pattern
+        self.rule_enabled = {} if rule_enabled is None else rule_enabled
+        self.rule_severity = {} if rule_severity is None else rule_severity
+        self.problems = [] if problems is None else problems
 
     def enabled(self, rule_id: str) -> bool:
         if rule_id in self.rule_enabled:
@@ -526,7 +576,9 @@ def run(src: "SourceFile", program: "Program", cfg: Config) -> list[Diagnostic]:
     allowed = _suppressed_lines(program)
     # The program keeps its syntax diagnostics for later runs and ``fmt``,
     # so they are copied; ``diag`` made the rule diagnostics for this run.
-    out = [replace(d, path=src.path) for d in program.syntax_diagnostics]
+    out = [Diagnostic(d.rule_id, d.severity, d.span, d.message, d.suggestion,
+                      d.predicate, src.path)
+           for d in program.syntax_diagnostics]
     for d in diags:
         if d.rule_id not in NON_SUPPRESSIBLE:
             if d.rule_id in allowed.get(d.span.start_line, ()):

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 
-from .diagnostics import Diagnostic, diag, rule, run_family
+from .diagnostics import Diagnostic, Record, diag, rule, run_family
 from .reader import (
     ClauseKind,
     CommentAttachment,
@@ -47,19 +46,26 @@ _INPUT_MODES = frozenset("+*")
 _OUTPUT_MODES = frozenset("-/")
 
 
-@dataclass
-class ArgDoc:
-    mode: str | None
-    name: str
-    type_name: str | None = None
+class ArgDoc(Record):
+    __slots__ = ("mode", "name", "type_name")
+
+    def __init__(self, mode: str | None, name: str,
+                 type_name: str | None = None) -> None:
+        self.mode = mode
+        self.name = name
+        self.type_name = type_name
 
 
-@dataclass
-class DocHead:
-    predicate_name: str
-    args: list[ArgDoc] = field(default_factory=list)
-    determinism: str | None = None
-    marker: str = "double"
+class DocHead(Record):
+    __slots__ = ("predicate_name", "args", "determinism", "marker")
+
+    def __init__(self, predicate_name: str, args: list[ArgDoc] | None = None,
+                 determinism: str | None = None,
+                 marker: str = "double") -> None:
+        self.predicate_name = predicate_name
+        self.args = [] if args is None else args
+        self.determinism = determinism
+        self.marker = marker
 
     @property
     def indicator(self) -> tuple[str, int]:
@@ -238,14 +244,21 @@ def print_doc_head(head: DocHead) -> str:
 _CANDIDATE = re.compile(r"[a-z][A-Za-z0-9_]*\s*(\(|is\b|//|$)")
 
 
-@dataclass
-class _DocBlock:
-    clause_index: int
-    tokens: list[Token]
-    heads: list[tuple[DocHead, Token]] = field(default_factory=list)
-    failure: tuple[DocHeadError, Token] | None = None
-    group: PredicateDef | None = None
-    group_index: int | None = None
+class _DocBlock(Record):
+    __slots__ = ("clause_index", "tokens", "heads", "failure", "group",
+                 "group_index")
+
+    def __init__(self, clause_index: int, tokens: list[Token],
+                 heads: list[tuple[DocHead, Token]] | None = None,
+                 failure: tuple[DocHeadError, Token] | None = None,
+                 group: PredicateDef | None = None,
+                 group_index: int | None = None) -> None:
+        self.clause_index = clause_index
+        self.tokens = tokens
+        self.heads = [] if heads is None else heads
+        self.failure = failure
+        self.group = group
+        self.group_index = group_index
 
     @property
     def marker(self) -> str:

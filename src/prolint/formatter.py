@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass
 
-from .diagnostics import SUPPRESSION_COMMENT, Config, Diagnostic
+from .diagnostics import SUPPRESSION_COMMENT, Config, Diagnostic, Record
 from .reader import (
     CONTROL_FUNCTORS,
     Atom,
@@ -438,13 +437,19 @@ def _branches(root: Compound, begin: int) -> list[tuple[Term, int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Unit:
-    start_line: int
-    end_line: int
-    #: The clause's index in ``program.items``; None for a free comment.
-    index: int | None = None
-    comment: Token | None = None
+class _Unit(Record):
+    """``index`` is the clause's index in ``program.items``; None for a
+    free comment, which ``comment`` holds."""
+
+    __slots__ = ("start_line", "end_line", "index", "comment")
+
+    def __init__(self, start_line: int, end_line: int,
+                 index: int | None = None,
+                 comment: Token | None = None) -> None:
+        self.start_line = start_line
+        self.end_line = end_line
+        self.index = index
+        self.comment = comment
 
 
 def _collect_units(program: Program) -> list[_Unit]:
@@ -461,6 +466,12 @@ def _collect_units(program: Program) -> list[_Unit]:
                                end_line=token.span.end_line, comment=token))
     units.sort(key=lambda u: u.start_line)
     return units
+
+
+def _comment_text(token: Token) -> str:
+    """A comment as it is printed: without trailing blanks, and with the
+    CRLF line ends inside a block comment made LF, as the output's are."""
+    return token.text.rstrip().replace("\r\n", "\n")
 
 
 def _place_comments(groups: list[tuple], own_line: list[Token],
@@ -489,7 +500,7 @@ def _place_comments(groups: list[tuple], own_line: list[Token],
     begins = [begin for _, begin, _, _ in groups]
     closed: set[tuple[int, int]] = set()
     for token in trailing:
-        text = token.text.rstrip()
+        text = _comment_text(token)
         if SUPPRESSION_COMMENT.search(text):
             index, at = 0, 0
         else:
@@ -507,9 +518,9 @@ def _place_comments(groups: list[tuple], own_line: list[Token],
     out: list[str] = []
     for comments, (lines, _, _, column) in zip(above, groups):
         comments.sort(key=lambda token: token.span.byte_start)
-        out += [" " * column + token.text.rstrip() for token in comments]
+        out += [" " * column + _comment_text(token) for token in comments]
         out += lines
-    out += [token.text.rstrip() for token in own_line[pending:]]
+    out += [_comment_text(token) for token in own_line[pending:]]
     return out
 
 
@@ -539,7 +550,7 @@ def _formatted_units(program: Program, cfg: Config) -> Iterator[list[str]]:
         previous = unit
         idx = unit.index
         if idx is None:
-            lines.append(unit.comment.text.rstrip())
+            lines.append(_comment_text(unit.comment))
             yield lines
             continue
         clause = program.items[idx]
@@ -548,7 +559,7 @@ def _formatted_units(program: Program, cfg: Config) -> Iterator[list[str]]:
         for attached in clause.comments:
             kind = attached.kind
             if kind is CommentAttachment.PRECEDING:
-                lines.append(attached.token.text.rstrip())
+                lines.append(_comment_text(attached.token))
             elif kind is CommentAttachment.INTERIOR:
                 own_line.append(attached.token)
             else:

@@ -8,17 +8,15 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .diagnostics import Diagnostic, diag, rule, run_family
+from .diagnostics import Diagnostic, Record, diag, rule, run_family
 from .reader import Facts, Variable
 from .source_model import MAX_INTEGER_DIGITS, Span
 
 
-@dataclass
-class IdentifierWords:
+class IdentifierWords(Record):
     """An identifier split into word segments.
 
     Segments are split on underscores and on lower-to-upper case
@@ -27,9 +25,13 @@ class IdentifierWords:
     any, follow the last segment.
     """
 
-    segments: list[str]
-    separators: list[str]
-    trailing_digits: str | None = None
+    __slots__ = ("segments", "separators", "trailing_digits")
+
+    def __init__(self, segments: list[str], separators: list[str],
+                 trailing_digits: str | None = None) -> None:
+        self.segments = segments
+        self.separators = separators
+        self.trailing_digits = trailing_digits
 
 
 _TRAILING_DIGITS = re.compile(r"^(.*?[^\d])(\d+)$")

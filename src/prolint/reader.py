@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, TypeVar
+from typing import TYPE_CHECKING, Callable, NamedTuple, TypeVar
 
-from .diagnostics import RULES, Diagnostic, Severity, enabled_rules
+from .diagnostics import RULES, Diagnostic, Record, Severity, enabled_rules
 from .source_model import (
     CLOSER_KINDS,
     COMMENT_KINDS,
@@ -42,54 +41,72 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class Variable:
-    name: str
-    span: Span
+class Variable(Record):
+    __slots__ = ("name", "span")
+
+    def __init__(self, name: str, span: Span) -> None:
+        self.name = name
+        self.span = span
 
 
-@dataclass(slots=True)
-class Atom:
-    name: str
-    span: Span
-    quoted: bool = False
-    lexeme: str | None = None
-    parenthesized: bool = False
+class Atom(Record):
+    __slots__ = ("name", "span", "quoted", "lexeme", "parenthesized")
+
+    def __init__(self, name: str, span: Span, quoted: bool = False,
+                 lexeme: str | None = None,
+                 parenthesized: bool = False) -> None:
+        self.name = name
+        self.span = span
+        self.quoted = quoted
+        self.lexeme = lexeme
+        self.parenthesized = parenthesized
 
     @property
     def text(self) -> str:
         return self.lexeme if self.lexeme is not None else self.name
 
 
-@dataclass(slots=True)
-class Integer:
-    value: int
-    span: Span
-    lexeme: str = ""
+class Integer(Record):
+    __slots__ = ("value", "span", "lexeme")
+
+    def __init__(self, value: int, span: Span, lexeme: str = "") -> None:
+        self.value = value
+        self.span = span
+        self.lexeme = lexeme
 
 
-@dataclass(slots=True)
-class Float:
-    value: float
-    span: Span
-    lexeme: str = ""
+class Float(Record):
+    __slots__ = ("value", "span", "lexeme")
+
+    def __init__(self, value: float, span: Span, lexeme: str = "") -> None:
+        self.value = value
+        self.span = span
+        self.lexeme = lexeme
 
 
-@dataclass(slots=True)
-class Str:
-    text: str
-    span: Span
-    lexeme: str = ""
+class Str(Record):
+    __slots__ = ("text", "span", "lexeme")
+
+    def __init__(self, text: str, span: Span, lexeme: str = "") -> None:
+        self.text = text
+        self.span = span
+        self.lexeme = lexeme
 
 
-@dataclass(slots=True)
-class Compound:
-    name: str
-    args: list
-    span: Span
-    parenthesized: bool = False
-    functor_span: Span | None = None
-    functor_lexeme: str | None = None
+class Compound(Record):
+    __slots__ = ("name", "args", "span", "parenthesized", "functor_span",
+                 "functor_lexeme")
+
+    def __init__(self, name: str, args: list, span: Span,
+                 parenthesized: bool = False,
+                 functor_span: Span | None = None,
+                 functor_lexeme: str | None = None) -> None:
+        self.name = name
+        self.args = args
+        self.span = span
+        self.parenthesized = parenthesized
+        self.functor_span = functor_span
+        self.functor_lexeme = functor_lexeme
 
 
 Term = Variable | Atom | Integer | Float | Str | Compound
@@ -264,8 +281,7 @@ def subterms(term: Term) -> list[Term]:
 OPERATOR_TYPES = ("xfx", "xfy", "yfx", "fy", "fx", "xf", "yf")
 
 
-@dataclass(frozen=True)
-class OperatorDef:
+class OperatorDef(NamedTuple):
     name: str
     priority: int
     type: str
@@ -382,14 +398,20 @@ class ClauseKind(enum.Enum):
     GRAMMAR_RULE = "grammar_rule"
 
 
-@dataclass
-class Clause:
-    kind: ClauseKind
-    head: Term | None
-    body: Term | None
-    span: Span
-    #: The comments this clause owns, in source order (``_attach_comments``).
-    comments: list[AttachedComment] = field(default_factory=list)
+class Clause(Record):
+    """``comments`` lists the comments this clause owns, in source order
+    (``_attach_comments``)."""
+
+    __slots__ = ("kind", "head", "body", "span", "comments")
+
+    def __init__(self, kind: ClauseKind, head: Term | None,
+                 body: Term | None, span: Span,
+                 comments: list[AttachedComment] | None = None) -> None:
+        self.kind = kind
+        self.head = head
+        self.body = body
+        self.span = span
+        self.comments = [] if comments is None else comments
 
     @property
     def indicator(self) -> tuple[str, int] | None:
@@ -412,31 +434,52 @@ class CommentAttachment(enum.Enum):
     FREE = "free"
 
 
-@dataclass
-class AttachedComment:
-    token: Token
-    kind: CommentAttachment
-    clause_index: int | None = None
+class AttachedComment(Record):
+    __slots__ = ("token", "kind", "clause_index")
+
+    def __init__(self, token: Token, kind: CommentAttachment,
+                 clause_index: int | None = None) -> None:
+        self.token = token
+        self.kind = kind
+        self.clause_index = clause_index
 
 
-@dataclass
-class PredicateDef:
-    indicator: tuple[str, int]
-    clauses: list[Clause]
-    contiguous: bool = True
-    exported: bool = True
+class PredicateDef(Record):
+    __slots__ = ("indicator", "clauses", "contiguous", "exported")
+
+    def __init__(self, indicator: tuple[str, int], clauses: list[Clause],
+                 contiguous: bool = True, exported: bool = True) -> None:
+        self.indicator = indicator
+        self.clauses = clauses
+        self.contiguous = contiguous
+        self.exported = exported
 
 
-@dataclass
-class Program:
-    items: list[Clause] = field(default_factory=list)
-    comments: list[AttachedComment] = field(default_factory=list)
-    operator_table: OperatorTable = field(default_factory=OperatorTable.default)
-    exports: list[tuple[str, int]] | None = None
-    module_name: str | None = None
-    tokens: list[Token] = field(default_factory=list)
-    syntax_diagnostics: list[Diagnostic] = field(default_factory=list)
-    comma_roles: dict[int, str] = field(default_factory=dict)
+class Program(Record):
+    """A read file.  Each list or table that is not given starts empty (the
+    operator table at the defaults) and is the program's own."""
+
+    __slots__ = ("items", "comments", "operator_table", "exports",
+                 "module_name", "tokens", "syntax_diagnostics", "comma_roles")
+
+    def __init__(self, items: list[Clause] | None = None,
+                 comments: list[AttachedComment] | None = None,
+                 operator_table: OperatorTable | None = None,
+                 exports: list[tuple[str, int]] | None = None,
+                 module_name: str | None = None,
+                 tokens: list[Token] | None = None,
+                 syntax_diagnostics: list[Diagnostic] | None = None,
+                 comma_roles: dict[int, str] | None = None) -> None:
+        self.items = [] if items is None else items
+        self.comments = [] if comments is None else comments
+        self.operator_table = OperatorTable.default() \
+            if operator_table is None else operator_table
+        self.exports = exports
+        self.module_name = module_name
+        self.tokens = [] if tokens is None else tokens
+        self.syntax_diagnostics = [] if syntax_diagnostics is None \
+            else syntax_diagnostics
+        self.comma_roles = {} if comma_roles is None else comma_roles
 
     @property
     def has_module_directive(self) -> bool:

@@ -11,11 +11,10 @@ import enum
 import os
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple
 
-from .diagnostics import Diagnostic, Severity
+from .diagnostics import Diagnostic, Record, Severity
 
 
 class Span(NamedTuple):
@@ -77,8 +76,7 @@ CLOSER_KINDS = frozenset({TokenKind.CLOSE_PAREN, TokenKind.CLOSE_BRACKET,
                           TokenKind.CLOSE_BRACE})
 
 
-@dataclass(slots=True)
-class Token:
+class Token(Record):
     """One lexical unit.
 
     ``text`` is the verbatim lexeme (quotes and escapes as written), and
@@ -87,28 +85,30 @@ class Token:
     ``integer`` or ``float`` token denotes, and None for every other kind.
     """
 
-    kind: TokenKind
-    text: str
-    span: Span
-    value: int | float | None = None
+    __slots__ = ("kind", "text", "span", "value")
+
+    def __init__(self, kind: TokenKind, text: str, span: Span,
+                 value: int | float | None = None) -> None:
+        self.kind = kind
+        self.text = text
+        self.span = span
+        self.value = value
 
 
-@dataclass
-class SourceFile:
+class SourceFile(Record):
     """A file's text with its line index, built once from ``content``:
     ``line_starts`` holds the offset of each line (one more entry than
     newlines), ``line_texts`` each line without its newline and carriage
     return.  ``bom`` says that the file began with a UTF-8 byte-order mark,
     which ``content`` leaves out."""
 
-    path: str
-    content: str
-    bom: bool = False
-    line_starts: list[int] = field(init=False, repr=False)
-    line_texts: list[str] = field(init=False, repr=False)
+    __slots__ = ("path", "content", "bom", "line_starts", "line_texts")
 
-    def __post_init__(self) -> None:
-        pieces = self.content.split("\n")
+    def __init__(self, path: str, content: str, bom: bool = False) -> None:
+        self.path = path
+        self.content = content
+        self.bom = bom
+        pieces = content.split("\n")
         self.line_starts = list(
             accumulate((len(piece) + 1 for piece in pieces[:-1]), initial=0))
         if pieces[-1] == "":
@@ -164,17 +164,19 @@ MAX_INTEGER_DIGITS = 640
 #: variable, ``/*`` (which must come before the symbolic atoms), a
 #: symbolic atom, a plain integer: up to ``MAX_INTEGER_DIGITS`` ASCII
 #: digits that no word character, ``.`` or ``'`` follows, so that its
-#: value is ``int()`` of its text; then ``!`` or ``;``, a line comment and
-#: a quote.  ``\w+``, after the name and integer groups, takes every other
-#: numeral and a word that starts with another letter; ``\w`` is exactly
-#: ``str.isalnum()`` or ``_``, so each name group is an identifier's full
-#: extent.  The catch-all excludes whitespace, so the gap at the end of the
-#: file matches nothing, and a search from a token's end finds the next
-#: token right after its gap.
+#: value is ``int()`` of its text; then ``!`` or ``;``, a line comment,
+#: which stops before the ``\r`` of a CRLF line end but keeps a lone
+#: ``\r``, and a quote.  ``\w+``, after the name and integer groups,
+#: takes every other numeral and a word that starts with another letter;
+#: ``\w`` is exactly ``str.isalnum()`` or ``_``, so each name group is an
+#: identifier's full extent.  The catch-all excludes whitespace, so the
+#: gap at the end of the file matches nothing, and a search from a token's
+#: end finds the next token right after its gap.
 _TOKEN = re.compile(
     r"[ \t\r\n]*(?:([()\[\]{},|])|([a-z]\w*)|([A-Z_]\w*)|(/\*)"
     rf"|([{re.escape(SYMBOL_CHARS)}]+)"
-    rf"|([0-9]{{1,{MAX_INTEGER_DIGITS}}})(?![\w.'])|([!;])|(%[^\n]*)"
+    rf"|([0-9]{{1,{MAX_INTEGER_DIGITS}}})(?![\w.'])|([!;])"
+    r"|(%[^\r\n]*(?:\r(?!\n)[^\r\n]*)*)"
     r"|(['\"`])|(\w+)|([^ \t\r\n]))")
 (_SINGLE, _NAME, _VARIABLE_NAME, _BLOCK_COMMENT, _SYMBOLIC, _DIGITS, _SOLO,
  _LINE_COMMENT, _QUOTE, _WORD, _OTHER) = range(1, 12)

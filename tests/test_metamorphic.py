@@ -7,7 +7,8 @@ The programs are the benchmark's library modules at seed 1 and 100
 ``Program`` under each configuration, as the properties need; the
 odd-config gate lints and formats the first 100 under 600 configs.  The
 suppression and ``fmt``-invariance gates run over the library modules and
-``gen_file(random.Random(i))`` for i < 300.  The round trip through ``fmt``
+``gen_file(random.Random(i))`` for i < 300, as does the gate that their
+CRLF twins lint and format as they do.  The round trip through ``fmt``
 runs over seeded token soup and over seeded bodies that nest control
 constructs and data up to 64 levels deep; the same bodies with comments
 planted between their goals keep their structure and comments.
@@ -20,7 +21,6 @@ import random
 import re
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -28,6 +28,7 @@ import pytest
 from prolint import (
     REGISTRY,
     Config,
+    Diagnostic,
     Severity,
     format_program,
     load_config,
@@ -95,6 +96,12 @@ def _picked_rules(programs) -> list[tuple]:
     return picked
 
 
+def _with_severity(d: Diagnostic, severity: Severity) -> Diagnostic:
+    """A copy of ``d`` with ``severity``, every other field the same."""
+    return Diagnostic(d.rule_id, severity, d.span, d.message, d.suggestion,
+                      d.predicate, d.path)
+
+
 def test_config_algebra(programs, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)  # no ./.prolint reaches the configs
     picked = _picked_rules(programs)
@@ -108,7 +115,7 @@ def test_config_algebra(programs, monkeypatch, tmp_path):
         # --severity X=info changes only X's severities.
         lowered = run(src, program,
                       _config("--severity", f"{rule_id}=info"))
-        assert lowered == [replace(d, severity=Severity.INFO)
+        assert lowered == [_with_severity(d, Severity.INFO)
                            if d.rule_id == rule_id else d
                            for d in base], (src.path, rule_id)
 
@@ -187,6 +194,25 @@ def test_fmt_keeps_the_naming_doc_and_idiom_findings(gate_programs):
         formatted = source_from_text(format_program(program), src.path)
         after = run(formatted, program_from_source(formatted), Config())
         assert _rule_findings(after) == _rule_findings(base), src.path
+
+
+def test_crlf_twin_reads_and_formats_as_the_lf_file(gate_programs):
+    """Each gate file with CRLF line ends gives the same diagnostics, by
+    rule, line, column and message, and the same ``fmt`` output as with
+    LF ends."""
+    for src, program, base in gate_programs:
+        twin = source_from_text(src.content.replace("\n", "\r\n"),
+                                src.path)
+        twin_program = program_from_source(twin)
+        assert _located(run(twin, twin_program, Config())) \
+            == _located(base), src.path
+        assert format_program(twin_program) == format_program(program), \
+            src.path
+
+
+def _located(diags) -> Counter:
+    return Counter((d.rule_id, d.span.start_line, d.span.start_col,
+                    d.message) for d in diags)
 
 
 def test_enabling_n06_only_adds_n06(gate_programs):

@@ -7,7 +7,6 @@ Inputs too deep for the reference's recursion are the only ones skipped."""
 from __future__ import annotations
 
 import random
-from dataclasses import fields
 
 import pytest
 
@@ -51,14 +50,14 @@ def _assert_same_term(got, want, where: str) -> None:
         assert type(a) is type(b), where
         if a is None:
             continue
-        for f in fields(a):
-            if f.name == "args":
+        for name in a.__slots__:
+            if name == "args":
                 assert len(a.args) == len(b.args), where
                 pending.extend(zip(a.args, b.args))
             else:
-                left, right = getattr(a, f.name), getattr(b, f.name)
+                left, right = getattr(a, name), getattr(b, name)
                 assert (type(left), left) == (type(right), right), \
-                    (where, f.name, left, right)
+                    (where, name, left, right)
 
 
 def assert_matches_reference(text: str) -> None:

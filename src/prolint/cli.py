@@ -31,7 +31,7 @@ from .diagnostics import (
     run,
 )
 from .reader import program_from_source
-from .source_model import SourceFile, load_source, source_from_text
+from .source_model import SourceFile, load_source
 
 DEFAULT_CONFIG_NAME = ".prolint"
 
@@ -188,9 +188,8 @@ def _expand_paths(raw_paths: list[str], cfg: Config) -> list[str]:
 
 
 def _read(path: str) -> SourceFile:
-    if path == "-":
-        text = sys.stdin.read().removeprefix("\ufeff")  # as load_source
-        return source_from_text(text, path="<stdin>")
+    if path == "-":  # decoded as a file is, whatever the locale
+        return SourceFile("<stdin>", sys.stdin.buffer.read())
     return load_source(path)
 
 
@@ -219,7 +218,7 @@ def _cmd_check(args: argparse.Namespace, cfg: Config) -> int:
     return 0
 
 
-def _write_in_place(path: str, text: str) -> None:
+def _write_in_place(path: str, data: bytes) -> None:
     """Write through a temp file and rename so an interrupted run never
     truncates the original; the file keeps its permission bits."""
     import tempfile
@@ -228,8 +227,8 @@ def _write_in_place(path: str, text: str) -> None:
     try:
         # mkstemp creates the file 0600, and the rename keeps that mode.
         os.fchmod(fd, stat.S_IMODE(os.stat(path).st_mode))
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
         os.replace(temp_path, path)
     except BaseException:
         if os.path.exists(temp_path):
@@ -269,10 +268,9 @@ def _cmd_fmt(args: argparse.Namespace, cfg: Config) -> int:
                 failed = True
         elif args.write:
             text = format_program(program, cfg)
-            if text != src.content:
+            if text != src.content or src.stray_newline is not None:
                 try:
-                    # A byte-order mark the file began with stays.
-                    _write_in_place(path, "\ufeff" * src.bom + text)
+                    _write_in_place(path, src.encode(text))
                 except OSError as exc:
                     print(f"prolint: {path}: {exc}", file=sys.stderr)
                     io_error = True

@@ -468,12 +468,6 @@ def _collect_units(program: Program) -> list[_Unit]:
     return units
 
 
-def _comment_text(token: Token) -> str:
-    """A comment as it is printed: without trailing blanks, and with the
-    CRLF line ends inside a block comment made LF, as the output's are."""
-    return token.text.rstrip().replace("\r\n", "\n")
-
-
 def _place_comments(groups: list[tuple], own_line: list[Token],
                     trailing: list[Token], cfg: Config) -> list[str]:
     """A clause's lines: its groups with its comments placed by source
@@ -500,7 +494,7 @@ def _place_comments(groups: list[tuple], own_line: list[Token],
     begins = [begin for _, begin, _, _ in groups]
     closed: set[tuple[int, int]] = set()
     for token in trailing:
-        text = _comment_text(token)
+        text = token.text.rstrip()
         if SUPPRESSION_COMMENT.search(text):
             index, at = 0, 0
         else:
@@ -518,9 +512,9 @@ def _place_comments(groups: list[tuple], own_line: list[Token],
     out: list[str] = []
     for comments, (lines, _, _, column) in zip(above, groups):
         comments.sort(key=lambda token: token.span.byte_start)
-        out += [" " * column + _comment_text(token) for token in comments]
+        out += [" " * column + token.text.rstrip() for token in comments]
         out += lines
-    out += [_comment_text(token) for token in own_line[pending:]]
+    out += [token.text.rstrip() for token in own_line[pending:]]
     return out
 
 
@@ -550,7 +544,7 @@ def _formatted_units(program: Program, cfg: Config) -> Iterator[list[str]]:
         previous = unit
         idx = unit.index
         if idx is None:
-            lines.append(_comment_text(unit.comment))
+            lines.append(unit.comment.text.rstrip())
             yield lines
             continue
         clause = program.items[idx]
@@ -559,7 +553,7 @@ def _formatted_units(program: Program, cfg: Config) -> Iterator[list[str]]:
         for attached in clause.comments:
             kind = attached.kind
             if kind is CommentAttachment.PRECEDING:
-                lines.append(_comment_text(attached.token))
+                lines.append(attached.token.text.rstrip())
             elif kind is CommentAttachment.INTERIOR:
                 own_line.append(attached.token)
             else:
@@ -586,8 +580,9 @@ def format_program(program: Program, cfg: Config | None = None) -> str:
 
 def check_format(src: SourceFile, program: Program,
                  cfg: Config | None = None) -> tuple[bool, Span | None]:
-    """True when the source text is already canonical under ``cfg``;
-    otherwise the span of the first divergence.  Units are rendered only up
+    """True when ``fmt --write`` would leave the file as it is under
+    ``cfg``; otherwise the span of the first divergence, which may be a
+    line end that differs from the first one.  Units are rendered only up
     to the first one that differs from the source."""
     original = src.content
     offset = 0
@@ -600,8 +595,10 @@ def check_format(src: SourceFile, program: Program,
             break
         offset += len(chunk)
     else:
-        if offset == len(original):
+        if offset == len(original) and src.stray_newline is None:
             return True, None
-    line = original.count("\n", 0, offset) + 1
-    col = offset - (original.rfind("\n", 0, offset) + 1) + 1
+    if src.stray_newline is not None:  # a line end that a write changes
+        offset = min(offset, src.stray_newline)
+    line = bisect_right(src.line_starts, offset)
+    col = offset - src.line_starts[line - 1] + 1
     return False, Span(line, col, line, col + 1, offset, offset + 1)

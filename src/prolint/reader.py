@@ -1073,18 +1073,15 @@ def group_predicates(program: Program) -> list[PredicateDef]:
         grouped.setdefault(ind, []).append((position, clause))
         position += 1
 
+    exports = None if program.exports is None else set(program.exports)
     defs: list[PredicateDef] = []
     for ind, entries in grouped.items():
         first, last = entries[0][0], entries[-1][0]
-        contiguous = last - first + 1 == len(entries)
-        exported = True
-        if program.exports is not None:
-            exported = ind in program.exports
         defs.append(PredicateDef(
             indicator=ind,
             clauses=[clause for _, clause in entries],
-            contiguous=contiguous,
-            exported=exported))
+            contiguous=last - first + 1 == len(entries),
+            exported=exports is None or ind in exports))
     return defs
 
 

@@ -96,49 +96,57 @@ class Token(Record):
 
 
 class SourceFile(Record):
-    """A file's text with its line index, built once from ``content``:
-    ``line_starts`` holds the offset of each line (one more entry than
-    newlines), ``line_texts`` each line without its newline and carriage
-    return.  ``bom`` says that the file began with a UTF-8 byte-order mark,
-    which ``content`` leaves out."""
+    """A file's text, read once, as LF, with its line index.
 
-    __slots__ = ("path", "content", "bom", "line_starts", "line_texts")
+    Bytes are decoded as UTF-8 whole, so that a decode error gives the
+    offending byte's offset.  A leading byte-order mark is skipped, as
+    SWI-Prolog does, and each CRLF, not a lone CR, becomes LF: ``bom`` and
+    ``newline``, the first line's end, keep them for ``encode``, and
+    ``stray_newline`` is the offset in ``content`` of the first other line
+    end, or None.  ``line_starts`` holds each line's offset (one more entry
+    than newlines), ``line_texts`` each line without its newline."""
 
-    def __init__(self, path: str, content: str, bom: bool = False) -> None:
+    __slots__ = ("path", "content", "bom", "newline", "stray_newline",
+                 "line_starts", "line_texts")
+
+    def __init__(self, path: str, text: str | bytes) -> None:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         self.path = path
-        self.content = content
-        self.bom = bom
+        self.bom = text.startswith("\ufeff")
+        text = text[self.bom:]
+        end = text.find("\n")
+        self.newline = "\r\n" if end > 0 and text[end - 1] == "\r" else "\n"
+        stray = _STRAY_NEWLINE[self.newline].search(text)
+        self.stray_newline = None if stray is None \
+            else stray.start() - text.count("\r\n", 0, stray.start())
+        self.content = content = text.replace("\r\n", "\n")
         pieces = content.split("\n")
         self.line_starts = list(
             accumulate((len(piece) + 1 for piece in pieces[:-1]), initial=0))
-        if pieces[-1] == "":
-            pieces.pop()
-        self.line_texts = [piece[:-1] if piece.endswith("\r") else piece
-                           for piece in pieces]
+        self.line_texts = pieces if pieces[-1] else pieces[:-1]
+
+    def encode(self, text: str) -> bytes:
+        """LF ``text`` as bytes with this file's mark and line end."""
+        return ("\ufeff" * self.bom
+                + text.replace("\n", self.newline)).encode("utf-8")
+
+
+#: By a file's first line end, the other line end: CRLF, or a bare LF.
+_STRAY_NEWLINE = {"\n": re.compile("\r\n"), "\r\n": re.compile(r"(?<!\r)\n")}
 
 
 def load_source(path: str | os.PathLike) -> SourceFile:
-    """Read a file and build its SourceFile.
-
-    Raises OSError for unreadable input (the exception carries the path) and
-    UnicodeDecodeError for undecodable bytes (carrying the first offending
-    offset).  Both LF and CRLF newline conventions are accepted.  A leading
-    UTF-8 byte-order mark is skipped, as SWI-Prolog does, so that offsets
-    and columns count from the character after it.
-    """
+    """Read a file and build its SourceFile; raises OSError, which carries
+    the path, or UnicodeDecodeError."""
     with open(path, "rb") as handle:
-        data = handle.read()
-    # Decoded whole, not as "utf-8-sig", so that a decode error gives the
-    # byte's offset in the file.
-    content = data.decode("utf-8")
-    bom = content.startswith("\ufeff")
-    return SourceFile(path=str(path), content=content[1:] if bom else content,
-                      bom=bom)
+        return SourceFile(str(path), handle.read())
 
 
 def source_from_text(text: str, path: str = "<string>") -> SourceFile:
-    """Build a SourceFile directly from raw text."""
-    return SourceFile(path=path, content=text)
+    """Build a SourceFile from text as read: a mark and CRLF line ends are
+    read as ``load_source`` reads them."""
+    return SourceFile(path, text)
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +172,10 @@ MAX_INTEGER_DIGITS = 640
 #: variable, ``/*`` (which must come before the symbolic atoms), a
 #: symbolic atom, a plain integer: up to ``MAX_INTEGER_DIGITS`` ASCII
 #: digits that no word character, ``.`` or ``'`` follows, so that its
-#: value is ``int()`` of its text; then ``!`` or ``;``, a line comment,
-#: which stops before the ``\r`` of a CRLF line end but keeps a lone
-#: ``\r``, and a quote.  ``\w+``, after the name and integer groups,
-#: takes every other numeral and a word that starts with another letter;
-#: ``\w`` is exactly ``str.isalnum()`` or ``_``, so each name group is an
+#: value is ``int()`` of its text; then ``!`` or ``;``, a line comment
+#: and a quote.  ``\w+``, after the name and integer groups, takes every
+#: other numeral and a word that starts with another letter; ``\w`` is
+#: exactly ``str.isalnum()`` or ``_``, so each name group is an
 #: identifier's full extent.  The catch-all excludes whitespace, so the
 #: gap at the end of the file matches nothing, and a search from a token's
 #: end finds the next token right after its gap.
@@ -176,7 +183,7 @@ _TOKEN = re.compile(
     r"[ \t\r\n]*(?:([()\[\]{},|])|([a-z]\w*)|([A-Z_]\w*)|(/\*)"
     rf"|([{re.escape(SYMBOL_CHARS)}]+)"
     rf"|([0-9]{{1,{MAX_INTEGER_DIGITS}}})(?![\w.'])|([!;])"
-    r"|(%[^\r\n]*(?:\r(?!\n)[^\r\n]*)*)"
+    r"|(%[^\n]*)"
     r"|(['\"`])|(\w+)|([^ \t\r\n]))")
 (_SINGLE, _NAME, _VARIABLE_NAME, _BLOCK_COMMENT, _SYMBOLIC, _DIGITS, _SOLO,
  _LINE_COMMENT, _QUOTE, _WORD, _OTHER) = range(1, 12)

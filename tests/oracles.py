@@ -515,10 +515,7 @@ def scan_reference(text: str, path: str = "<string>"):
         start = i
         if ch == "%":
             end = text.find("\n", start)
-            if end < 0:
-                i = n
-            else:  # the \r of a CRLF line end is layout, not comment
-                i = end - 1 if text[end - 1] == "\r" else end
+            i = n if end < 0 else end
             emit("line_comment", start, i)
         elif ch == "/" and text.startswith("/*", start):
             close = text.find("*/", start + 2)

@@ -23,6 +23,12 @@ CLEAN = "/* a tiny list utility */\n\n" + SAME_LENGTH
 TABBED = "/* header */\n\np :-\n       \tq.\n"
 
 
+def _stdin(text: str) -> io.TextIOWrapper:
+    """A stand-in for ``sys.stdin`` that holds ``text`` as UTF-8 bytes."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")),
+                            encoding="utf-8")
+
+
 def write(tmp_path, name, text):
     target = tmp_path / name
     target.write_text(text, encoding="utf-8")
@@ -236,7 +242,7 @@ def test_check_reads_past_a_byte_order_mark(tmp_path, capsys):
 
 
 def test_stdin_check_reads_past_a_byte_order_mark(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO(BOM + TABBED))
+    monkeypatch.setattr("sys.stdin", _stdin(BOM + TABBED))
     assert main(["check", "-"]) == 1
     out = capsys.readouterr().out
     assert "[L01]" in out and "[E01]" not in out and "[E02]" not in out
@@ -256,6 +262,92 @@ def test_fmt_write_keeps_the_byte_order_mark(tmp_path):
     assert Path(marked).read_text(encoding="utf-8") \
         == BOM + Path(plain).read_text(encoding="utf-8") \
         == BOM + "q :-\n    r,\n    s.\n"
+
+
+def _write_bytes(tmp_path, name, data: bytes) -> str:
+    target = tmp_path / name
+    target.write_bytes(data)
+    return str(target)
+
+
+def test_fmt_leaves_a_canonical_crlf_file_alone(tmp_path, monkeypatch,
+                                                capsys):
+    data = b"p :-\r\n    q.\r\n"
+    path = _write_bytes(tmp_path, "crlf.pl", data)
+    assert main(["fmt", "--check", path]) == 0
+    assert main(["fmt", "--write", path]) == 0
+    assert Path(path).read_bytes() == data
+    monkeypatch.setattr("sys.stdin", _stdin(data.decode()))
+    assert main(["fmt", "--check", "-"]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_fmt_write_keeps_the_line_ends_and_the_mark(tmp_path):
+    for mark in ("", BOM):
+        path = _write_bytes(tmp_path, "file.pl",
+                            f"{mark}q :- r,s.\r\n".encode())
+        assert main(["fmt", "--write", path]) == 0
+        assert Path(path).read_bytes() \
+            == f"{mark}q :-\r\n    r,\r\n    s.\r\n".encode()
+
+
+def test_fmt_makes_mixed_line_ends_the_first_one(tmp_path, capsys):
+    for first, other in (("\r\n", "\n"), ("\n", "\r\n")):
+        path = _write_bytes(tmp_path, "mixed.pl",
+                            f"p(1).{first}p(2).{other}p(3).{first}".encode())
+        assert main(["fmt", "--check", path]) == 1
+        assert capsys.readouterr().out \
+            == f"{path}: needs formatting (first difference at 2:6)\n"
+        assert main(["fmt", "--write", path]) == 0
+        assert Path(path).read_bytes() \
+            == f"p(1).{first}p(2).{first}p(3).{first}".encode()
+        assert main(["fmt", "--check", path]) == 0
+
+
+def test_fmt_keeps_a_lone_carriage_return(tmp_path):
+    for newline in ("\n", "\r\n"):
+        canonical = f"% a\rb{newline}p('x\ry').{newline}".encode()
+        path = _write_bytes(tmp_path, "canonical.pl", canonical)
+        assert main(["fmt", "--check", path]) == 0
+        assert main(["fmt", "--write", path]) == 0
+        assert Path(path).read_bytes() == canonical
+        path = _write_bytes(tmp_path, "messy.pl",
+                            f"p('x\ry'):-q.{newline}".encode())
+        assert main(["fmt", "--write", path]) == 0
+        assert Path(path).read_bytes() \
+            == f"p('x\ry') :-{newline}    q.{newline}".encode()
+
+
+def test_stdin_is_decoded_as_utf8_whatever_the_locale(tmp_path):
+    data = "p(caféBar).\n".encode()
+    path = _write_bytes(tmp_path, "u.pl", data)
+    env = dict(os.environ, PYTHONIOENCODING="latin-1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(prolint.__file__)))
+    runs = [subprocess.run(
+        [sys.executable, "-m", "prolint.cli", "check", "--format", "json",
+         name], input=data, env=env, capture_output=True, timeout=60)
+        for name in (path, "-")]
+    assert runs[0].returncode == runs[1].returncode
+    found = [[{**d, "path": None} for d in json.loads(run.stdout)
+              ["diagnostics"]] for run in runs]
+    assert found[0] == found[1]
+    assert not any(d["rule"] in ("E01", "E02") for d in found[1])
+
+
+def test_undecodable_stdin_exits_two_as_the_file_does(tmp_path, monkeypatch,
+                                                      capsys):
+    data = b"p :- q('\xff').\n"
+    path = _write_bytes(tmp_path, "b.pl", data)
+    assert main(["check", path]) == 2
+    from_file = capsys.readouterr()
+    # As the interpreter's own stdin under the C locale decodes.
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+        io.BytesIO(data), encoding="utf-8", errors="surrogateescape"))
+    assert main(["check", "-"]) == 2
+    from_stdin = capsys.readouterr()
+    assert from_file.out == from_stdin.out == ""
+    assert from_stdin.err == from_file.err.replace(path, "-")
+    assert from_stdin.err.startswith("prolint: -: 'utf-8' codec can't")
 
 
 def test_fmt_write_failed_rename_keeps_the_original(tmp_path, capsys,
@@ -499,7 +591,7 @@ def test_unknown_rule_in_flag_exits_two(tmp_path, capsys):
 
 
 def test_stdin_check(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO("p :-\n\tq.\n"))
+    monkeypatch.setattr("sys.stdin", _stdin("p :-\n\tq.\n"))
     assert main(["check", "-"]) == 1
     assert "<stdin>" in capsys.readouterr().out
 
@@ -542,7 +634,7 @@ def test_fmt_write_rejects_stdin(capsys):
 
 
 def test_fmt_stdin_to_stdout(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO("a(1).   a(2).\n"))
+    monkeypatch.setattr("sys.stdin", _stdin("a(1).   a(2).\n"))
     assert main(["fmt", "-"]) == 0
     assert capsys.readouterr().out == "a(1).\na(2).\n"
 
@@ -584,14 +676,14 @@ def test_fmt_write_keeps_the_file_mode(tmp_path):
     (["check", "--no-such-flag", "-"], 2),
 ])
 def test_main_leaves_the_collector_on(monkeypatch, capsys, argv, code):
-    monkeypatch.setattr("sys.stdin", io.StringIO("p :-\n\tq.\n"))
+    monkeypatch.setattr("sys.stdin", _stdin("p :-\n\tq.\n"))
     assert gc.isenabled()
     assert main(argv) == code
     assert gc.isenabled()
 
 
 def test_main_leaves_the_collector_off(monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO("p :-\n\tq.\n"))
+    monkeypatch.setattr("sys.stdin", _stdin("p :-\n\tq.\n"))
     gc.disable()
     try:
         assert main(["check", "-"]) == 1

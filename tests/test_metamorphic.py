@@ -7,11 +7,14 @@ The programs are the benchmark's library modules at seed 1 and 100
 ``Program`` under each configuration, as the properties need; the
 odd-config gate lints and formats the first 100 under 600 configs.  The
 suppression and ``fmt``-invariance gates run over the library modules and
-``gen_file(random.Random(i))`` for i < 300, as does the gate that their
-CRLF twins lint and format as they do.  The round trip through ``fmt``
-runs over seeded token soup and over seeded bodies that nest control
-constructs and data up to 64 levels deep; the same bodies with comments
-planted between their goals keep their structure and comments.
+``gen_file(random.Random(i))`` for i < 300, as do the gates that their
+CRLF twins lint and format as they do, and that their twins and those of
+their canonical outputs, with CRLF line ends, a byte-order mark or both,
+check as the LF file and are written back in their own form.  The round
+trip through ``fmt`` runs over seeded token soup and over seeded bodies
+that nest control constructs and data up to 64 levels deep; the same
+bodies with comments planted between their goals keep their structure and
+comments.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from prolint import (
     Config,
     Diagnostic,
     Severity,
+    check_format,
     format_program,
     load_config,
     program_from_source,
@@ -37,7 +41,7 @@ from prolint import (
     source_from_text,
     structurally_equal,
 )
-from prolint.cli import _configure, build_parser
+from prolint.cli import _configure, build_parser, main
 from prolint.diagnostics import _SCALAR_KEYS, NON_SUPPRESSIBLE
 from prolint.source_model import TokenKind
 
@@ -213,6 +217,88 @@ def test_crlf_twin_reads_and_formats_as_the_lf_file(gate_programs):
 def _located(diags) -> Counter:
     return Counter((d.rule_id, d.span.start_line, d.span.start_col,
                     d.message) for d in diags)
+
+
+#: A file's mark and line end: LF, CRLF, BOM and BOM+CRLF.
+FORMS = [("", "\n"), ("", "\r\n"), ("\ufeff", "\n"), ("\ufeff", "\r\n")]
+
+
+def _twin(text: str, form: tuple[str, str]) -> str:
+    mark, newline = form
+    return mark + text.replace("\n", newline)
+
+
+def test_twins_check_as_the_lf_file(gate_programs):
+    """Each gate file and its canonical output, with CRLF line ends, a
+    byte-order mark or both, gets the LF file's ``check_format`` verdict
+    and span, and no token or line of a CRLF twin holds a CRLF."""
+    for src, program, _ in gate_programs:
+        output = format_program(program)
+        read_output = source_from_text(output, src.path)
+        for lf, lf_program in ((src, program),
+                               (read_output,
+                                program_from_source(read_output))):
+            want = check_format(lf, lf_program)
+            for form in FORMS[1:]:
+                twin = source_from_text(_twin(lf.content, form), src.path)
+                twin_program = program_from_source(twin)
+                assert check_format(twin, twin_program) == want, \
+                    (src.path, form)
+                assert not any("\r\n" in token.text
+                               for token in twin_program.tokens)
+                assert not any("\r\n" in line for line in twin.line_texts)
+
+
+def _first_difference(before: bytes, after: bytes) -> tuple[int, int]:
+    """The line and column of the first character where two files' texts
+    differ, counted after any mark."""
+    old, new = (data.decode("utf-8").removeprefix("\ufeff")
+                for data in (before, after))
+    at = next((i for i, (a, b) in enumerate(zip(old, new)) if a != b),
+              min(len(old), len(new)))
+    return old.count("\n", 0, at) + 1, at - old.rfind("\n", 0, at)
+
+
+def test_fmt_check_fails_exactly_where_fmt_write_changes_bytes(
+        gate_programs, tmp_path, capsys):
+    """The gate files and their canonical outputs in the four forms, and
+    each output with one line end other than its first: ``fmt --write``
+    writes each file's form of the LF output, and ``fmt --check`` reports
+    exactly the files that it changes, at the first character it changes."""
+    rng = random.Random(26)
+    files: dict[Path, tuple[bytes, bytes]] = {}  # before, after the write
+    for index, (src, program, _) in enumerate(gate_programs):
+        output = format_program(program)
+        for name, text in (("in", src.content), ("out", output)):
+            for number, form in enumerate(FORMS):
+                files[tmp_path / f"{index:03d}_{name}_{number}.pl"] = (
+                    _twin(text, form).encode(), _twin(output, form).encode())
+        ends = [i for i, char in enumerate(output) if char == "\n"]
+        if len(ends) < 2:
+            continue
+        at = rng.choice(ends[1:])
+        for first, other in (("\n", "\r\n"), ("\r\n", "\n")):
+            mixed = output[:at].replace("\n", first) + other \
+                + output[at + 1:].replace("\n", first)
+            files[tmp_path / f"{index:03d}_mixed_{len(first)}.pl"] = (
+                mixed.encode(), output.replace("\n", first).encode())
+    for path, (before, _) in files.items():
+        path.write_bytes(before)
+
+    assert main(["fmt", "--check", str(tmp_path)]) == 1
+    reported = {}
+    for line in capsys.readouterr().out.splitlines():
+        match = re.fullmatch(r"(.*): needs formatting "
+                             r"\(first difference at (\d+):(\d+)\)", line)
+        reported[Path(match[1])] = (int(match[2]), int(match[3]))
+    assert main(["fmt", "--write", str(tmp_path)]) == 0
+    changed = {}
+    for path, (before, after) in files.items():
+        assert path.read_bytes() == after, path
+        if after != before:
+            changed[path] = _first_difference(before, after)
+    assert reported == changed
+    assert sum("mixed" in path.name for path in changed) > 600
 
 
 def test_enabling_n06_only_adds_n06(gate_programs):

@@ -106,6 +106,13 @@ def _number_word_predicates(n: int) -> str:
     return "".join(f"step_one_p{i}(X) :- q(X).\n" for i in range(n))
 
 
+def _exported_predicates(n: int) -> str:
+    """A module that exports each of its ``n`` predicates."""
+    exports = ", ".join(f"p{i}/0" for i in range(n))
+    return f":- module(m, [{exports}]).\n" \
+        + "".join(f"p{i}.\n" for i in range(n))
+
+
 def _read(text: str, cfg: Config):
     src = source_from_text(text)
     return lambda: program_from_source(src)
@@ -160,6 +167,8 @@ SHAPES = {
         _numbered_state_goals, 2_000, _rules, _only("I04", "I05", "N07")),
     "number_word_predicates": (
         _number_word_predicates, 100, _rules, _only("N04")),
+    "exported_predicates": (
+        _exported_predicates, 1_000, _rules, _only("I01")),
 }
 
 

@@ -11,6 +11,7 @@ import prolint
 from prolint.layout_rules import _indent_width
 from prolint.source_model import (
     MAX_INTEGER_DIGITS,
+    SourceFile,
     TokenKind,
     load_source,
     scan,
@@ -45,11 +46,35 @@ def test_blank_line_detection():
 
 def test_crlf_accepted():
     src = source_from_text("a.\r\nb.\r\n")
+    assert (src.content, src.newline, src.stray_newline) \
+        == ("a.\nb.\n", "\r\n", None)
     assert src.line_texts == ["a.", "b."]
-    assert src.line_starts == [0, 4, 8]
+    assert src.line_starts == [0, 3, 6]
     tokens, diags = scan(src)
     assert diags == []
     assert [t.text for t in tokens] == ["a", ".", "b", "."]
+
+
+@pytest.mark.parametrize("raw, content, newline, stray", [
+    ("", "", "\n", None),
+    ("p.", "p.", "\n", None),
+    ("a.\nb.\r\nc.\n", "a.\nb.\nc.\n", "\n", 5),
+    ("a.\r\nb.\nc.\r\n", "a.\nb.\nc.\n", "\r\n", 5),
+    ("a.\r\nb.\r\nc.\n", "a.\nb.\nc.\n", "\r\n", 8),
+    ("a.\r\r\n", "a.\r\n", "\r\n", None),
+    ("a.\rb.\n", "a.\rb.\n", "\n", None),
+    ("\ufeffa.\r\n", "a.\n", "\r\n", None),
+])
+def test_source_file_reads_the_text_as_lf_once(raw, content, newline, stray):
+    """The text or its bytes: the mark skipped, each CRLF made LF and a
+    lone CR kept, the first line end and the first other one recorded, and
+    a file with one kind of line end written back byte for byte."""
+    for given in (raw, raw.encode()):
+        src = SourceFile("x.pl", given)
+        assert (src.content, src.newline, src.stray_newline) \
+            == (content, newline, stray)
+        assert src.bom == raw.startswith("\ufeff")
+        assert (src.encode(content) == raw.encode()) is (stray is None)
 
 
 def test_load_source_reads_file(tmp_path):
@@ -260,13 +285,14 @@ def test_line_texts_invariants_fuzz():
         if rng.random() < 0.5:
             text = text.replace("\n", "\r\n")
         src = source_from_text(text)
+        text = text.replace("\r\n", "\n")
+        assert src.content == text
         assert len(src.line_starts) == text.count("\n") + 1
         assert len(src.line_texts) \
             == len(src.line_starts) - text.endswith("\n")
         for start, line in zip(src.line_starts, src.line_texts):
             end = text.find("\n", start)
-            assert text[start:end if end >= 0 else len(text)] \
-                .removesuffix("\r") == line
+            assert text[start:end if end >= 0 else len(text)] == line
             assert _indent_width(line) <= len(line)
 
 

@@ -41,6 +41,7 @@ CASES = {
     "check": (["check"], SHARED | FAMILIES),
     "check_json": (["check", "--format", "json"], SHARED | FAMILIES | {"json"}),
     "fmt_check": (["fmt", "--check"], SHARED | {"prolint.formatter"}),
+    "fmt_write": (["fmt", "--write"], SHARED | {"prolint.formatter"}),
     "rules": (["rules"], SHARED),
 }
 

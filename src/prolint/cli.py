@@ -220,14 +220,18 @@ def _cmd_check(args: argparse.Namespace, cfg: Config) -> int:
 
 def _write_in_place(path: str, data: bytes) -> None:
     """Write through a temp file and rename so an interrupted run never
-    truncates the original; the file keeps its permission bits."""
+    truncates the original; the file keeps its permission bits, and a
+    symlink stays one: its target is the file replaced."""
     import tempfile
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    if os.path.islink(path):
+        path = os.path.realpath(path)
+    mode = stat.S_IMODE(os.stat(path).st_mode)
+    directory = os.path.dirname(os.path.abspath(path))
     fd, temp_path = tempfile.mkstemp(dir=directory, prefix=".prolint-")
     try:
-        # mkstemp creates the file 0600, and the rename keeps that mode.
-        os.fchmod(fd, stat.S_IMODE(os.stat(path).st_mode))
         with os.fdopen(fd, "wb") as handle:
+            # mkstemp creates the file 0600, and the rename keeps that mode.
+            os.fchmod(handle.fileno(), mode)
             handle.write(data)
         os.replace(temp_path, path)
     except BaseException:

@@ -32,13 +32,28 @@ class Severity(enum.IntEnum):
             raise ValueError(f"unknown severity {name!r}") from None
 
 
+class Fresh(NamedTuple):
+    """A record field's default that ``factory()`` makes anew for each
+    record, such as an empty list; passing None makes one too."""
+
+    factory: Callable[[], object]
+
+
 class Record:
-    """A plain record class: a subclass names its fields in ``__slots__``,
-    in constructor order, and sets each in ``__init__``.  Records of one
-    class are equal when their fields are, ``repr`` shows every field, and
-    a record is unhashable, as it is mutable."""
+    """A plain record class.  A subclass names its fields in ``__slots__``,
+    in constructor order, and the defaults of its trailing fields in
+    ``_defaults``; unless it writes its own ``__init__``, it gets one that
+    sets each field (``_constructor``).  Records of one class are equal
+    when their fields are, ``repr`` shows every field, and a record is
+    unhashable, as it is mutable."""
 
     __slots__ = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = _constructor(cls)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -53,23 +68,39 @@ class Record:
         return f"{self.__class__.__qualname__}({fields})"
 
 
+def _constructor(cls: type[Record]) -> Callable[..., None]:
+    """The ``__init__`` a record class would write by hand: one parameter
+    per slot, defaulting to its ``_defaults`` entry, and one assignment
+    each.  It is compiled from source once per class, and the source holds
+    nothing but the class's slot names, which Python checks are
+    identifiers."""
+    defaults = cls._defaults
+    namespace: dict[str, object] = {"defaults": defaults}
+    params, lines = ["self"], []
+    for name in cls.__slots__:
+        value = name
+        if name not in defaults:
+            params.append(name)
+        elif isinstance(defaults[name], Fresh):
+            params.append(f"{name}=None")
+            namespace[f"new_{name}"] = defaults[name].factory
+            value = f"new_{name}() if {name} is None else {name}"
+        else:
+            params.append(f"{name}=defaults[{name!r}]")
+        lines.append(f"    self.{name} = {value}\n")
+    exec(f"def __init__({', '.join(params)}):\n{''.join(lines)}", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    return init
+
+
 class Diagnostic(Record):
     """One lint finding.  The message always names the offending data."""
 
     __slots__ = ("rule_id", "severity", "span", "message", "suggestion",
                  "predicate", "path")
-
-    def __init__(self, rule_id: str, severity: Severity, span: "Span",
-                 message: str, suggestion: str | None = None,
-                 predicate: tuple[str, int] | None = None,
-                 path: str = "") -> None:
-        self.rule_id = rule_id
-        self.severity = severity
-        self.span = span
-        self.message = message
-        self.suggestion = suggestion
-        self.predicate = predicate
-        self.path = path
+    _defaults = {"suggestion": None, "predicate": None, "path": ""}
 
     def sort_key(self) -> tuple:
         return (self.path, self.span.start_line, self.span.start_col,
@@ -249,43 +280,20 @@ class Config(Record):
                  "public_name_pattern", "rule_enabled", "rule_severity",
                  "problems")
 
-    def __init__(self, indent_size: int = 4, max_line_length: int = 79,
-                 clause_lines_info: int = 24, clause_lines_warn: int = 48,
-                 eol_comment_max: int = 40,
-                 magic_number_allowlist: frozenset = frozenset({0, 1, -1, 2}),
-                 inline_goal_allowlist: frozenset = _DEFAULT_INLINE_GOALS,
-                 mode_system: str = "recommended",
-                 comma_style: str = "simple",
-                 failure_threshold: Severity = Severity.WARNING,
-                 extensions: tuple[str, ...] = (".pl", ".pro", ".prolog"),
-                 pronounceable_allowlist: frozenset = frozenset(
-                     {"src", "msg", "tmp", "str", "ptr", "cfg", "db"}),
-                 leet_enabled: bool = False,
-                 leet_allowlist: frozenset = frozenset({"i18n", "l10n"}),
-                 require_docs_without_module: bool = True,
-                 public_name_pattern: str | None = None,
-                 rule_enabled: dict | None = None,
-                 rule_severity: dict | None = None,
-                 problems: list | None = None) -> None:
-        self.indent_size = indent_size
-        self.max_line_length = max_line_length
-        self.clause_lines_info = clause_lines_info
-        self.clause_lines_warn = clause_lines_warn
-        self.eol_comment_max = eol_comment_max
-        self.magic_number_allowlist = magic_number_allowlist
-        self.inline_goal_allowlist = inline_goal_allowlist
-        self.mode_system = mode_system
-        self.comma_style = comma_style
-        self.failure_threshold = failure_threshold
-        self.extensions = extensions
-        self.pronounceable_allowlist = pronounceable_allowlist
-        self.leet_enabled = leet_enabled
-        self.leet_allowlist = leet_allowlist
-        self.require_docs_without_module = require_docs_without_module
-        self.public_name_pattern = public_name_pattern
-        self.rule_enabled = {} if rule_enabled is None else rule_enabled
-        self.rule_severity = {} if rule_severity is None else rule_severity
-        self.problems = [] if problems is None else problems
+    _defaults = {
+        "indent_size": 4, "max_line_length": 79, "clause_lines_info": 24,
+        "clause_lines_warn": 48, "eol_comment_max": 40,
+        "magic_number_allowlist": frozenset({0, 1, -1, 2}),
+        "inline_goal_allowlist": _DEFAULT_INLINE_GOALS,
+        "mode_system": "recommended", "comma_style": "simple",
+        "failure_threshold": Severity.WARNING,
+        "extensions": (".pl", ".pro", ".prolog"),
+        "pronounceable_allowlist": frozenset(
+            {"src", "msg", "tmp", "str", "ptr", "cfg", "db"}),
+        "leet_enabled": False, "leet_allowlist": frozenset({"i18n", "l10n"}),
+        "require_docs_without_module": True, "public_name_pattern": None,
+        "rule_enabled": Fresh(dict), "rule_severity": Fresh(dict),
+        "problems": Fresh(list)}
 
     def enabled(self, rule_id: str) -> bool:
         if rule_id in self.rule_enabled:

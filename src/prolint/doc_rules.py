@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator
 
-from .diagnostics import Diagnostic, Record, diag, rule, run_family
+from .diagnostics import Diagnostic, Fresh, Record, diag, rule, run_family
 from .reader import (
     ClauseKind,
     CommentAttachment,
@@ -31,7 +31,7 @@ from .reader import (
     leaf_goals,
     strip_module_qualifier,
 )
-from .source_model import Token, TokenKind
+from .source_model import TokenKind
 
 MODE_SYSTEMS: dict[str, frozenset[str]] = {
     "recommended": frozenset("*+=-/>?"),
@@ -48,24 +48,12 @@ _OUTPUT_MODES = frozenset("-/")
 
 class ArgDoc(Record):
     __slots__ = ("mode", "name", "type_name")
-
-    def __init__(self, mode: str | None, name: str,
-                 type_name: str | None = None) -> None:
-        self.mode = mode
-        self.name = name
-        self.type_name = type_name
+    _defaults = {"type_name": None}
 
 
 class DocHead(Record):
     __slots__ = ("predicate_name", "args", "determinism", "marker")
-
-    def __init__(self, predicate_name: str, args: list[ArgDoc] | None = None,
-                 determinism: str | None = None,
-                 marker: str = "double") -> None:
-        self.predicate_name = predicate_name
-        self.args = [] if args is None else args
-        self.determinism = determinism
-        self.marker = marker
+    _defaults = {"args": Fresh(list), "determinism": None, "marker": "double"}
 
     @property
     def indicator(self) -> tuple[str, int]:
@@ -247,18 +235,8 @@ _CANDIDATE = re.compile(r"[a-z][A-Za-z0-9_]*\s*(\(|is\b|//|$)")
 class _DocBlock(Record):
     __slots__ = ("clause_index", "tokens", "heads", "failure", "group",
                  "group_index")
-
-    def __init__(self, clause_index: int, tokens: list[Token],
-                 heads: list[tuple[DocHead, Token]] | None = None,
-                 failure: tuple[DocHeadError, Token] | None = None,
-                 group: PredicateDef | None = None,
-                 group_index: int | None = None) -> None:
-        self.clause_index = clause_index
-        self.tokens = tokens
-        self.heads = [] if heads is None else heads
-        self.failure = failure
-        self.group = group
-        self.group_index = group_index
+    _defaults = {"heads": Fresh(list), "failure": None, "group": None,
+                 "group_index": None}
 
     @property
     def marker(self) -> str:

@@ -442,14 +442,7 @@ class _Unit(Record):
     free comment, which ``comment`` holds."""
 
     __slots__ = ("start_line", "end_line", "index", "comment")
-
-    def __init__(self, start_line: int, end_line: int,
-                 index: int | None = None,
-                 comment: Token | None = None) -> None:
-        self.start_line = start_line
-        self.end_line = end_line
-        self.index = index
-        self.comment = comment
+    _defaults = {"index": None, "comment": None}
 
 
 def _collect_units(program: Program) -> list[_Unit]:

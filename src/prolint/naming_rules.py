@@ -26,12 +26,7 @@ class IdentifierWords(Record):
     """
 
     __slots__ = ("segments", "separators", "trailing_digits")
-
-    def __init__(self, segments: list[str], separators: list[str],
-                 trailing_digits: str | None = None) -> None:
-        self.segments = segments
-        self.separators = separators
-        self.trailing_digits = trailing_digits
+    _defaults = {"trailing_digits": None}
 
 
 _TRAILING_DIGITS = re.compile(r"^(.*?[^\d])(\d+)$")

@@ -19,7 +19,14 @@ from bisect import bisect_left, bisect_right
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NamedTuple, TypeVar
 
-from .diagnostics import RULES, Diagnostic, Record, Severity, enabled_rules
+from .diagnostics import (
+    RULES,
+    Diagnostic,
+    Fresh,
+    Record,
+    Severity,
+    enabled_rules,
+)
 from .source_model import (
     CLOSER_KINDS,
     COMMENT_KINDS,
@@ -44,22 +51,10 @@ if TYPE_CHECKING:
 class Variable(Record):
     __slots__ = ("name", "span")
 
-    def __init__(self, name: str, span: Span) -> None:
-        self.name = name
-        self.span = span
-
 
 class Atom(Record):
     __slots__ = ("name", "span", "quoted", "lexeme", "parenthesized")
-
-    def __init__(self, name: str, span: Span, quoted: bool = False,
-                 lexeme: str | None = None,
-                 parenthesized: bool = False) -> None:
-        self.name = name
-        self.span = span
-        self.quoted = quoted
-        self.lexeme = lexeme
-        self.parenthesized = parenthesized
+    _defaults = {"quoted": False, "lexeme": None, "parenthesized": False}
 
     @property
     def text(self) -> str:
@@ -68,45 +63,24 @@ class Atom(Record):
 
 class Integer(Record):
     __slots__ = ("value", "span", "lexeme")
-
-    def __init__(self, value: int, span: Span, lexeme: str = "") -> None:
-        self.value = value
-        self.span = span
-        self.lexeme = lexeme
+    _defaults = {"lexeme": ""}
 
 
 class Float(Record):
     __slots__ = ("value", "span", "lexeme")
-
-    def __init__(self, value: float, span: Span, lexeme: str = "") -> None:
-        self.value = value
-        self.span = span
-        self.lexeme = lexeme
+    _defaults = {"lexeme": ""}
 
 
 class Str(Record):
     __slots__ = ("text", "span", "lexeme")
-
-    def __init__(self, text: str, span: Span, lexeme: str = "") -> None:
-        self.text = text
-        self.span = span
-        self.lexeme = lexeme
+    _defaults = {"lexeme": ""}
 
 
 class Compound(Record):
     __slots__ = ("name", "args", "span", "parenthesized", "functor_span",
                  "functor_lexeme")
-
-    def __init__(self, name: str, args: list, span: Span,
-                 parenthesized: bool = False,
-                 functor_span: Span | None = None,
-                 functor_lexeme: str | None = None) -> None:
-        self.name = name
-        self.args = args
-        self.span = span
-        self.parenthesized = parenthesized
-        self.functor_span = functor_span
-        self.functor_lexeme = functor_lexeme
+    _defaults = {"parenthesized": False, "functor_span": None,
+                 "functor_lexeme": None}
 
 
 Term = Variable | Atom | Integer | Float | Str | Compound
@@ -403,15 +377,7 @@ class Clause(Record):
     (``_attach_comments``)."""
 
     __slots__ = ("kind", "head", "body", "span", "comments")
-
-    def __init__(self, kind: ClauseKind, head: Term | None,
-                 body: Term | None, span: Span,
-                 comments: list[AttachedComment] | None = None) -> None:
-        self.kind = kind
-        self.head = head
-        self.body = body
-        self.span = span
-        self.comments = [] if comments is None else comments
+    _defaults = {"comments": Fresh(list)}
 
     @property
     def indicator(self) -> tuple[str, int] | None:
@@ -436,23 +402,12 @@ class CommentAttachment(enum.Enum):
 
 class AttachedComment(Record):
     __slots__ = ("token", "kind", "clause_index")
-
-    def __init__(self, token: Token, kind: CommentAttachment,
-                 clause_index: int | None = None) -> None:
-        self.token = token
-        self.kind = kind
-        self.clause_index = clause_index
+    _defaults = {"clause_index": None}
 
 
 class PredicateDef(Record):
     __slots__ = ("indicator", "clauses", "contiguous", "exported")
-
-    def __init__(self, indicator: tuple[str, int], clauses: list[Clause],
-                 contiguous: bool = True, exported: bool = True) -> None:
-        self.indicator = indicator
-        self.clauses = clauses
-        self.contiguous = contiguous
-        self.exported = exported
+    _defaults = {"contiguous": True, "exported": True}
 
 
 class Program(Record):
@@ -462,24 +417,11 @@ class Program(Record):
     __slots__ = ("items", "comments", "operator_table", "exports",
                  "module_name", "tokens", "syntax_diagnostics", "comma_roles")
 
-    def __init__(self, items: list[Clause] | None = None,
-                 comments: list[AttachedComment] | None = None,
-                 operator_table: OperatorTable | None = None,
-                 exports: list[tuple[str, int]] | None = None,
-                 module_name: str | None = None,
-                 tokens: list[Token] | None = None,
-                 syntax_diagnostics: list[Diagnostic] | None = None,
-                 comma_roles: dict[int, str] | None = None) -> None:
-        self.items = [] if items is None else items
-        self.comments = [] if comments is None else comments
-        self.operator_table = OperatorTable.default() \
-            if operator_table is None else operator_table
-        self.exports = exports
-        self.module_name = module_name
-        self.tokens = [] if tokens is None else tokens
-        self.syntax_diagnostics = [] if syntax_diagnostics is None \
-            else syntax_diagnostics
-        self.comma_roles = {} if comma_roles is None else comma_roles
+    _defaults = {"items": Fresh(list), "comments": Fresh(list),
+                 "operator_table": Fresh(OperatorTable.default),
+                 "exports": None, "module_name": None, "tokens": Fresh(list),
+                 "syntax_diagnostics": Fresh(list),
+                 "comma_roles": Fresh(dict)}
 
     @property
     def has_module_directive(self) -> bool:

@@ -86,13 +86,7 @@ class Token(Record):
     """
 
     __slots__ = ("kind", "text", "span", "value")
-
-    def __init__(self, kind: TokenKind, text: str, span: Span,
-                 value: int | float | None = None) -> None:
-        self.kind = kind
-        self.text = text
-        self.span = span
-        self.value = value
+    _defaults = {"value": None}
 
 
 class SourceFile(Record):

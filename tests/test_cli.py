@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -363,6 +364,48 @@ def test_fmt_write_failed_rename_keeps_the_original(tmp_path, capsys,
     assert "rename refused" in capsys.readouterr().err
     assert (tmp_path / "file.pl").read_text(encoding="utf-8") == messy
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file.pl"]
+
+
+def test_fmt_write_failed_chmod_closes_the_temp_file(tmp_path, capsys,
+                                                    monkeypatch):
+    messy = "q :- r,s.\n"
+    path = write(tmp_path, "file.pl", messy)
+    opened = []
+    fdopen = os.fdopen
+
+    def spy(*args, **kwargs):
+        opened.append(fdopen(*args, **kwargs))
+        return opened[-1]
+
+    def refuse(fd, mode):
+        raise OSError("chmod refused")
+
+    monkeypatch.setattr(os, "fdopen", spy)
+    monkeypatch.setattr(os, "fchmod", refuse)
+    assert main(["fmt", "--write", path]) == 2
+    assert "chmod refused" in capsys.readouterr().err
+    assert [handle.closed for handle in opened] == [True]
+    assert (tmp_path / "file.pl").read_text(encoding="utf-8") == messy
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file.pl"]
+
+
+def test_fmt_write_formats_a_symlinks_target(tmp_path):
+    """Directory expansion counts a symlinked file, so ``--write`` writes
+    through the link: the link stays one, and its target keeps its mode."""
+    (tmp_path / "real").mkdir()
+    (tmp_path / "d").mkdir()
+    target = tmp_path / "real" / "a.pl"
+    target.write_text("q :- r,s.\n", encoding="utf-8")
+    target.chmod(0o640)
+    link = tmp_path / "d" / "b.pl"
+    link.symlink_to(os.path.join("..", "real", "a.pl"))
+    assert main(["fmt", "--write", str(tmp_path / "d")]) == 0
+    assert link.is_symlink()
+    assert os.readlink(link) == os.path.join("..", "real", "a.pl")
+    assert target.read_text(encoding="utf-8") == "q :-\n    r,\n    s.\n"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert [p.name for p in (tmp_path / "real").iterdir()] == ["a.pl"]
+    assert [p.name for p in (tmp_path / "d").iterdir()] == ["b.pl"]
 
 
 def test_unreadable_file_exits_two_after_others(tmp_path, capsys):

@@ -2,9 +2,11 @@
 
 ``ast.parse`` with ``feature_version`` rejects newer syntax without a second
 interpreter.  Newer regular-expression syntax, such as possessive
-quantifiers, only fails when the pattern is compiled, so the CLI also runs
-under that interpreter, when one starts, and must print what the current
-one prints.
+quantifiers, only fails when the pattern is compiled, and each record
+class's ``__init__`` is compiled from generated source, which ``ast.parse``
+never sees.  So, when that interpreter starts, the CLI runs under it, and
+one record of every class is built under it, and each must print what the
+current one prints.
 """
 
 from __future__ import annotations
@@ -78,3 +80,41 @@ def test_cli_output_same_on_minimum_version(tmp_path):
                            for run in runs)
         assert oldest == current, args
         assert current[0] == 1 and current[1], args
+
+
+#: Builds one record of every record class from its required arguments,
+#: and prints each class's fields and the ``TypeError`` of an unknown
+#: keyword.
+RECORDS = """\
+import importlib, pkgutil, prolint
+from prolint.diagnostics import Record
+for module in pkgutil.iter_modules(prolint.__path__):
+    importlib.import_module("prolint." + module.name)
+for cls in sorted(Record.__subclasses__(), key=lambda cls: cls.__name__):
+    code = cls.__init__.__code__
+    args = ["x"] * (code.co_argcount - 1 - len(cls.__init__.__defaults__
+                                                or ()))
+    record = cls(*args)
+    try:
+        cls(*args, no_such=1)
+    except TypeError as exc:
+        error = str(exc)
+    print(cls.__name__, [name for name in cls.__slots__
+                         if getattr(record, name) == "x"], error)
+"""
+
+
+def test_records_build_on_minimum_version():
+    interpreter = _minimum_interpreter()
+    if interpreter is None:
+        pytest.skip(f"no Python {MIN_VERSION} interpreter starts")
+    old_python, old_env = interpreter
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    current, oldest = (subprocess.run(
+        [python, "-c", RECORDS], env=run_env, capture_output=True,
+        text=True, check=True, timeout=60).stdout
+        for python, run_env in ((sys.executable, env), (old_python, old_env)))
+    assert oldest == current
+    assert len(current.splitlines()) == 19
+    assert "Token ['kind', 'text', 'span'] Token.__init__() got an " \
+        "unexpected keyword argument 'no_such'" in current.splitlines()

@@ -67,8 +67,6 @@ def _l02_indentation(facts: Facts) -> Iterator[Diagnostic]:
     for line_no, first in sorted(index.first_by_line.items()):
         if first.kind in COMMENT_KINDS:
             continue
-        if first.span.start_line != line_no:
-            continue  # continuation of a multi-line token
         prev = index.prev_code_at_line.get(line_no)
         if prev is None or prev.kind is _END:
             continue  # a clause-start line; L06 owns it

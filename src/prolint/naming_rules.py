@@ -219,8 +219,6 @@ def _n04_number_words(facts: Facts) -> Iterator[Diagnostic]:
 
     for tok in names.atoms + names.variables:
         name = tok.text
-        if name in flagged:
-            continue
         hit = names.verdicts[name].number_suffix
         suggestion: str | None = None
         if hit:
@@ -255,7 +253,6 @@ def _n04_number_words(facts: Facts) -> Iterator[Diagnostic]:
             if name in flagged or name.lower() in cfg.leet_allowlist:
                 continue
             if _LEET.search(name):
-                flagged.add(name)
                 yield diag("N04", tok.span,
                            f"digits embedded between letters in '{name}' "
                            "make the spelling unpredictable")

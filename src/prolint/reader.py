@@ -24,7 +24,7 @@ from .diagnostics import (
     Diagnostic,
     Fresh,
     Record,
-    Severity,
+    diag,
     enabled_rules,
 )
 from .source_model import (
@@ -310,6 +310,8 @@ class OperatorTable:
         if name == "|" and priority and (type_ not in ("xfx", "xfy", "yfx")
                                          or priority < 1001):
             raise ValueError("'|' is an operator only infix from 1001 up")
+        if name == "," and (priority, type_) != (1000, "xfy"):
+            raise ValueError("',' stays an xfy operator of priority 1000")
         definition = OperatorDef(name, priority, type_)
         if type_ in ("fy", "fx"):
             if priority == 0:
@@ -479,10 +481,6 @@ _OPERAND_KINDS = frozenset({
     _OPEN_BRACE, _ATOM, _QUOTED_ATOM,
 })
 
-_CLOSERS = frozenset({
-    _CLOSE_PAREN, _CLOSE_BRACKET, _CLOSE_BRACE, _COMMA, _BAR, _END,
-})
-
 _new_tuple = tuple.__new__
 
 
@@ -506,10 +504,12 @@ def _unquote(text: str) -> str:
             esc = body[i + 1]
             if esc == "\n":
                 i += 2
-            elif esc == "x" or esc.isdigit():
-                j = i + 2 if esc == "x" else i + 1
-                k = j
-                while k < len(body) and body[k] not in "\\":
+            elif esc == "x" or "0" <= esc <= "7":
+                # Hex or octal digits, then an optional closing backslash.
+                j = k = i + 2 if esc == "x" else i + 1
+                allowed = "0123456789abcdefABCDEF" if esc == "x" \
+                    else "01234567"
+                while k < len(body) and body[k] in allowed:
                     k += 1
                 digits = body[j:k]
                 try:
@@ -530,11 +530,12 @@ def _unquote(text: str) -> str:
 # priority that the expression holding the awaited term continues at.
 _INFIX = 0   # (kind, left, operator token, functor, priority, limit)
 _PREFIX = 1  # (kind, name, operator token, priority, limit)
-_PAREN = 2   # (kind, open token, limit)
-_CURLY = 3   # (kind, open token, limit)
-_ARGS = 4    # (kind, name, name token, args, limit)
-_LIST = 5    # (kind, open token, elements, limit)
-_TAIL = 6    # as _LIST, after the bar
+_GROUP = 2   # (kind, open token, limit): ``(`` or ``{``
+_ITEMS = 3   # (kind, name token or ``[``, functor name or None, items, limit)
+_TAIL = 4    # as _ITEMS, after a list's bar
+
+#: The closer that, right after its opener, makes the ``[]`` or ``{}`` atom.
+_EMPTY_CLOSER = {_OPEN_BRACKET: _CLOSE_BRACKET, _OPEN_BRACE: _CLOSE_BRACE}
 
 
 def _parse(tokens: list[Token], pos: int, ops: OperatorTable,
@@ -548,8 +549,8 @@ def _parse(tokens: list[Token], pos: int, ops: OperatorTable,
     ``limit``.  A primary that opens a bracket or a prefix operator, and an
     infix operator awaiting its right operand, push a frame and read the
     awaited term on the next pass; a finished term is handed to the frame on
-    top, which builds on it.  A term reaching the bottom of the stack is
-    returned.
+    top, which builds on it.  An argument or list item is read at 999.  A
+    term reaching the bottom of the stack is returned.
     """
     prefix_ops, infix_ops, postfix_ops = ops._prefix, ops._infix, ops._postfix
     end = len(tokens)
@@ -558,157 +559,123 @@ def _parse(tokens: list[Token], pos: int, ops: OperatorTable,
     pop = stack.pop
     depth = 0
     limit = 1200
-    argument = False
     while True:
         # -- one primary term ----------------------------------------------
         if depth > MAX_TERM_DEPTH:
             raise SyntaxProblem(
                 None, f"term nested deeper than {MAX_TERM_DEPTH} levels", pos)
-        finished = False
-        if argument:
-            # An argument or list element: at most 999, except that an
-            # operator atom of a higher priority stands alone before a
-            # closer.
-            argument = False
-            limit = 999
-            tok = tokens[pos] if pos < end else None
-            if tok is not None and tok.kind is _ATOM and pos + 1 < end \
-                    and tokens[pos + 1].kind in _CLOSERS \
-                    and ops.priorities.get(tok.text, 0) > 999:
+        if pos == end:
+            raise SyntaxProblem(None, "unexpected end of input", pos)
+        tok = tokens[pos]
+        kind = tok.kind
+        prec = 0
+        if kind is _ATOM or kind is _QUOTED_ATOM:
+            text = tok.text
+            pos += 1
+            nxt = tokens[pos] if pos < end else None
+            if nxt is not None and nxt.kind is _OPEN_PAREN \
+                    and nxt.span[4] == tok.span[5]:
                 pos += 1
-                left = Atom(tok.text, tok.span, False, tok.text)
-                finished = True
-        if not finished:
-            if pos == end:
-                raise SyntaxProblem(None, "unexpected end of input", pos)
-            tok = tokens[pos]
-            kind = tok.kind
-            prec = 0
-            if kind is _ATOM or kind is _QUOTED_ATOM:
-                text = tok.text
+                depth += 1
+                push((_ITEMS, tok, _unquote(text) if kind is _QUOTED_ATOM
+                      else text, [], limit))
+                limit = 999
+                continue
+            if kind is _QUOTED_ATOM:
+                left = Atom(_unquote(text), tok.span, True, text)
+            elif text == "-" and nxt is not None \
+                    and (nxt.kind is _INTEGER or nxt.kind is _FLOAT) \
+                    and nxt.span[4] == tok.span[5]:
                 pos += 1
-                nxt = tokens[pos] if pos < end else None
-                if nxt is not None and nxt.kind is _OPEN_PAREN \
-                        and nxt.span[4] == tok.span[5]:
-                    pos += 1
-                    depth += 1
-                    push((_ARGS, _unquote(text) if kind is _QUOTED_ATOM
-                          else text, tok, [], limit))
-                    argument = True
-                    continue
-                if kind is _QUOTED_ATOM:
-                    left = Atom(_unquote(text), tok.span, True, text)
-                elif text == "-" and nxt is not None \
-                        and (nxt.kind is _INTEGER or nxt.kind is _FLOAT) \
-                        and nxt.span[4] == tok.span[5]:
-                    pos += 1
-                    left = (Integer if nxt.kind is _INTEGER else Float)(
-                        -nxt.value, _merge(tok.span, nxt.span),
-                        "-" + nxt.text)
-                else:
-                    pre = prefix_ops.get(text)
-                    if pre is not None and nxt is not None \
-                            and nxt.kind in _OPERAND_KINDS \
-                            and not _atom_stands_alone(tokens, pos, ops):
-                        if pre.priority > limit:
-                            raise SyntaxProblem(
-                                tok, f"prefix operator {text!r} (priority "
-                                f"{pre.priority}) exceeds the allowed "
-                                f"priority {limit} here; add "
-                                "parentheses", pos)
-                        depth += 1
-                        push((_PREFIX, text, tok, pre.priority, limit))
-                        limit = pre.priority \
-                            - (1 if pre.type == "fx" else 0)
-                        continue
-                    left = Atom(text, tok.span, False, text)
-            elif kind is _VARIABLE:
-                pos += 1
-                left = Variable(tok.text, tok.span)
-            elif kind is _INTEGER:
-                pos += 1
-                left = Integer(tok.value, tok.span, tok.text)
-            elif kind is _OPEN_PAREN or kind is _OPEN_BRACE:
-                pos += 1
-                nxt = tokens[pos] if pos < end else None
-                if kind is _OPEN_BRACE and nxt is not None \
-                        and nxt.kind is _CLOSE_BRACE:
-                    pos += 1
-                    left = Atom("{}", _merge(tok.span, nxt.span), False,
-                                "{}")
-                else:
-                    depth += 1
-                    push((_PAREN if kind is _OPEN_PAREN else _CURLY, tok,
-                          limit))
-                    limit = 1200
-                    continue
-            elif kind is _OPEN_BRACKET:
-                pos += 1
-                nxt = tokens[pos] if pos < end else None
-                if nxt is not None and nxt.kind is _CLOSE_BRACKET:
-                    pos += 1
-                    left = Atom("[]", _merge(tok.span, nxt.span), False,
-                                "[]")
-                else:
-                    depth += 1
-                    push((_LIST, tok, [], limit))
-                    argument = True
-                    continue
-            elif kind is _FLOAT:
-                pos += 1
-                left = Float(tok.value, tok.span, tok.text)
-            elif kind is _STRING:
-                pos += 1
-                left = Str(tok.text[1:-1], tok.span, tok.text)
-            elif kind is _ERROR:
-                raise SyntaxProblem(tok, "cannot parse past lexical error",
-                                    pos)
+                left = (Integer if nxt.kind is _INTEGER else Float)(
+                    -nxt.value, _merge(tok.span, nxt.span), "-" + nxt.text)
             else:
-                raise SyntaxProblem(tok, f"unexpected {tok.text!r}", pos)
+                pre = prefix_ops.get(text)
+                if pre is not None and nxt is not None \
+                        and nxt.kind in _OPERAND_KINDS \
+                        and not _atom_stands_alone(tokens, pos, ops):
+                    if pre.priority > limit:
+                        raise SyntaxProblem(
+                            tok, f"prefix operator {text!r} (priority "
+                            f"{pre.priority}) exceeds the allowed priority "
+                            f"{limit} here; add parentheses", pos)
+                    depth += 1
+                    push((_PREFIX, text, tok, pre.priority, limit))
+                    limit = pre.priority - (1 if pre.type == "fx" else 0)
+                    continue
+                left = Atom(text, tok.span, False, text)
+        elif kind is _VARIABLE:
+            pos += 1
+            left = Variable(tok.text, tok.span)
+        elif kind is _INTEGER:
+            pos += 1
+            left = Integer(tok.value, tok.span, tok.text)
+        elif kind is _OPEN_PAREN or kind is _OPEN_BRACKET \
+                or kind is _OPEN_BRACE:
+            pos += 1
+            nxt = tokens[pos] if pos < end else None
+            if nxt is not None and nxt.kind is _EMPTY_CLOSER.get(kind):
+                pos += 1
+                text = tok.text + nxt.text
+                left = Atom(text, _merge(tok.span, nxt.span), False, text)
+            else:
+                depth += 1
+                if kind is _OPEN_BRACKET:
+                    push((_ITEMS, tok, None, [], limit))
+                    limit = 999
+                else:
+                    push((_GROUP, tok, limit))
+                    limit = 1200
+                continue
+        elif kind is _FLOAT:
+            pos += 1
+            left = Float(tok.value, tok.span, tok.text)
+        elif kind is _STRING:
+            pos += 1
+            left = Str(tok.text[1:-1], tok.span, tok.text)
+        elif kind is _ERROR:
+            raise SyntaxProblem(tok, "cannot parse past lexical error", pos)
+        else:
+            raise SyntaxProblem(tok, f"unexpected {tok.text!r}", pos)
         # -- operators after the term, then the frames it completes --------
         while True:
-            if finished:
-                finished = False
-            else:
-                pushed = False
-                while pos < end:
-                    tok = tokens[pos]
-                    kind = tok.kind
-                    if kind is _ATOM:
-                        name = tok.text
-                    elif kind is _COMMA:
-                        name = ","
-                    elif kind is _BAR:
-                        name = "|"
-                    else:
-                        break
-                    op = infix_ops.get(name)
-                    if op is not None and op.priority <= limit \
-                            and prec <= (op.priority if op.type == "yfx"
-                                         else op.priority - 1):
-                        pos += 1
-                        if kind is _COMMA and op.type == "xfy":
-                            comma_roles[tok.span[4]] = "and_then"
-                        push((_INFIX, left, tok,
-                              ";" if name == "|" else name, op.priority,
-                              limit))
-                        limit = op.priority if op.type == "xfy" \
-                            else op.priority - 1
-                        pushed = True
-                        break
-                    op = postfix_ops.get(name)
-                    if op is not None and op.priority <= limit \
-                            and prec <= (op.priority if op.type == "yf"
-                                         else op.priority - 1):
-                        pos += 1
-                        left = Compound(name, [left],
-                                        _merge(left.span, tok.span), False,
-                                        tok.span)
-                        prec = op.priority
-                        continue
+            pushed = False
+            while pos < end:
+                tok = tokens[pos]
+                kind = tok.kind
+                if kind is _ATOM:
+                    name = tok.text
+                elif kind is _COMMA:
+                    name = ","
+                elif kind is _BAR:
+                    name = "|"
+                else:
                     break
-                if pushed:
+                op = infix_ops.get(name)
+                if op is not None and op.priority <= limit \
+                        and prec <= (op.priority if op.type == "yfx"
+                                     else op.priority - 1):
+                    pos += 1
+                    if kind is _COMMA and op.type == "xfy":
+                        comma_roles[tok.span[4]] = "and_then"
+                    push((_INFIX, left, tok, ";" if name == "|" else name,
+                          op.priority, limit))
+                    limit = op.priority if op.type == "xfy" \
+                        else op.priority - 1
+                    pushed = True
                     break
+                op = postfix_ops.get(name)
+                if op is not None and op.priority <= limit \
+                        and prec <= (op.priority if op.type == "yf"
+                                     else op.priority - 1):
+                    pos += 1
+                    left = Compound(name, [left], _merge(left.span, tok.span),
+                                    False, tok.span)
+                    prec = op.priority
+                    continue
+                break
+            if pushed:
+                break
             # ``left`` is finished: hand it to the frame on top.
             if not stack:
                 return left, pos
@@ -719,73 +686,56 @@ def _parse(tokens: list[Token], pos: int, ops: OperatorTable,
                 left = Compound(functor, [first, left],
                                 _merge(first.span, left.span), False,
                                 tok.span)
-            elif waiting == _ARGS:
-                args = frame[3]
-                args.append(left)
-                tok = tokens[pos] if pos < end else None
-                if tok is not None and tok.kind is _COMMA:
-                    pos += 1
-                    comma_roles[tok.span[4]] = "arg"
-                    push(frame)
-                    argument = True
-                    break
-                close = _expect(tokens, pos, _CLOSE_PAREN,
-                                "closing parenthesis")
-                pos += 1
-                depth -= 1
-                _, name, tok, _, limit = frame
-                left = Compound(name, args, _merge(tok.span, close.span),
-                                False, tok.span, tok.text)
-                prec = 0
-            elif waiting == _PAREN:
-                close = _expect(tokens, pos, _CLOSE_PAREN,
-                                "closing parenthesis")
-                pos += 1
-                depth -= 1
-                left.span = _merge(frame[1].span, close.span)
-                if isinstance(left, (Atom, Compound)):
-                    left.parenthesized = True
-                prec = 0
-                limit = frame[2]
-            elif waiting == _PREFIX:
+                continue
+            if waiting == _PREFIX:
                 depth -= 1
                 _, name, tok, prec, limit = frame
                 left = Compound(name, [left], _merge(tok.span, left.span),
                                 False, tok.span)
-            elif waiting == _LIST:
-                elements = frame[2]
-                elements.append(left)
-                tok = tokens[pos] if pos < end else None
-                if tok is not None and tok.kind is _COMMA:
+                continue
+            # A bracket: ``left`` is an item, a list's tail or the content.
+            if waiting == _ITEMS:
+                _, tok, name, items, limit = frame
+                items.append(left)
+                nxt = tokens[pos] if pos < end else None
+                if nxt is not None and nxt.kind is _COMMA:
                     pos += 1
-                    comma_roles[tok.span[4]] = "list"
+                    comma_roles[nxt.span[4]] = "list" if name is None \
+                        else "arg"
                     push(frame)
-                    argument = True
+                    limit = 999
                     break
-                if tok is not None and tok.kind is _BAR:
+                if name is not None:
+                    close = _expect(tokens, pos, _CLOSE_PAREN,
+                                    "closing parenthesis")
+                    left = Compound(name, items, _merge(tok.span, close.span),
+                                    False, tok.span, tok.text)
+                elif nxt is not None and nxt.kind is _BAR:
                     pos += 1
                     push((_TAIL, *frame[1:]))
-                    argument = True
+                    limit = 999
                     break
-                left = _close_list(tokens, pos, frame, None)
-                pos += 1
-                depth -= 1
-                prec = 0
-                limit = frame[3]
+                else:
+                    left = _close_list(tokens, pos, tok, items, None)
             elif waiting == _TAIL:
-                left = _close_list(tokens, pos, frame, left)
-                pos += 1
-                depth -= 1
-                prec = 0
-                limit = frame[3]
-            else:  # _CURLY
-                close = _expect(tokens, pos, _CLOSE_BRACE, "closing brace")
-                pos += 1
-                depth -= 1
-                left = Compound("{}", [left], _merge(frame[1].span,
-                                                     close.span))
-                prec = 0
-                limit = frame[2]
+                _, tok, _, items, limit = frame
+                left = _close_list(tokens, pos, tok, items, left)
+            else:
+                _, tok, limit = frame
+                if tok.kind is _OPEN_BRACE:
+                    close = _expect(tokens, pos, _CLOSE_BRACE,
+                                    "closing brace")
+                    left = Compound("{}", [left],
+                                    _merge(tok.span, close.span))
+                else:
+                    close = _expect(tokens, pos, _CLOSE_PAREN,
+                                    "closing parenthesis")
+                    left.span = _merge(tok.span, close.span)
+                    if isinstance(left, (Atom, Compound)):
+                        left.parenthesized = True
+            pos += 1
+            depth -= 1
+            prec = 0
 
 
 def _atom_stands_alone(tokens: list[Token], pos: int,
@@ -807,17 +757,17 @@ def _expect(tokens: list[Token], pos: int, kind: TokenKind,
     return tok
 
 
-def _close_list(tokens: list[Token], pos: int, frame: tuple,
-                tail: Term | None) -> Term:
-    """The list of ``frame``'s elements ending in ``tail`` (``[]`` when
-    None), closed by the bracket at ``pos``."""
+def _close_list(tokens: list[Token], pos: int, open_tok: Token,
+                elements: list[Term], tail: Term | None) -> Term:
+    """The list of ``elements`` opened by ``open_tok``, ending in ``tail``
+    (``[]`` when None) and closed by the bracket at ``pos``."""
     close = _expect(tokens, pos, _CLOSE_BRACKET, "closing bracket")
     result: Term = tail if tail is not None \
         else Atom("[]", close.span, False, "[]")
-    for element in reversed(frame[2]):
+    for element in reversed(elements):
         result = Compound(".", [element, result],
                           _merge(element.span, close.span))
-    result.span = _merge(frame[1].span, close.span)
+    result.span = _merge(open_tok.span, close.span)
     return result
 
 
@@ -903,18 +853,16 @@ def read_program(tokens: list[Token]) -> tuple[Program, list[Diagnostic]]:
             break
         if start_tok.kind is _END:
             pos += 1
-            diagnostics.append(Diagnostic(
-                rule_id="E02", severity=Severity.ERROR, span=start_tok.span,
-                message="clause terminator '.' with no clause before it"))
+            diagnostics.append(diag(
+                "E02", start_tok.span,
+                "clause terminator '.' with no clause before it"))
             continue
         try:
             term, pos = _parse(code, pos, ops, comma_roles)
             end_tok = _expect(code, pos, _END, "end of clause ('.')")
         except SyntaxProblem as problem:
-            diagnostics.append(Diagnostic(
-                rule_id="E02", severity=Severity.ERROR,
-                span=(problem.token or start_tok).span,
-                message=problem.message))
+            diagnostics.append(diag(
+                "E02", (problem.token or start_tok).span, problem.message))
             # Skip to just past the next clause end.  A lexical error token
             # is the last token, so skipping past it ends the reading.
             pos = problem.pos

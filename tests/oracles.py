@@ -789,6 +789,9 @@ class _ReferenceOps:
         if name == "|" and priority and (type_ not in ("xfx", "xfy", "yfx")
                                          or priority < 1001):
             return
+        # ISO: ``,`` stays xfy 1000.
+        if name == "," and (priority, type_) != (1000, "xfy"):
+            return
         definition = _ReferenceOp(priority, type_)
         if type_ in ("fy", "fx"):
             if priority == 0:
@@ -853,10 +856,12 @@ def _reference_unquote(text: str) -> str:
             esc = body[i + 1]
             if esc == "\n":
                 i += 2
-            elif esc == "x" or esc.isdigit():
-                j = i + 2 if esc == "x" else i + 1
-                k = j
-                while k < len(body) and body[k] not in "\\":
+            elif esc == "x" or "0" <= esc <= "7":
+                # Hex or octal digits, then an optional closing backslash.
+                j = k = i + 2 if esc == "x" else i + 1
+                allowed = "0123456789abcdefABCDEF" if esc == "x" \
+                    else "01234567"
+                while k < len(body) and body[k] in allowed:
                     k += 1
                 digits = body[j:k]
                 try:

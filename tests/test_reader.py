@@ -29,6 +29,7 @@ from prolint.source_model import scan, source_from_text
 
 from gen import expression_table, gen_expression
 from oracles import canonical_text, shunting_yard, term_to_tuple
+from test_read_reference import assert_matches_reference
 
 
 def parse_body(text: str):
@@ -225,6 +226,50 @@ def test_quoted_atom_escapes_out_of_range_keep_their_digits():
     assert term.name == "a\t110000b" + "f" * 30
 
 
+@pytest.mark.parametrize("text, name", [
+    (r"a('\x41''b').", "A'b"),
+    (r"a('\x41 b').", "A b"),
+    (r"a('h\x41\t').", "hAt"),
+    (r"a('\101\b').", "Ab"),
+    (r"a('\8').", "8"),
+])
+def test_numeric_escapes_take_only_their_digits(text, name):
+    # Hex digits after ``\x`` and octal digits after ``\``, then an
+    # optional closing backslash, as SWI-Prolog reads them.
+    head = program_from_source(source_from_text(text)).items[0].head
+    assert head.args[0].name == name
+    assert_matches_reference(text)
+
+
+@pytest.mark.parametrize("text, term", [
+    ("p(f(:-)).", ("p", ("f", ":-"))),
+    ("p(f(-, dynamic)).", ("p", ("f", "-", "dynamic"))),
+    ("p([:- | ;]).", ("p", (".", ":-", ";"))),
+    ("p(g(a, ?-)).", ("p", ("g", "a", "?-"))),
+    ("p({:-}).", ("p", ("{}", ":-"))),
+    ("p([a|-]).", ("p", (".", "a", "-"))),
+    ("p(f(\\+)).", ("p", ("f", "\\+"))),
+    ("p([], {}).", ("p", "[]", "{}")),
+    ("p(()).", ("unexpected ')'", 4)),
+    ("p(f(a :- b)).", ("expected closing parenthesis", 7)),
+    ("p([a|b,c]).", ("expected closing bracket", 7)),
+    ("p(f(;, '|', ,)).", ("unexpected ','", 13)),
+    # ``,`` stays xfy 1000, so an operator atom before it stays an item.
+    (":- op(500, xfx, ','). p(f(:-, b)).", ("p", ("f", ":-", "b"))),
+    (":- op(500, xfx, ','). p(f(a, b)).", ("p", ("f", "a", "b"))),
+    (":- op(100, xf, ','). p([:-, b]).",
+     ("p", (".", ":-", (".", "b", "[]")))),
+])
+def test_operator_atom_before_a_closer_is_an_item(text, term):
+    program = program_from_source(source_from_text(text))
+    if program.syntax_diagnostics:
+        [problem] = program.syntax_diagnostics
+        assert (problem.message, problem.span.start_col) == term
+    else:
+        assert term_to_tuple(program.items[-1].head) == term
+    assert_matches_reference(text)
+
+
 def test_bar_reads_as_disjunction():
     body = parse_body("t :- a | b.\n")
     assert term_to_tuple(body) == (";", "a", "b")
@@ -363,10 +408,12 @@ def _check(text: str) -> list:
     return run(src, program_from_source(src), Config())
 
 
-def _nested_fact(levels: int) -> str:
-    """A fact whose head holds ``levels`` argument lists, one inside the
-    other."""
-    return "p(" + "f(" * (levels - 1) + "a" + ")" * levels + ".\n"
+def _nested_fact(levels: int, opener: str = "f(",
+                 closer: str = ")") -> str:
+    """A fact ``p(...)`` whose argument nests ``levels - 1`` times in
+    ``opener`` and ``closer``: ``levels`` levels with ``p``'s own."""
+    return "p(" + opener * (levels - 1) + "a" + closer * (levels - 1) \
+        + ").\n"
 
 
 def _nested_conjunction(levels: int) -> str:
@@ -375,17 +422,26 @@ def _nested_conjunction(levels: int) -> str:
     return "p :- repeat, " + "(a, " * levels + "!" + ")" * levels + ".\n"
 
 
+#: Argument lists, lists, curly terms, list tails, prefix operators and
+#: parentheses: one of each kind of pending frame that holds a level.
+_NESTINGS = [("f(", ")"), ("[", "]"), ("{", "}"), ("[a|", "]"), ("- ", ""),
+             ("(", ")")]
+
+
+def _deep_texts(levels: int) -> list[str]:
+    return [_nested_fact(levels, opener, closer)
+            for opener, closer in _NESTINGS] + [_nested_conjunction(levels)]
+
+
 def test_term_at_the_depth_limit_reads_at_any_stack_depth():
-    for text in (_nested_fact(MAX_TERM_DEPTH),
-                 _nested_conjunction(MAX_TERM_DEPTH)):
+    for text in _deep_texts(MAX_TERM_DEPTH):
         shallow = _check(text)
         assert shallow == _at_stack_depth(500, lambda: _check(text))
         assert not [d for d in shallow if d.rule_id in ("E02", "E99")]
 
 
 def test_term_past_the_depth_limit_is_one_error_at_the_clause_start():
-    for text in (_nested_fact(MAX_TERM_DEPTH + 1),
-                 _nested_conjunction(MAX_TERM_DEPTH + 1)):
+    for text in _deep_texts(MAX_TERM_DEPTH + 1):
         program = program_from_source(source_from_text("q.\n" + text
                                                        + "r.\n"))
         assert [(d.rule_id, d.message, d.span.start_line, d.span.start_col)

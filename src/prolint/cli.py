@@ -28,6 +28,7 @@ from .diagnostics import (
     parse_positive_int,
     render_json,
     render_text,
+    rule_setting_problem,
     run,
 )
 from .reader import program_from_source
@@ -126,20 +127,17 @@ def _configure(args: argparse.Namespace) -> tuple[Config, int]:
     if getattr(args, "fail_on", None) is not None:
         cfg.failure_threshold = Severity.from_name(args.fail_on)
     for flag, value in (("enable", True), ("disable", False)):
-        raw = getattr(args, flag, None)
-        if raw:
-            for rule_id in raw.split(","):
-                rule_id = rule_id.strip().upper()
-                if rule_id and rule_id in REGISTRY:
-                    cfg.rule_enabled[rule_id] = value
-                elif rule_id:
-                    print(f"prolint: unknown rule id {rule_id!r}",
-                          file=sys.stderr)
-                    return cfg, 2
+        raw = (getattr(args, flag, None) or "").upper()
+        for rule_id in filter(None, map(str.strip, raw.split(","))):
+            problem = rule_setting_problem(rule_id)
+            if problem is not None:
+                print(f"prolint: {problem}", file=sys.stderr)
+                return cfg, 2
+            cfg.rule_enabled[rule_id] = value
     for override in getattr(args, "severity", []):
         rule_id, sep, level = override.partition("=")
         rule_id = rule_id.strip().upper()
-        if not sep or rule_id not in REGISTRY:
+        if not sep or rule_setting_problem(rule_id) is not None:
             print(f"prolint: bad --severity argument {override!r}",
                   file=sys.stderr)
             return cfg, 2

@@ -368,24 +368,15 @@ def _parse_number_list(value: str) -> frozenset:
 
 def _parse_indicator_list(value: str) -> frozenset:
     out = set()
-    for item in value.split(","):
-        item = item.strip()
-        if not item:
-            continue
+    for item in filter(None, map(str.strip, value.split(","))):
         name, _, arity = item.partition("/")
         out.add((name.strip(), _parse_int(arity)))
     return frozenset(out)
 
 
 def _parse_extensions(value: str) -> tuple[str, ...]:
-    exts = []
-    for item in value.split(","):
-        item = item.strip()
-        if item and not item.startswith("."):
-            item = "." + item
-        if item:
-            exts.append(item)
-    return tuple(exts)
+    return tuple(item if item.startswith(".") else "." + item
+                 for item in map(str.strip, value.split(",")) if item)
 
 
 def _parse_choice(*choices: str) -> Callable[[str], str]:
@@ -423,6 +414,13 @@ _KEY_ALIASES = {"n06.enabled": "rule.N06.enabled"}
 _RULE_KEY = re.compile(r"rule\.([A-Za-z][A-Za-z0-9]*)\.(enabled|severity)$")
 
 
+def rule_setting_problem(rule_id: str) -> str | None:
+    """Why a setting cannot name ``rule_id``, or None when it can."""
+    if rule_id in NON_SUPPRESSIBLE:
+        return f"rule {rule_id} reports broken input; no setting changes it"
+    return None if rule_id in REGISTRY else f"unknown rule id {rule_id!r}"
+
+
 def config_problem(cfg: Config, severity: Severity, line: int,
                    message: str, path: str) -> None:
     from .source_model import Span  # deferred: source_model imports this module
@@ -458,9 +456,9 @@ def load_config(text: str, path: str = "<config>") -> Config:
         rule_match = _RULE_KEY.match(key)
         if rule_match:
             rule_id, attr = rule_match.group(1).upper(), rule_match.group(2)
-            if rule_id not in REGISTRY:
-                config_problem(cfg, Severity.WARNING, lineno,
-                               f"unknown rule id {rule_id!r}", path)
+            problem = rule_setting_problem(rule_id)
+            if problem is not None:
+                config_problem(cfg, Severity.WARNING, lineno, problem, path)
                 continue
             try:
                 if attr == "enabled":

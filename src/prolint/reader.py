@@ -30,7 +30,6 @@ from .diagnostics import (
 from .source_model import (
     CLOSER_KINDS,
     COMMENT_KINDS,
-    ESCAPES,
     NON_CODE_KINDS,
     OPENER_KINDS,
     SourceFile,
@@ -489,43 +488,6 @@ def _merge(a: Span, b: Span) -> Span:
     return _new_tuple(Span, (a[0], a[1], b[2], b[3], a[4], b[5]))
 
 
-def _unquote(text: str) -> str:
-    """Decode a quoted-atom lexeme to its atom name (escapes resolved)."""
-    quote = text[0]
-    body = text[1:-1]
-    out: list[str] = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == quote and i + 1 < len(body) and body[i + 1] == quote:
-            out.append(quote)
-            i += 2
-        elif ch == "\\" and i + 1 < len(body):
-            esc = body[i + 1]
-            if esc == "\n":
-                i += 2
-            elif esc == "x" or "0" <= esc <= "7":
-                # Hex or octal digits, then an optional closing backslash.
-                j = k = i + 2 if esc == "x" else i + 1
-                allowed = "0123456789abcdefABCDEF" if esc == "x" \
-                    else "01234567"
-                while k < len(body) and body[k] in allowed:
-                    k += 1
-                digits = body[j:k]
-                try:
-                    out.append(chr(int(digits, 16 if esc == "x" else 8)))
-                except (ValueError, OverflowError):
-                    out.append(digits)
-                i = k + 1 if k < len(body) and body[k] == "\\" else k
-            else:
-                out.append(ESCAPES.get(esc, esc))
-                i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
-
-
 # What each pending frame of ``_parse`` waits for.  Every frame ends with the
 # priority that the expression holding the awaited term continues at.
 _INFIX = 0   # (kind, left, operator token, functor, priority, limit)
@@ -577,12 +539,12 @@ def _parse(tokens: list[Token], pos: int, ops: OperatorTable,
                     and nxt.span[4] == tok.span[5]:
                 pos += 1
                 depth += 1
-                push((_ITEMS, tok, _unquote(text) if kind is _QUOTED_ATOM
+                push((_ITEMS, tok, tok.value if kind is _QUOTED_ATOM
                       else text, [], limit))
                 limit = 999
                 continue
             if kind is _QUOTED_ATOM:
-                left = Atom(_unquote(text), tok.span, True, text)
+                left = Atom(tok.value, tok.span, True, text)
             elif text == "-" and nxt is not None \
                     and (nxt.kind is _INTEGER or nxt.kind is _FLOAT) \
                     and nxt.span[4] == tok.span[5]:

@@ -82,7 +82,8 @@ class Token(Record):
     ``text`` is the verbatim lexeme (quotes and escapes as written), and
     ``span`` locates it in the file; the layout between tokens is read
     from the file through the spans.  ``value`` is the number an
-    ``integer`` or ``float`` token denotes, and None for every other kind.
+    ``integer`` or ``float`` token denotes, a quoted atom's name, and None
+    for every other kind.
     """
 
     __slots__ = ("kind", "text", "span", "value")
@@ -152,7 +153,7 @@ SYMBOL_CHARS = "#$&*+-./:<=>?@^~\\"
 #: What each one-character escape in a quoted item stands for; any other
 #: escaped character stands for itself.
 ESCAPES = {"a": "\a", "b": "\b", "f": "\f", "n": "\n", "r": "\r", "t": "\t",
-           "v": "\v", "\\": "\\", "'": "'", '"': '"', "`": "`", "0": "\0"}
+           "v": "\v", "\\": "\\", "'": "'", '"': '"', "`": "`"}
 #: The most digits a decimal integer may have: the least limit that
 #: ``PYTHONINTMAXSTRDIGITS`` can put on CPython's ``int(str)``, so that
 #: what scans does not depend on that setting.
@@ -203,52 +204,57 @@ _SINGLE_KINDS = {
     ",": TokenKind.COMMA,
     "|": TokenKind.BAR,
 }
-#: A quoted item up to its closing quote: doubled quotes, and escapes, where
-#: ``\x`` and octal ones run to a closing backslash but stop at a newline or
-#: the quote.  Nothing follows the loop that could fail, so the first match
-#: is the greedy one and is found without backtracking; the scanner checks
-#: the closing quote itself.
-_QUOTED = {
-    quote: (re.compile(rf"{quote}(?:[^{quote}\\]+|{quote}{quote}"
-                       rf"|\\(?:[x0-7][^\\\n{quote}]*\\?|.))*", re.DOTALL),
-            kind, what)
-    for quote, kind, what in (
-        ("'", TokenKind.QUOTED_ATOM, "unterminated quoted atom"),
-        ('"', TokenKind.STRING, "unterminated string"),
-        ("`", TokenKind.STRING, "unterminated back-quoted string"))
-}
+#: The kind of the item each quote opens, the problem when no quote closes
+#: it, and where a plain run in it stops: at that quote or a backslash.
+_QUOTES = {quote: (kind, what, re.compile(rf"[{quote}\\]"))
+           for quote, kind, what in (
+               ("'", TokenKind.QUOTED_ATOM, "unterminated quoted atom"),
+               ('"', TokenKind.STRING, "unterminated string"),
+               ("`", TokenKind.STRING, "unterminated back-quoted string"))}
+#: A numeric escape after its backslash: ``x`` and the hex digits after
+#: it, or octal digits, then an optional closing backslash.
+_NUMERIC_ESCAPE = re.compile(r"(?:x([0-9a-fA-F]*)|([0-7]+))\\?")
 #: Groups: a based integer, a character code, then a decimal numeral whose
 #: fraction or exponent makes it a float.
 _NUMBER = re.compile(r"(0[xX][0-9a-fA-F]+|0[oO][0-7]+|0[bB][01]+)|(0')"
                      r"|\d+(\.\d+)?([eE][+-]?\d+)?")
 
 
-def _char_code(text: str, start: int) -> tuple[int, int]:
-    """End and value of the ``0'c`` form at ``start``, including ``0''``,
-    ``0'''`` and escapes; the end is -1 when the text stops after ``0'``."""
-    n = len(text)
-    i = start + 2
-    if i >= n:
-        return -1, 0
-    ch = text[i]
-    if ch == "'":
-        return (i + 2 if text.startswith("'", i + 1) else i + 1), ord("'")
-    if ch != "\\":
-        return i + 1, ord(ch)
-    i += 1
-    if i >= n:
-        return i, ord("\\")
-    esc = text[i]
-    if esc != "x" and not esc.isdigit():
-        return i + 1, ord(ESCAPES.get(esc, esc))
-    j = i + 1
-    while j < n and text[j] not in "\\ \t\n":
-        j += 1
-    try:
-        value = int(text[i + 1:j], 16) if esc == "x" else int(text[i:j], 8)
-    except ValueError:
-        value = 0
-    return (j + 1 if j < n and text[j] == "\\" else j), value
+def _escape(text: str, i: int) -> tuple[int, int, str]:
+    r"""End, code and text of the escape whose backslash is at ``i``.  A
+    numeric one's code is its digits' value (0 for none), its text their
+    character, or the digits if none or past U+10FFFF.  ``\`` before a
+    newline stands for no text, a final ``\`` for itself, and any other
+    escaped character for its ``ESCAPES`` value, or itself."""
+    found = _NUMERIC_ESCAPE.match(text, i + 1)
+    if found is not None:
+        digits = found[found.lastindex]
+        code = int(digits, 16 if found.lastindex == 1 else 8) if digits else 0
+        return found.end(), code, \
+            chr(code) if digits and code <= 0x10FFFF else digits
+    esc = text[i + 1:i + 2]
+    char = ESCAPES.get(esc, esc or "\\")
+    return i + 1 + len(esc), ord(char), "" if esc == "\n" else char
+
+
+def _quoted(text: str, start: int) -> tuple:
+    """Kind, end, value and problem of the quoted item at ``start``, read
+    in one forward pass: a quoted atom's value is its name."""
+    quote = text[start]
+    kind, what, stop = _QUOTES[quote]
+    pieces = []
+    i = start + 1
+    while (found := stop.search(text, i)) is not None:
+        j = found.start()
+        pieces.append(text[i:j])
+        if text[j] == "\\":
+            i, _, piece = _escape(text, j)
+        elif text.startswith(quote, j + 1):
+            i, piece = j + 2, quote
+        else:
+            return kind, j + 1, "".join(pieces) if quote == "'" else None, None
+        pieces.append(piece)
+    return _ERROR, len(text), None, what
 
 
 def _word(text: str, start: int, end: int) -> tuple:
@@ -267,9 +273,13 @@ def _word(text: str, start: int, end: int) -> tuple:
     if number.lastindex == 1:
         return _INTEGER, end, int(number.group(), 0), None
     if number.lastindex == 2:
-        end, value = _char_code(text, start)
-        if end < 0:
-            return _ERROR, len(text), None, "unterminated character code"
+        # ``0'c``, ``0''``, ``0'''`` or ``0'`` and an escape.
+        if end == len(text):
+            return _ERROR, end, None, "unterminated character code"
+        if text[end] == "\\":
+            end, value, _ = _escape(text, end)
+        else:
+            end, value = end + 1 + text.startswith("''", end), ord(text[end])
         return _INTEGER, end, value, None
     if number.lastindex is not None:
         return TokenKind.FLOAT, end, float(number.group()), None
@@ -337,13 +347,7 @@ def scan(src: SourceFile) -> tuple[list[Token], list[Diagnostic]]:
             if group == _WORD:
                 kind, end, value, problem = _word(text, start, end)
             elif group == _QUOTE:
-                quote = text[start]
-                pattern, kind, what = _QUOTED[quote]
-                end = pattern.match(text, start).end()
-                if text.startswith(quote, end):
-                    end += 1
-                else:
-                    kind, end, problem = _ERROR, n, what
+                kind, end, value, problem = _quoted(text, start)
             elif group == _BLOCK_COMMENT:
                 kind = TokenKind.BLOCK_COMMENT
                 end = text.find("*/", start + 2) + 2

@@ -363,10 +363,15 @@ def scan_reference(text: str, path: str = "<string>"):
 
     Returns ``(tokens, diagnostics)`` as plain tuples: each token is
     ``(kind, text, span, preceded_by_newline, preceding_spaces, value)``
-    with ``kind`` a ``TokenKind`` value string, each diagnostic is
+    with ``kind`` a ``TokenKind`` value string and ``value`` a numeral's
+    number or a quoted atom's name (from ``_reference_unquote``), each
+    diagnostic is
     ``(rule_id, severity, span, message, suggestion, predicate, path)``,
     and each span is
     ``(start_line, start_col, end_line, end_col, byte_start, byte_end)``.
+    A numeric escape, in a quoted item or a ``0'`` code, takes the hex
+    digits after ``x`` or the octal digits from its first, then an
+    optional closing backslash.
     """
     symbol_chars = frozenset("#$&*+-./:<=>?@^~\\")
     single_kinds = {"(": "open_paren", ")": "close_paren",
@@ -409,15 +414,21 @@ def scan_reference(text: str, path: str = "<string>"):
                 if i + 1 < n and text[i + 1] == quote:
                     i += 2
                     continue
-                emit(kind, start, i + 1)
+                lexeme = text[start:i + 1]
+                emit(kind, start, i + 1, _reference_unquote(lexeme)
+                     if kind == "quoted_atom" else None)
                 return i + 1
             if ch == "\\":
                 i += 1
                 if i >= n:
                     break
                 if text[i] in "x01234567":
+                    # Hex digits after ``x``, octal ones from the first,
+                    # then an optional closing backslash.
+                    digits = "0123456789abcdefABCDEF" if text[i] == "x" \
+                        else "01234567"
                     i += 1
-                    while i < n and text[i] not in "\\\n" + quote:
+                    while i < n and text[i] in digits:
                         i += 1
                     if i < n and text[i] == "\\":
                         i += 1
@@ -449,17 +460,17 @@ def scan_reference(text: str, path: str = "<string>"):
                 esc = text[i]
                 simple = {"a": 7, "b": 8, "f": 12, "n": 10, "r": 13,
                           "t": 9, "v": 11, "\\": 92, "'": 39, '"': 34,
-                          "`": 96, "0": 0}
-                if esc == "x" or esc.isdigit():
-                    j = i + 1
-                    while j < n and text[j] not in "\\ \t\n":
-                        j += 1
-                    digits = text[i + 1:j] if esc == "x" else text[i:j]
-                    try:
-                        value = int(digits, 16 if esc == "x" else 8)
-                    except ValueError:
-                        value = 0
-                    i = j + 1 if j < n and text[j] == "\\" else j
+                          "`": 96}
+                if esc in "x01234567":
+                    j = k = i + 1 if esc == "x" else i
+                    allowed = "0123456789abcdefABCDEF" if esc == "x" \
+                        else "01234567"
+                    while k < n and text[k] in allowed:
+                        k += 1
+                    digits = text[j:k]
+                    value = int(digits, 16 if esc == "x" else 8) \
+                        if digits else 0
+                    i = k + 1 if k < n and text[k] == "\\" else k
                 else:
                     value = simple.get(esc, ord(esc))
                     i += 1

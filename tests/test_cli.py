@@ -633,6 +633,21 @@ def test_unknown_rule_in_flag_exits_two(tmp_path, capsys):
     assert main(["check", "--disable", "Z99", path]) == 2
 
 
+@pytest.mark.parametrize("flag, value, rule_id", [
+    ("--disable", "E02", "E02"), ("--enable", "l01,e01", "E01"),
+    ("--severity", "E99=info", "E99"),
+])
+def test_flag_naming_a_broken_input_rule_exits_two(tmp_path, capsys, flag,
+                                                   value, rule_id):
+    # E01, E02 and E99 always report at their own severity, so a flag that
+    # names one is refused as one naming an unknown rule is.
+    path = write(tmp_path, "broken.pl", "p :- (.\n")
+    assert main(["check", flag, value, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("prolint: ") and rule_id in captured.err
+
+
 def test_stdin_check(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", _stdin("p :-\n\tq.\n"))
     assert main(["check", "-"]) == 1

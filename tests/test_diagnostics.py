@@ -98,6 +98,16 @@ def test_config_unknown_rule_reported():
     assert any("Z99" in p.message for p in cfg.problems)
 
 
+def test_config_naming_a_broken_input_rule_is_reported():
+    cfg = load_config("rule.E02.enabled = false\nrule.e01.severity = info\n"
+                      "rule.E99.enabled = true\n")
+    assert [(p.rule_id, p.severity, p.span.start_line) for p in cfg.problems] \
+        == [("C01", Severity.WARNING, line) for line in (1, 2, 3)]
+    assert [p.message.split()[1] for p in cfg.problems] \
+        == ["E02", "E01", "E99"]
+    assert cfg.rule_enabled == {} and cfg.rule_severity == {}
+
+
 def test_config_malformed_line_is_error_naming_line():
     cfg = load_config("indent_size\n")
     assert cfg.problems[0].severity is Severity.ERROR

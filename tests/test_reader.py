@@ -232,12 +232,32 @@ def test_quoted_atom_escapes_out_of_range_keep_their_digits():
     (r"a('h\x41\t').", "hAt"),
     (r"a('\101\b').", "Ab"),
     (r"a('\8').", "8"),
+    # The escape ends before the space, so ``\'`` is an escaped quote.
+    (r"x('\x4 1\'b').", "\x04 1'b"),
 ])
 def test_numeric_escapes_take_only_their_digits(text, name):
     # Hex digits after ``\x`` and octal digits after ``\``, then an
     # optional closing backslash, as SWI-Prolog reads them.
-    head = program_from_source(source_from_text(text)).items[0].head
-    assert head.args[0].name == name
+    program = program_from_source(source_from_text(text))
+    assert program.syntax_diagnostics == []
+    assert program.items[0].head.args[0].name == name
+    assert_matches_reference(text)
+
+
+@pytest.mark.parametrize("text, code", [
+    (r"x(0'\x41).", 65),
+    (r"x(0'\101).", 65),
+    (r"x(0'\x41\).", 65),
+    (r"x(0'\8).", 56),
+    (r"x(0'\x).", 0),
+    (r"x(0'\x110000 ).", 0x110000),
+])
+def test_character_code_escapes_take_the_quoted_atom_rule(text, code):
+    # ``0'\`` reads its escape as a quoted atom does; a code past U+10FFFF
+    # stays a number.
+    program = program_from_source(source_from_text(text))
+    assert program.syntax_diagnostics == []
+    assert program.items[0].head.args[0].value == code
     assert_matches_reference(text)
 
 

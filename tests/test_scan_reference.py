@@ -16,7 +16,9 @@ from gen import gen_file
 from oracles import scan_reference
 from test_formatter import formatter_corpus
 
-#: Pieces that reach every branch of the tokenizer: quotes and escapes,
+#: Pieces that reach every branch of the tokenizer: quotes and escapes
+#: (numeric ones with and without their closing backslash, so that one
+#: meets non-digits and a later backslash),
 #: comments, based and character-code numerals, floats with exponents, the
 #: end token, variables, non-ASCII letters and digits (lower, upper and
 #: titlecase, so both ASCII name groups and the ``\w+`` fallback are
@@ -25,7 +27,8 @@ from test_formatter import formatter_corpus
 ALPHABET = ["'", '"', "`", "\\", "%", "/*", "*/", "0'", "0x", "0o", "0b",
             ".", "e", "E", "+", "-", "_", "é", "É", "ǅ", "²", "①", "٣", "!",
             ";", ",", "|", "(", ")", "[", "]", "{", "}", "\t", "\r", "\n",
-            "\x0b", " ", " ", "a", "a1", "X", "x", "1", "8"]
+            "\x0b", " ", " ", "a", "a1", "X", "x", "1", "8", "\\x4",
+            "\\101", "\\x41\\"]
 
 
 def _span(span) -> tuple:
@@ -68,7 +71,8 @@ def test_scan_matches_reference_on_generated_files():
 #: digit limit, digit runs that leave the plain-integer group for what
 #: follows them, a character code cut off by the end of the file, numerals
 #: and number signs of other scripts, CRLF line ends, and ``/*`` right
-#: after a symbolic atom.
+#: after a symbolic atom, and numeric escapes that end at their first
+#: non-digit in a character code and in a quoted atom.
 FIXED_TEXTS = [
     *(f"p({'7' * k}).\n" for k in (639, 640, 641)),
     *("1" * k for k in (639, 640, 641)),
@@ -79,6 +83,7 @@ FIXED_TEXTS = [
     "p :-\r\n    q(1),\r\n    'a\r\nb',\r\n    r.\r\n% c\r\n",
     "X =/* c */ 1.\n", "p :- /* c */ q, X = - /* d */ 1, Y =.. /*e*/ Z.\n",
     "a --> /* c */ b.\n", "+/*\n",
+    r"x(0'\x41).", r"x(0'\101).", r"x(0'\8).", r"x('\x4 1\'b').",
 ]
 
 

@@ -100,6 +100,12 @@ def _tokens_off_the_fast_path(n: int) -> str:
                    for i in range(n))
 
 
+def _long_quoted_atoms(n: int) -> str:
+    """One quoted atom of ``n`` ``\\x41\\`` escapes and one of ``n`` doubled
+    quotes, each read in one forward pass."""
+    return "p('" + "\\x41\\" * n + "', '" + "''" * n + "').\n"
+
+
 def _number_word_predicates(n: int) -> str:
     """``n`` predicates whose names hold the number word ``one`` and have no
     sibling with another number word in its place."""
@@ -163,6 +169,7 @@ SHAPES = {
         _format_goals_on_one_line, 1_000, _read, Config()),
     "tokens_off_the_scanner_fast_path": (
         _tokens_off_the_fast_path, 500, _read, Config()),
+    "long_quoted_atoms": (_long_quoted_atoms, 10_000, _read, Config()),
     "numbered_state_goals": (
         _numbered_state_goals, 2_000, _rules, _only("I04", "I05", "N07")),
     "number_word_predicates": (

@@ -1,6 +1,7 @@
 """prolint: a style checker and canonical formatter for Prolog source."""
 
 from .diagnostics import (
+    MODE_SYSTEMS,
     Config,
     Diagnostic,
     REGISTRY,
@@ -52,7 +53,7 @@ __all__ = [
 #: ``import prolint.cli`` loads only the layers every command runs.
 _LAZY = {**dict.fromkeys(("FormatError", "check_format", "format_program"),
                          "formatter"),
-         **dict.fromkeys(("ArgDoc", "DocHead", "DocHeadError", "MODE_SYSTEMS",
+         **dict.fromkeys(("ArgDoc", "DocHead", "DocHeadError",
                           "parse_doc_head", "print_doc_head"), "doc_rules")}
 
 

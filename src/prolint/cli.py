@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 from .diagnostics import (
+    MODE_SYSTEMS,
     Config,
     REGISTRY,
     Severity,
@@ -43,8 +44,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                              "when present)")
     parser.add_argument("--max-line-length", metavar="N")
     parser.add_argument("--indent", metavar="N")
-    parser.add_argument("--mode-system",
-                        choices=["recommended", "pldoc", "simple"])
+    parser.add_argument("--mode-system", choices=list(MODE_SYSTEMS))
     parser.add_argument("--enable", metavar="ID,...",
                         help="comma-separated rule ids to enable")
     parser.add_argument("--disable", metavar="ID,...",
@@ -53,7 +53,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         metavar="ID=LEVEL",
                         help="override one rule's severity (repeatable)")
     parser.add_argument("--fail-on",
-                        choices=["error", "warning", "info", "hint"],
+                        choices=[level.label for level in reversed(Severity)],
                         help="minimum severity causing a nonzero exit")
 
 

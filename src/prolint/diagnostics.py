@@ -270,6 +270,12 @@ _DEFAULT_INLINE_GOALS = frozenset(
 )
 
 
+#: Each ``mode_system`` and the mode specifiers a documentation head takes.
+MODE_SYSTEMS: dict[str, frozenset[str]] = {
+    "recommended": frozenset("*+=-/>?"), "pldoc": frozenset("+-?:@!"),
+    "simple": frozenset("+-?")}
+
+
 class Config(Record):
     __slots__ = ("indent_size", "max_line_length", "clause_lines_info",
                  "clause_lines_warn", "eol_comment_max",
@@ -396,8 +402,7 @@ _SCALAR_KEYS: dict[str, tuple[str, Callable]] = {
     "eol_comment_max": ("eol_comment_max", _parse_int),
     "magic_number_allowlist": ("magic_number_allowlist", _parse_number_list),
     "inline_goal_allowlist": ("inline_goal_allowlist", _parse_indicator_list),
-    "mode_system": ("mode_system",
-                    _parse_choice("recommended", "pldoc", "simple")),
+    "mode_system": ("mode_system", _parse_choice(*MODE_SYSTEMS)),
     "comma_style": ("comma_style", _parse_choice("simple", "structured")),
     "fail_on": ("failure_threshold", Severity.from_name),
     "extensions": ("extensions", _parse_extensions),

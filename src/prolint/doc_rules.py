@@ -16,7 +16,15 @@ from __future__ import annotations
 import re
 from collections.abc import Iterator
 
-from .diagnostics import Diagnostic, Fresh, Record, diag, rule, run_family
+from .diagnostics import (
+    MODE_SYSTEMS,
+    Diagnostic,
+    Fresh,
+    Record,
+    diag,
+    rule,
+    run_family,
+)
 from .reader import (
     ClauseKind,
     CommentAttachment,
@@ -33,11 +41,6 @@ from .reader import (
 )
 from .source_model import TokenKind
 
-MODE_SYSTEMS: dict[str, frozenset[str]] = {
-    "recommended": frozenset("*+=-/>?"),
-    "pldoc": frozenset("+-?:@!"),
-    "simple": frozenset("+-?"),
-}
 _ALL_MODES = frozenset().union(*MODE_SYSTEMS.values())
 
 DETERMINISM_SPECIFIERS = ("det", "semidet", "multi", "nondet")
@@ -75,9 +78,11 @@ _ARG_NAME = re.compile(r"[A-Z_][A-Za-z0-9_]*")
 
 
 def _marker_kind(text: str) -> str:
-    """``"double"`` for a comment opened by ``%%`` or PlDoc's ``%!``, which
-    introduce a predicate callable from elsewhere, else ``"single"``."""
-    return "double" if text.startswith(("%%", "%!")) else "single"
+    """``"double"`` for a comment opened by ``%%`` or PlDoc's ``%!`` with
+    text after the marker, which introduces a predicate callable from
+    elsewhere; else ``"single"``, as for a ``%%%%%%%%`` banner."""
+    return "double" if text.startswith(("%%", "%!")) and _strip_marker(text) \
+        else "single"
 
 
 class _Cursor:

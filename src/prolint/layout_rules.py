@@ -13,6 +13,7 @@ from itertools import takewhile
 
 from .diagnostics import Diagnostic, Severity, diag, rule, run_family
 from .reader import (
+    CONTROL_FUNCTORS,
     ClauseKind,
     Compound,
     Facts,
@@ -21,6 +22,7 @@ from .reader import (
     is_atom,
     is_compound,
     strip_module_qualifier,
+    subterms,
 )
 from .source_model import CLOSER_KINDS, COMMENT_KINDS, Span, Token, TokenKind
 
@@ -163,34 +165,31 @@ def _followed_by_single_space(content: str, comma: Token) -> bool:
     return after[:1] == " " and after[1:] not in (" ", "\t")
 
 
-def _goal_level_compounds(facts: Facts) -> list[Compound]:
-    """Compound clause heads and non-control body goals, sorted by
-    position.  They never overlap: no head or leaf goal holds another."""
-    units: list[Compound] = []
+def _comma_spacing(facts: Facts) -> dict[int, bool]:
+    """Whether each comma inside a clause that reads takes a space in the
+    "structured" style, by offset.  A ``,`` operator does, and so does the
+    comma after each argument but the last of a compound head or of a
+    non-control leaf goal written ``name(...)``: only a comment can lie
+    between the two.  The other commas separate data."""
+    starts = [comma.span.byte_start for comma in facts.index.commas]
+    spacing: dict[int, bool] = {}
     for clause, goals in zip(facts.program.items, facts.leaf_goals):
-        if isinstance(clause.head, Compound):
-            units.append(clause.head)
-        for goal in goals:
-            goal = strip_module_qualifier(goal)
-            if isinstance(goal, Compound) \
-                    and goal.name not in (";", "->", "*->", ","):
-                units.append(goal)
-    units.sort(key=lambda unit: unit.span.byte_start)
-    return units
-
-
-def _is_goal_level(units: list[Compound], starts: list[int],
-                   arg_starts: list[list[int]], byte: int) -> bool:
-    """True when ``byte`` lies inside a goal unit but in none of its
-    arguments; ``starts`` are the units' start offsets and ``arg_starts``
-    those of each unit's arguments."""
-    # Units and arguments never overlap, so only the last one starting
-    # before ``byte`` can hold it.
-    idx = bisect_left(starts, byte) - 1
-    if idx < 0 or byte >= units[idx].span.byte_end:
-        return False
-    arg = bisect_right(arg_starts[idx], byte) - 1
-    return arg < 0 or byte >= units[idx].args[arg].span.byte_end
+        first = bisect_left(starts, clause.span.byte_start)
+        last = bisect_left(starts, clause.span.byte_end, first)
+        spacing.update(dict.fromkeys(starts[first:last], False))
+        for part in (clause.head, clause.body):
+            for t in subterms(part) if part is not None else ():
+                if type(t) is Compound and t.name == "," \
+                        and t.functor_lexeme is None:
+                    spacing[t.functor_span.byte_start] = True
+        units = [goal for goal in map(strip_module_qualifier, goals)
+                 if not is_compound(goal) or goal.name not in CONTROL_FUNCTORS]
+        for unit in [clause.head, *units]:
+            if isinstance(unit, Compound) and unit.functor_lexeme is not None:
+                for arg in unit.args[:-1]:
+                    after = bisect_left(starts, arg.span.byte_end)
+                    spacing[starts[after]] = True
+    return spacing
 
 
 @rule("L07")
@@ -208,26 +207,17 @@ def _l07_commas(facts: Facts) -> Iterator[Diagnostic]:
         return
 
     # "structured" style: and-then and goal-argument commas take a space,
-    # data-structure commas do not.
-    units = _goal_level_compounds(facts)
-    starts = [unit.span.byte_start for unit in units]
-    arg_starts = [[arg.span.byte_start for arg in unit.args]
-                  for unit in units]
-    roles = facts.program.comma_roles
+    # data-structure commas do not.  A clause that does not read tells
+    # neither apart.
+    spacing = _comma_spacing(facts)
     for comma in commas:
-        byte = comma.span.byte_start
-        role = roles.get(byte)
-        spaced = role == "and_then" or (
-            role != "list" and _is_goal_level(units, starts, arg_starts, byte))
-        at_eol = _comma_is_at_eol(texts, comma)
-        has_space = content.startswith(" ", comma.span.byte_end)
-        if spaced:
-            if not at_eol and not has_space:
-                yield diag("L07", comma.span,
-                           "comma should be followed by a space")
-        elif has_space and not at_eol:
+        spaced = spacing.get(comma.span.byte_start)
+        if spaced is None or _comma_is_at_eol(texts, comma):
+            continue
+        if spaced != content.startswith(" ", comma.span.byte_end):
             yield diag("L07", comma.span,
-                       "no space after a comma inside a data structure")
+                       "comma should be followed by a space" if spaced
+                       else "no space after a comma inside a data structure")
 
 
 # -- L08 --------------------------------------------------------------------

@@ -416,13 +416,12 @@ class Program(Record):
     operator table at the defaults) and is the program's own."""
 
     __slots__ = ("items", "comments", "operator_table", "exports",
-                 "module_name", "tokens", "syntax_diagnostics", "comma_roles")
+                 "module_name", "tokens", "syntax_diagnostics")
 
     _defaults = {"items": Fresh(list), "comments": Fresh(list),
                  "operator_table": Fresh(OperatorTable.default),
                  "exports": None, "module_name": None, "tokens": Fresh(list),
-                 "syntax_diagnostics": Fresh(list),
-                 "comma_roles": Fresh(dict)}
+                 "syntax_diagnostics": Fresh(list)}
 
     @property
     def has_module_directive(self) -> bool:
@@ -500,8 +499,8 @@ _TAIL = 4    # as _ITEMS, after a list's bar
 _EMPTY_CLOSER = {_OPEN_BRACKET: _CLOSE_BRACKET, _OPEN_BRACE: _CLOSE_BRACE}
 
 
-def _parse(tokens: list[Token], pos: int, ops: OperatorTable,
-           comma_roles: dict[int, str]) -> tuple[Term, int]:
+def _parse(tokens: list[Token], pos: int,
+           ops: OperatorTable) -> tuple[Term, int]:
     """Read one term of priority at most 1200 from the comment-free
     ``tokens`` at ``pos``; return it with the position after it.
 
@@ -618,8 +617,6 @@ def _parse(tokens: list[Token], pos: int, ops: OperatorTable,
                         and prec <= (op.priority if op.type == "yfx"
                                      else op.priority - 1):
                     pos += 1
-                    if kind is _COMMA and op.type == "xfy":
-                        comma_roles[tok.span[4]] = "and_then"
                     push((_INFIX, left, tok, ";" if name == "|" else name,
                           op.priority, limit))
                     limit = op.priority if op.type == "xfy" \
@@ -662,8 +659,6 @@ def _parse(tokens: list[Token], pos: int, ops: OperatorTable,
                 nxt = tokens[pos] if pos < end else None
                 if nxt is not None and nxt.kind is _COMMA:
                     pos += 1
-                    comma_roles[nxt.span[4]] = "list" if name is None \
-                        else "arg"
                     push(frame)
                     limit = 999
                     break
@@ -737,7 +732,7 @@ def read_term(tokens: list[Token], ops: OperatorTable | None = None) -> Term:
     """Read one term from a token list (used directly in tests; read_program
     drives the same machinery clause by clause)."""
     code = [t for t in tokens if t.kind not in COMMENT_KINDS]
-    term, _ = _parse(code, 0, ops or OperatorTable.default(), {})
+    term, _ = _parse(code, 0, ops or OperatorTable.default())
     return term
 
 
@@ -807,7 +802,7 @@ def read_program(tokens: list[Token]) -> tuple[Program, list[Diagnostic]]:
     program = Program(tokens=tokens)
     diagnostics: list[Diagnostic] = []
     code = [t for t in tokens if t.kind not in COMMENT_KINDS]
-    ops, comma_roles = program.operator_table, program.comma_roles
+    ops = program.operator_table
     pos, end = 0, len(code)
     while pos < end:
         start_tok = code[pos]
@@ -820,7 +815,7 @@ def read_program(tokens: list[Token]) -> tuple[Program, list[Diagnostic]]:
                 "clause terminator '.' with no clause before it"))
             continue
         try:
-            term, pos = _parse(code, pos, ops, comma_roles)
+            term, pos = _parse(code, pos, ops)
             end_tok = _expect(code, pos, _END, "end of clause ('.')")
         except SyntaxProblem as problem:
             diagnostics.append(diag(

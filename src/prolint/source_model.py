@@ -175,11 +175,11 @@ MAX_INTEGER_DIGITS = 640
 #: gap at the end of the file matches nothing, and a search from a token's
 #: end finds the next token right after its gap.
 _TOKEN = re.compile(
-    r"[ \t\r\n]*(?:([()\[\]{},|])|([a-z]\w*)|([A-Z_]\w*)|(/\*)"
+    r"[ \t\r\n\f\v]*(?:([()\[\]{},|])|([a-z]\w*)|([A-Z_]\w*)|(/\*)"
     rf"|([{re.escape(SYMBOL_CHARS)}]+)"
     rf"|([0-9]{{1,{MAX_INTEGER_DIGITS}}})(?![\w.'])|([!;])"
     r"|(%[^\n]*)"
-    r"|(['\"`])|(\w+)|([^ \t\r\n]))")
+    r"|(['\"`])|(\w+)|([^ \t\r\n\f\v]))")
 (_SINGLE, _NAME, _VARIABLE_NAME, _BLOCK_COMMENT, _SYMBOLIC, _DIGITS, _SOLO,
  _LINE_COMMENT, _QUOTE, _WORD, _OTHER) = range(1, 12)
 _ATOM = TokenKind.ATOM
@@ -333,7 +333,8 @@ def scan(src: SourceFile) -> tuple[list[Token], list[Diagnostic]]:
                     kind = _SINGLE_KINDS[text[start]]
                 elif group == _SYMBOLIC:
                     kind = _END if end - start == 1 and text[start] == "." \
-                        and (end == n or text[end] in " \t\r\n%") else _ATOM
+                        and (end == n or text[end] in " \t\r\n\f\v%") \
+                        else _ATOM
                 elif group == _DIGITS:
                     kind, value = _INTEGER, int(text[start:end])
             if kind is not None:

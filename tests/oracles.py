@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import chain
 
 from prolint.diagnostics import Config, Diagnostic
@@ -520,7 +520,7 @@ def scan_reference(text: str, path: str = "<string>"):
     i = 0
     while i < n:
         ch = text[i]
-        if ch in " \t\r\n":
+        if ch in " \t\r\n\f\v":
             i += 1
             continue
         start = i
@@ -563,7 +563,8 @@ def scan_reference(text: str, path: str = "<string>"):
             while i < n and text[i] in symbol_chars:
                 i += 1
             nxt = text[i] if i < n else ""
-            if text[start:i] == "." and (nxt == "" or nxt in " \t\r\n%"):
+            if text[start:i] == "." \
+                    and (nxt == "" or nxt in " \t\r\n\f\v%"):
                 emit("end", start, i)
             else:
                 emit("atom", start, i)
@@ -1171,6 +1172,55 @@ def _reference_list_items(node: Term) -> list[Term]:
         items.append(node.args[0])
         node = node.args[1]
     return items
+
+
+_REFERENCE_CONTROL = (",", ";", "->", "*->")
+
+
+def structured_commas_reference(reference: dict) -> dict[int, bool]:
+    """Whether each comma inside a clause that reads takes a space in L07's
+    "structured" style, by offset, by the rule that read the parser's comma
+    roles, from the roles of ``read_program_reference``: an ``and_then``
+    comma does, and so does an ``arg`` comma inside a goal-level compound
+    but in none of its arguments.  The goal-level compounds are the
+    compound clause heads and the non-control leaf goals of the bodies,
+    module qualifiers stripped."""
+    clauses = reference["clauses"]
+    clause_starts = [clause[3].byte_start for clause in clauses]
+    units: list[Compound] = []
+    for _, head, body, _, _ in clauses:
+        if isinstance(head, Compound):
+            units.append(head)
+        stack = [body] if body is not None else []
+        while stack:
+            goal = stack.pop()
+            if isinstance(goal, Compound) and len(goal.args) == 2 \
+                    and goal.name in _REFERENCE_CONTROL:
+                stack.extend(goal.args)
+                continue
+            goal = _reference_strip_module(goal)
+            if isinstance(goal, Compound) \
+                    and goal.name not in _REFERENCE_CONTROL:
+                units.append(goal)
+    # No head or leaf goal holds another, so only the last unit starting
+    # before a comma can hold it.
+    units.sort(key=lambda unit: unit.span.byte_start)
+    unit_starts = [unit.span.byte_start for unit in units]
+
+    def in_read_clause(byte: int) -> bool:
+        idx = bisect_left(clause_starts, byte) - 1
+        return idx >= 0 and byte < clauses[idx][3].byte_end
+
+    def goal_level(byte: int) -> bool:
+        idx = bisect_left(unit_starts, byte) - 1
+        if idx < 0 or byte >= units[idx].span.byte_end:
+            return False
+        return not any(arg.span.byte_start <= byte < arg.span.byte_end
+                       for arg in units[idx].args)
+
+    return {byte: role == "and_then" or role == "arg" and goal_level(byte)
+            for byte, role in reference["comma_roles"].items()
+            if in_read_clause(byte)}
 
 
 def read_program_reference(tokens: list[Token]) -> dict:

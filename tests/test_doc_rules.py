@@ -237,6 +237,28 @@ def test_d02_aux_prose_not_a_candidate():
     assert only(lint_text(text), "D02") == []
 
 
+
+@pytest.mark.parametrize("banner", ["%%%%%%%%", "%%", "%!", "%%%%  "])
+def test_banner_heads_no_documentation(banner):
+    """A comment with nothing after its marker is a single-marker line:
+    it ends the head scan, so it is neither a head that fails to parse
+    nor a main marker on an auxiliary predicate."""
+    text = (":- module(m, [pub/0]).\n\n"
+            "pub.\n\n"
+            f"{banner}\n"
+            "helper(a).\n")
+    diags = lint_text(text)
+    assert only(diags, "D02") == [] and only(diags, "D06") == []
+    assert only(lint_text(f"{banner}\nhelper(a).\n"), "D02") == []
+
+
+@pytest.mark.parametrize("head", ["%% f(+X) is det", "%! f(+X) is det"])
+def test_text_after_the_marker_keeps_it_main(head):
+    assert parse_doc_head(head).marker == "double"
+    text = f":- module(m, [pub/0]).\n\npub.\n\n{head}\nf(_).\n"
+    assert len(only(lint_text(text), "D06")) == 1
+
+
 # -- D03 -------------------------------------------------------------------------
 
 def test_d03_arity_mismatch():

@@ -190,6 +190,20 @@ def test_l07_structured_style():
     assert len(only(lint_text("p :- f(g(a, b), c).\n", cfg), "L07")) == 1
 
 
+def test_l07_structured_judges_only_clauses_that_read():
+    """A clause that does not read has no terms to tell an and-then comma
+    from a data comma, so the structured style leaves its commas alone;
+    the simple style needs no terms and judges them all."""
+    text = "p :- a,b.\nq :- (a,b.\n"
+    found = [(d.rule_id, d.span.start_line, d.span.start_col)
+             for d in lint_text(text, Config(comma_style="structured"))
+             if d.rule_id in ("L07", "E02")]
+    assert found == [("L07", 1, 7), ("E02", 2, 10)]
+    simple = only(lint_text(text, Config(comma_style="simple")), "L07")
+    assert [(d.span.start_line, d.span.start_col) for d in simple] \
+        == [(1, 7), (2, 8)]
+
+
 # -- L08 ---------------------------------------------------------------------
 
 def test_l08_semicolon_at_end_of_line():

@@ -1,8 +1,10 @@
 """The reader against the recursive-descent reference in ``oracles``: equal
 clauses, compared field by field down every subterm (spans,
-``parenthesized``, ``functor_span`` and lexemes included), equal
-``comma_roles``, exports and module name, and equal E02 messages and spans.
-Inputs too deep for the reference's recursion are the only ones skipped."""
+``parenthesized``, ``functor_span`` and lexemes included), equal exports and
+module name, and equal E02 messages and spans.  L07's "structured" style
+judges every comma inside a clause that reads, and spaces those that the
+reference's comma roles say it should.  Inputs too deep for the
+reference's recursion are the only ones skipped."""
 
 from __future__ import annotations
 
@@ -10,12 +12,13 @@ import random
 
 import pytest
 
-from prolint import source_from_text
-from prolint.reader import read_program
+from prolint import Config, source_from_text
+from prolint.layout_rules import _comma_spacing
+from prolint.reader import Facts, read_program
 from prolint.source_model import scan
 
 from gen import gen_file
-from oracles import read_program_reference
+from oracles import read_program_reference, structured_commas_reference
 from test_formatter import formatter_corpus
 
 #: Pieces of token soup: operands, operators of every type and priority
@@ -61,7 +64,8 @@ def _assert_same_term(got, want, where: str) -> None:
 
 
 def assert_matches_reference(text: str) -> None:
-    tokens, _ = scan(source_from_text(text))
+    src = source_from_text(text)
+    tokens, _ = scan(src)
     try:
         want = read_program_reference(tokens)
     except RecursionError:
@@ -74,12 +78,25 @@ def assert_matches_reference(text: str) -> None:
         assert (g[0], g[3]) == (w[0], w[3]), where
         _assert_same_term(g[1], w[1], where)
         _assert_same_term(g[2], w[2], where)
-    assert program.comma_roles == want["comma_roles"], repr(text)
+    assert _comma_spacing(Facts(src, program, Config())) \
+        == structured_commas_reference(want), repr(text)
     assert program.exports == want["exports"], repr(text)
     assert program.module_name == want["module_name"], repr(text)
     assert all(d.rule_id == "E02" for d in diagnostics)
     assert [(d.message, d.span) for d in diagnostics] == want["errors"], \
         repr(text)
+
+
+@pytest.mark.parametrize("text", [
+    "p :- ;(a, b, c), ','(x, y, z), m:'->'(a,b,c), '*->'(a, b, c).\n",
+    "p :- ','(a, b), ','(c,d), f(','(e, f), (g, h)).\n",
+    "';'(a, b) :- c.\n','(a,b) --> c.\n",
+    "m:p(a, b) :- n:m:q(c, d), {e, f}, [g, h], \\+ f(i, j).\n"])
+def test_comma_spacing_matches_reference_on_control_names(text):
+    """Goals named by a control functor, written ``name(...)``, hold data
+    commas; a head so named does not.  No corpus file, generated file or
+    soup holds one."""
+    assert_matches_reference(text)
 
 
 @pytest.mark.parametrize("name", sorted(formatter_corpus()))

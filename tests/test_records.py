@@ -85,9 +85,9 @@ CASES = {
                      dict(contiguous=True, exported=True), ()),
     "Program": (Program, {},
                 dict(items=[], comments=[], exports=None, module_name=None,
-                     tokens=[], syntax_diagnostics=[], comma_roles={}),
+                     tokens=[], syntax_diagnostics=[]),
                 ("items", "comments", "operator_table", "tokens",
-                 "syntax_diagnostics", "comma_roles")),
+                 "syntax_diagnostics")),
     "Diagnostic": (Diagnostic,
                    dict(rule_id="N01", severity=Severity.WARNING, span=SPAN,
                         message="m"),
@@ -198,7 +198,7 @@ def test_program_defaults_are_its_own():
     by identity, two programs are unequal; their defaults are their own."""
     first, second = Program(), Program()
     for name in ("items", "comments", "operator_table", "tokens",
-                 "syntax_diagnostics", "comma_roles"):
+                 "syntax_diagnostics"):
         assert getattr(first, name) is not getattr(second, name), name
     assert first.exports is None and first.module_name is None
     assert first.operator_table.infix(":-").priority == 1200

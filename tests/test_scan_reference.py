@@ -27,7 +27,7 @@ from test_formatter import formatter_corpus
 ALPHABET = ["'", '"', "`", "\\", "%", "/*", "*/", "0'", "0x", "0o", "0b",
             ".", "e", "E", "+", "-", "_", "é", "É", "ǅ", "²", "①", "٣", "!",
             ";", ",", "|", "(", ")", "[", "]", "{", "}", "\t", "\r", "\n",
-            "\x0b", " ", " ", "a", "a1", "X", "x", "1", "8", "\\x4",
+            "\x0b", "\x0c", " ", " ", "a", "a1", "X", "x", "1", "8", "\\x4",
             "\\101", "\\x41\\"]
 
 

@@ -233,6 +233,15 @@ def test_end_token_requires_following_layout():
                              TokenKind.END]
 
 
+
+@pytest.mark.parametrize("text", ["p.\n\f\nq.", "p.\vq.\n", "p.\fq.\n"])
+def test_form_feed_and_vertical_tab_are_layout(text):
+    """As in SWI-Prolog: they separate tokens and may follow an end."""
+    program = prolint.program_from_source(source_from_text(text))
+    assert not program.syntax_diagnostics
+    assert [clause.head.name for clause in program.items] == ["p", "q"]
+
+
 def _assert_lossless(text: str) -> None:
     src = source_from_text(text)
     tokens, _ = scan(src)
